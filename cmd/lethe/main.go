@@ -349,8 +349,8 @@ func (sh *shell) execute(args []string) (quit bool) {
 			fail(err)
 			return false
 		}
-		fmt.Printf("dropped %d entries (%d full page drops, %d partial, %d pages skipped by fences)\n",
-			st.EntriesDropped, st.FullPageDrops, st.PartialPageDrops, st.PagesUntouched)
+		fmt.Printf("dropped %d entries (%d full page drops, %d partial, %d pages skipped by fences, %d files retired)\n",
+			st.EntriesDropped, st.FullPageDrops, st.PartialPageDrops, st.PagesUntouched, st.FilesRetired)
 	case "scan":
 		var start, end []byte
 		if len(args) > 1 {
@@ -406,8 +406,8 @@ func (sh *shell) execute(args []string) (quit bool) {
 			st.TrivialMoves, st.FullTreeCompactions)
 		fmt.Printf("written: flush=%dB compaction=%dB total=%dB (w-amp %.2f)\n",
 			st.BytesFlushed, st.CompactionBytesWritten, st.TotalBytesWritten, st.WriteAmplification())
-		fmt.Printf("page drops: full=%d partial=%d; blind deletes suppressed=%d\n",
-			st.FullPageDrops, st.PartialPageDrops, st.BlindDeletesSuppressed)
+		fmt.Printf("page drops: full=%d partial=%d; files retired=%d (%dB reclaimed); blind deletes suppressed=%d\n",
+			st.FullPageDrops, st.PartialPageDrops, st.SRDFilesRetired, st.SRDBytesReclaimed, st.BlindDeletesSuppressed)
 		fmt.Printf("pipeline: queued-buffers=%d bg-flushes=%d bg-compactions=%d stalls=%d (%v)\n",
 			st.ImmutableBuffers, st.BackgroundFlushes, st.BackgroundCompactions,
 			st.WriteStalls, st.WriteStallTime)

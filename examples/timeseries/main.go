@@ -61,6 +61,7 @@ func main() {
 		// full-tree compaction — just page drops.
 		if d >= retentionDays {
 			cutoff := d - retentionDays + 1
+			before := db.Stats().BytesOnDisk
 			st, err := db.SecondaryRangeDelete(0, day(cutoff))
 			if err != nil {
 				log.Fatal(err)
@@ -68,8 +69,9 @@ func main() {
 			totalDropped += st.EntriesDropped
 			totalFull += st.FullPageDrops
 			totalPartial += st.PartialPageDrops
-			fmt.Printf("day %2d: purged %5d docs (full page drops: %3d, partial: %3d, fences skipped: %d pages)\n",
-				d, st.EntriesDropped, st.FullPageDrops, st.PartialPageDrops, st.PagesUntouched)
+			fmt.Printf("day %2d: purged %5d docs (full page drops: %3d, partial: %3d, fences skipped: %d pages; %d files retired, %d -> %d bytes on disk)\n",
+				d, st.EntriesDropped, st.FullPageDrops, st.PartialPageDrops, st.PagesUntouched,
+				st.FilesRetired, before, db.Stats().BytesOnDisk)
 		}
 	}
 

@@ -175,6 +175,8 @@ type internalMetrics struct {
 	fullPageDrops          metrics.Counter
 	partialPageDrops       metrics.Counter
 	srdEntriesDropped      metrics.Counter
+	srdFilesRetired        metrics.Counter
+	srdBytesReclaimed      metrics.Counter
 	fullTreeCompactions    metrics.Counter
 	trivialMoves           metrics.Counter
 	maxCompactionBytes     metrics.Gauge
@@ -296,26 +298,24 @@ func Open(opts Options) (db *DB, err error) {
 
 	// Tier membership is manifest state: seed the placement registry before
 	// any file opens so dataFS routes each sstable to the device it lives
-	// on, then drop remote orphans — partial copies left by a crash before
-	// the manifest commit that would have made the migration durable.
+	// on.
 	remoteSet := state.RemoteSet()
 	if db.remoteFS != nil {
 		for num := range remoteSet {
 			db.tierReg.Store(db.fileName(num), struct{}{})
 		}
-		if err := db.cleanRemoteOrphans(remoteSet); err != nil {
-			return nil, err
-		}
 	} else if len(remoteSet) > 0 {
 		return nil, errors.New("lsm: manifest lists remote-tier files but Options.RemoteFS is unset")
 	}
-	if err := db.cleanLocalOrphans(state.Levels, remoteSet); err != nil {
-		return nil, err
-	}
 
-	v := &version{}
-	for _, runsIn := range state.Levels {
-		var runs []run
+	// Open the tree, leaving out files that hold nothing: a secondary range
+	// delete retires the files it empties (srd.go), but a manifest written
+	// before that existed, or one whose retirement never committed, can
+	// still name one. One commit drops them all; the orphan pass below then
+	// unlinks them with the rest of what the manifest does not claim.
+	v := &version{levels: make([][]run, len(state.Levels))}
+	swept := false
+	for l, runsIn := range state.Levels {
 		for _, fileNums := range runsIn {
 			var r run
 			for _, num := range fileNums {
@@ -323,11 +323,31 @@ func Open(opts Options) (db *DB, err error) {
 				if err != nil {
 					return nil, err
 				}
+				if h.meta.Empty() {
+					swept = true
+					if err := h.r.Close(); err != nil {
+						return nil, fmt.Errorf("lsm: close emptied file %d: %w", num, err)
+					}
+					continue
+				}
 				r = append(r, h)
 			}
-			runs = append(runs, r)
+			if len(r) > 0 {
+				v.levels[l] = append(v.levels[l], r)
+			}
 		}
-		v.levels = append(v.levels, runs)
+	}
+	if swept {
+		if err := db.commitManifestLocked(v); err != nil {
+			return nil, err
+		}
+	}
+
+	// Drop what the manifest does not claim: partial migration copies left
+	// on the remote tier by a crash before the commit that would have made
+	// them durable, and local leftovers of any uncommitted install.
+	if err := db.cleanOrphans(v); err != nil {
+		return nil, err
 	}
 	db.installVersionLocked(v)
 	db.recomputeTTLs()
@@ -409,57 +429,42 @@ func (db *DB) openFileAt(num uint64, remote bool) (*fileHandle, error) {
 	return &fileHandle{meta: r.Meta, r: r, fs: db.tierFS(remote), name: name, remote: remote}, nil
 }
 
-// cleanRemoteOrphans removes remote-tier sstables the manifest does not
-// claim: partial migration copies from a crash between the remote fsync and
-// the manifest commit. Local files are never touched here — the local
-// original of an interrupted migration is still the live copy.
-func (db *DB) cleanRemoteOrphans(remoteSet map[uint64]bool) error {
-	names, err := db.remoteFS.List()
-	if err != nil {
-		return fmt.Errorf("lsm: list remote tier: %w", err)
-	}
-	for _, name := range names {
-		num, ok := parseFileName(name)
-		if !ok || remoteSet[num] {
-			continue
-		}
-		if err := db.remoteFS.Remove(name); err != nil {
-			return fmt.Errorf("lsm: remove remote orphan %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// cleanLocalOrphans removes local sstables the manifest does not place on
-// the local tier: outputs of a flush, merge, or subcompaction that crashed
-// before its install committed (a fanned-out job can leave several siblings'
-// partial runs), or the stale local original of a committed local→remote
-// migration. The manifest commit is the engine's only durability point —
-// flushed-but-uncommitted data is regenerated from the WAL, never read from
-// orphaned files — so anything outside the committed local set is garbage.
+// cleanOrphans removes every sstable the committed version v does not place
+// on the tier it is found on. The manifest commit is the engine's only
+// durability point — flushed-but-uncommitted data is regenerated from the
+// WAL, never read from orphaned files — so anything outside the committed
+// set is garbage: on the local tier, outputs of a flush, merge, or
+// subcompaction that crashed before its install committed (a fanned-out job
+// can leave several siblings' partial runs) or the stale local original of a
+// committed local→remote migration; on the remote tier, partial migration
+// copies from a crash between the remote fsync and the manifest commit (the
+// local original of an interrupted migration shares its name and is still the
+// live copy, which is why membership is per tier); on either, a file a
+// secondary range delete retired whose unlink the crash pre-empted.
 // Non-sstable names (WAL segments, MANIFEST) do not parse and are skipped.
-func (db *DB) cleanLocalOrphans(levels [][][]uint64, remoteSet map[uint64]bool) error {
-	localSet := make(map[uint64]bool)
-	for _, runs := range levels {
-		for _, nums := range runs {
-			for _, num := range nums {
-				if !remoteSet[num] {
-					localSet[num] = true
-				}
-			}
-		}
-	}
-	names, err := db.opts.FS.List()
-	if err != nil {
-		return fmt.Errorf("lsm: list local tier: %w", err)
-	}
-	for _, name := range names {
-		num, ok := parseFileName(name)
-		if !ok || localSet[num] {
+func (db *DB) cleanOrphans(v *version) error {
+	live := map[bool]map[uint64]bool{false: {}, true: {}}
+	v.forEach(func(h *fileHandle) { live[h.remote][h.meta.FileNum] = true })
+	for _, tier := range []struct {
+		name   string
+		remote bool
+	}{{"local", false}, {"remote", true}} {
+		fs := db.tierFS(tier.remote)
+		if fs == nil {
 			continue
 		}
-		if err := db.opts.FS.Remove(name); err != nil {
-			return fmt.Errorf("lsm: remove local orphan %s: %w", name, err)
+		names, err := fs.List()
+		if err != nil {
+			return fmt.Errorf("lsm: list %s tier: %w", tier.name, err)
+		}
+		for _, name := range names {
+			num, ok := parseFileName(name)
+			if !ok || live[tier.remote][num] {
+				continue
+			}
+			if err := fs.Remove(name); err != nil {
+				return fmt.Errorf("lsm: remove %s orphan %s: %w", tier.name, name, err)
+			}
 		}
 	}
 	return nil

@@ -79,10 +79,14 @@ type Stats struct {
 	BlindDeletesSuppressed int64
 
 	// FullPageDrops / PartialPageDrops / SRDEntriesDropped account KiWi's
-	// secondary range delete work.
+	// secondary range delete work; SRDFilesRetired counts the files those
+	// deletes emptied and removed from the tree, SRDBytesReclaimed their
+	// physical size.
 	FullPageDrops     int64
 	PartialPageDrops  int64
 	SRDEntriesDropped int64
+	SRDFilesRetired   int64
+	SRDBytesReclaimed int64
 
 	// Background pipeline health (all zero in synchronous mode).
 	//
@@ -224,6 +228,8 @@ func (db *DB) Stats() Stats {
 	s.FullPageDrops = db.m.fullPageDrops.Load()
 	s.PartialPageDrops = db.m.partialPageDrops.Load()
 	s.SRDEntriesDropped = db.m.srdEntriesDropped.Load()
+	s.SRDFilesRetired = db.m.srdFilesRetired.Load()
+	s.SRDBytesReclaimed = db.m.srdBytesReclaimed.Load()
 	s.WriteStalls = db.m.writeStalls.Load()
 	s.WriteStallTime = time.Duration(db.m.writeStallNanos.Load())
 	s.BackgroundFlushes = db.m.bgFlushes.Load()

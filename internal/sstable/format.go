@@ -224,6 +224,14 @@ func (m *Meta) HasTombstones() bool {
 	return m.NumPointTombstones > 0 || m.NumRangeTombstones > 0
 }
 
+// Empty reports whether the file holds nothing a read could return or a
+// compaction would carry forward: no entry (value or point tombstone) and no
+// range tombstone. A secondary range delete that leaves a file Empty lets the
+// engine retire it without touching its bytes.
+func (m *Meta) Empty() bool {
+	return m.NumEntries == 0 && m.NumRangeTombstones == 0
+}
+
 // AMax returns the age of the file's oldest tombstone at time now — the
 // a_max of §4.1.3. Files without tombstones have a_max = 0.
 func (m *Meta) AMax(now time.Time) time.Duration {

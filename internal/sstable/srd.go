@@ -27,8 +27,18 @@ type SRDStats struct {
 // the file, per §4.2.2: pages fully covered by the range (as proven by their
 // delete fences) are dropped without being read; edge pages — at most the
 // boundary pages of each tile's D order — are read, filtered, and rewritten
-// in place. The metadata block is rewritten afterwards so the file stays
-// self-describing. The updated Meta is returned.
+// in place. The updated Meta is returned.
+//
+// The file is the top of the drop hierarchy. When the file-level delete
+// fences lie inside [lo, hi) and the file carries no tombstone, every live
+// page is a full drop by the file fence alone: the page fences are not
+// consulted, and the only work left is flagging the in-memory descriptors,
+// so a reader that pinned the file before the delete sees it empty. A file
+// the delete leaves Empty — by this route or page by page — is not
+// rewritten: the engine retires it (drops it from the version and unlinks
+// it), so re-encoding and syncing its metadata block would be I/O spent on a
+// file about to be removed. Any other touched file gets its metadata block
+// rewritten so it stays self-describing.
 func (r *Reader) ApplySecondaryRangeDelete(lo, hi base.DeleteKey, bitsPerKey int) (SRDStats, *Meta, error) {
 	var stats SRDStats
 	if hi <= lo {
@@ -38,6 +48,10 @@ func (r *Reader) ApplySecondaryRangeDelete(lo, hi base.DeleteKey, bitsPerKey int
 	// descriptors are rewritten in place.
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	wholeFile := r.Meta.NumEntries > 0 && !r.Meta.HasTombstones() &&
+		r.Meta.MinD >= lo && r.Meta.MaxD < hi
+	var err error
+scan:
 	for ti := range r.Tiles {
 		tile := &r.Tiles[ti]
 		for pi := range tile.Pages {
@@ -45,30 +59,22 @@ func (r *Reader) ApplySecondaryRangeDelete(lo, hi base.DeleteKey, bitsPerKey int
 			switch {
 			case pm.Dropped || pm.ValueCount == 0:
 				continue
+			case wholeFile || (pm.MinD >= lo && pm.MaxD < hi && pm.ValueCount == pm.Count):
+				// Fully covered pure-value page — proven by the file fence
+				// for the whole file at once, or by the page's own: full
+				// page drop, zero I/O.
+				stats.EntriesDropped += pm.ValueCount
+				r.dropPage(tile, pi)
+				stats.FullDrops++
 			case pm.MaxD < lo || pm.MinD >= hi:
 				// Delete fences prove no overlap.
 				stats.PagesUntouched++
-				continue
-			case pm.MinD >= lo && pm.MaxD < hi && pm.ValueCount == pm.Count:
-				// Fully covered pure-value page: full page drop, zero I/O.
-				stats.EntriesDropped += pm.ValueCount
-				r.cache.invalidate(r.Meta.FileNum, tile.FirstPage+pi)
-				if r.Meta.Format >= FormatV2 {
-					r.Meta.DeadBytes += int64(pm.Bytes)
-				}
-				pm.Dropped = true
-				pm.Count = 0
-				pm.ValueCount = 0
-				pm.Bytes = 0
-				pm.KeyBytes = 0
-				pm.Filter = nil
-				stats.FullDrops++
 			default:
 				// Edge page (or page mixing tombstones with values): read,
 				// filter, rewrite in place.
-				dropped, err := r.partialDrop(tile, pi, lo, hi, bitsPerKey)
-				if err != nil {
-					return stats, r.Meta, err
+				var dropped int
+				if dropped, err = r.partialDrop(tile, pi, lo, hi, bitsPerKey); err != nil {
+					break scan
 				}
 				stats.EntriesDropped += dropped
 				if dropped > 0 {
@@ -80,14 +86,30 @@ func (r *Reader) ApplySecondaryRangeDelete(lo, hi base.DeleteKey, bitsPerKey int
 		}
 	}
 	if stats.FullDrops+stats.PartialDrops > 0 {
-		if err := r.recomputeFileMeta(); err != nil {
-			return stats, r.Meta, err
-		}
-		if err := r.rewriteMetaBlock(); err != nil {
-			return stats, r.Meta, err
+		// Refresh the aggregates even when an edge page failed: the pages
+		// dropped before it are gone from this reader either way.
+		r.recomputeFileMeta()
+		if err == nil && !r.Meta.Empty() {
+			err = r.rewriteMetaBlock()
 		}
 	}
-	return stats, r.Meta, nil
+	return stats, r.Meta, err
+}
+
+// dropPage marks one page dropped: its descriptor is zeroed, its cached copy
+// released, and (v2) its bytes counted dead. No I/O.
+func (r *Reader) dropPage(tile *TileMeta, pi int) {
+	pm := &tile.Pages[pi]
+	r.cache.invalidate(r.Meta.FileNum, tile.FirstPage+pi)
+	if r.Meta.Format >= FormatV2 {
+		r.Meta.DeadBytes += int64(pm.Bytes)
+	}
+	pm.Dropped = true
+	pm.Count = 0
+	pm.ValueCount = 0
+	pm.Bytes = 0
+	pm.KeyBytes = 0
+	pm.Filter = nil
 }
 
 // partialDrop filters one page in place, returning how many entries it
@@ -113,16 +135,7 @@ func (r *Reader) partialDrop(tile *TileMeta, pi int, lo, hi base.DeleteKey, bits
 	if len(kept) == 0 {
 		// The page emptied out: it becomes a drop (but it already cost a
 		// read; it is still counted as a partial drop by the caller).
-		r.cache.invalidate(r.Meta.FileNum, tile.FirstPage+pi)
-		if r.Meta.Format >= FormatV2 {
-			r.Meta.DeadBytes += int64(pm.Bytes)
-		}
-		pm.Dropped = true
-		pm.Count = 0
-		pm.ValueCount = 0
-		pm.Bytes = 0
-		pm.KeyBytes = 0
-		pm.Filter = nil
+		r.dropPage(tile, pi)
 		return removed, nil
 	}
 
@@ -199,7 +212,7 @@ func (r *Reader) partialDrop(tile *TileMeta, pi int, lo, hi base.DeleteKey, bits
 
 // recomputeFileMeta refreshes the file-level aggregates from the surviving
 // page metadata after drops.
-func (r *Reader) recomputeFileMeta() error {
+func (r *Reader) recomputeFileMeta() {
 	m := r.Meta
 	m.NumEntries = 0
 	m.NumPointTombstones = 0
@@ -226,7 +239,6 @@ func (r *Reader) recomputeFileMeta() error {
 	if first {
 		m.MinD, m.MaxD = 0, 0
 	}
-	return nil
 }
 
 // rewriteMetaBlock re-serializes the metadata block — at its fixed offset

@@ -148,9 +148,49 @@ func TestSRDFullDropsRequireNoIO(t *testing.T) {
 	if delta.ReadOps != 0 {
 		t.Fatalf("full drops performed %d reads", delta.ReadOps)
 	}
-	// Only the meta rewrite writes.
-	if delta.WriteOps == 0 {
-		t.Fatal("meta rewrite must persist")
+	// The delete emptied the file, which the engine now retires: rewriting
+	// its metadata block first would be I/O on a file about to be unlinked.
+	if delta.WriteOps != 0 || delta.Syncs != 0 {
+		t.Fatalf("emptied file was rewritten: %d writes, %d syncs", delta.WriteOps, delta.Syncs)
+	}
+	if !r.Meta.Empty() || r.CountDropped() != r.Meta.NumPages {
+		t.Fatalf("reader not emptied: %d entries, %d of %d pages dropped",
+			r.Meta.NumEntries, r.CountDropped(), r.Meta.NumPages)
+	}
+}
+
+// TestSRDWholeFileDropNeedsNoTombstones: the file-fence fast path applies
+// only to files without tombstones; a point or range tombstone keeps the file
+// (and its metadata rewrite), since a tombstone still shadows older data.
+func TestSRDWholeFileDropNeedsNoTombstones(t *testing.T) {
+	values := seqEntries(200, func(int) base.DeleteKey { return 50 })
+	withPoint := append(append([]base.Entry(nil), values...),
+		base.MakeEntry([]byte("key-99999"), 1000, base.KindDelete, 7, nil))
+	rt := []base.RangeTombstone{{Start: []byte("a"), End: []byte("b"), Seq: 1001, DKey: 7}}
+	for name, tc := range map[string]struct {
+		entries []base.Entry
+		rts     []base.RangeTombstone
+	}{"point": {withPoint, nil}, "range": {values, rt}} {
+		r, fs := buildFile(t, testOpts(8), tc.entries, tc.rts)
+		stats, _, err := r.ApplySecondaryRangeDelete(0, 1000, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.EntriesDropped != 200 {
+			t.Fatalf("%s: dropped %d of 200 values", name, stats.EntriesDropped)
+		}
+		if r.Meta.Empty() {
+			t.Fatalf("%s: file with a tombstone reported empty", name)
+		}
+		r.Close()
+		r2 := reopen(t, fs)
+		if got := r2.Meta.NumEntries; got != len(tc.entries)-200 {
+			t.Fatalf("%s: %d entries persisted, want %d", name, got, len(tc.entries)-200)
+		}
+		if len(r2.RangeTombstones) != len(tc.rts) {
+			t.Fatalf("%s: range tombstones lost", name)
+		}
+		r2.Close()
 	}
 }
 
@@ -273,15 +313,21 @@ func TestSRDRepeatedApplication(t *testing.T) {
 	if total != 900 {
 		t.Fatalf("dropped %d total", total)
 	}
-	r.Close()
-	r2 := reopen(t, fs)
-	defer r2.Close()
-	if r2.Meta.NumEntries != 0 {
-		t.Fatalf("%d entries survive", r2.Meta.NumEntries)
+	if !r.Meta.Empty() {
+		t.Fatalf("%d entries survive", r.Meta.NumEntries)
 	}
-	it := r2.NewIter()
+	it := r.NewIter()
 	if _, ok := it.Next(); ok {
 		t.Fatal("fully deleted file iterates entries")
+	}
+	r.Close()
+	// The first two waves are on disk; the wave that emptied the file is
+	// not, because the engine unlinks an emptied file instead of rewriting
+	// it (lsm's manifest commit is what makes that wave durable).
+	r2 := reopen(t, fs)
+	defer r2.Close()
+	if r2.Meta.NumEntries != 300 {
+		t.Fatalf("%d entries persisted, want the last wave's 300", r2.Meta.NumEntries)
 	}
 }
 

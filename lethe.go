@@ -784,6 +784,13 @@ func (db *DB) RangeDelete(start, end []byte) error {
 // time (the paper's DComp scenario); see the engine documentation for the
 // multi-version caveat.
 //
+// Space: a file the delete empties is retired before the call returns —
+// dropped from the manifest and unlinked from its tier once the last
+// iterator or snapshot pinning it is released — so a retention job gets its
+// bytes back at delete time (SRDStats.FilesRetired, Stats.SRDBytesReclaimed).
+// A file the delete only partly covers keeps its dead blocks until a
+// compaction rewrites it.
+//
 // Partial application: the delete key is orthogonal to the sort-key
 // partitioning, so the delete fans out to every shard, in shard order, and
 // each shard's portion applies independently. If shard k's delete fails,
@@ -818,12 +825,14 @@ restart:
 			agg.PartialPageDrops += st.PartialDrops
 			agg.EntriesDropped += st.EntriesDropped
 			agg.PagesUntouched += st.PagesUntouched
+			agg.FilesRetired += st.FilesRetired
 			agg.Shards = append(agg.Shards, ShardSRDStats{
 				Shard:            i,
 				FullPageDrops:    st.FullDrops,
 				PartialPageDrops: st.PartialDrops,
 				EntriesDropped:   st.EntriesDropped,
 				PagesUntouched:   st.PagesUntouched,
+				FilesRetired:     st.FilesRetired,
 				Err:              err,
 			})
 			if err != nil {
@@ -844,6 +853,9 @@ type SRDStats struct {
 	EntriesDropped int
 	// PagesUntouched is the number of pages the delete fences excluded.
 	PagesUntouched int
+	// FilesRetired is the number of sstables the delete emptied and removed
+	// from the tree, returning their space.
+	FilesRetired int
 	// Shards is the per-shard breakdown, in shard (key-range) order,
 	// mirroring DB.ShardStats: one entry per shard the fan-out reached. On
 	// success it has ShardCount entries; after a mid-loop failure it stops
@@ -856,13 +868,14 @@ type SRDStats struct {
 type ShardSRDStats struct {
 	// Shard is the shard index (key-range order, as in ShardStats).
 	Shard int
-	// FullPageDrops, PartialPageDrops, EntriesDropped, and PagesUntouched
-	// mirror the aggregate fields, scoped to this shard. For a failed shard
-	// they count the work completed before the error.
+	// FullPageDrops, PartialPageDrops, EntriesDropped, PagesUntouched, and
+	// FilesRetired mirror the aggregate fields, scoped to this shard. For a
+	// failed shard they count the work completed before the error.
 	FullPageDrops    int
 	PartialPageDrops int
 	EntriesDropped   int
 	PagesUntouched   int
+	FilesRetired     int
 	// Err is the error this shard's delete returned, nil on success. At
 	// most the last entry of SRDStats.Shards has it set.
 	Err error

@@ -319,6 +319,8 @@ func aggregateStats(per []lsm.Stats) lsm.Stats {
 		agg.FullPageDrops += s.FullPageDrops
 		agg.PartialPageDrops += s.PartialPageDrops
 		agg.SRDEntriesDropped += s.SRDEntriesDropped
+		agg.SRDFilesRetired += s.SRDFilesRetired
+		agg.SRDBytesReclaimed += s.SRDBytesReclaimed
 		agg.ImmutableBuffers += s.ImmutableBuffers
 		agg.MemtableBytes += s.MemtableBytes
 		agg.WriteStalls += s.WriteStalls

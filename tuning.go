@@ -218,6 +218,20 @@
 // copy of the mutable buffer is immune) — order retention deletes after
 // reads that must not observe them.
 //
+// Space after a SecondaryRangeDelete: the drop hierarchy is page → tile →
+// file. A file the delete empties is retired on the spot — out of the
+// manifest before the call returns, unlinked from its tier when the last
+// iterator or snapshot pinning it lets go — so a retention job over
+// time-ordered ingest, where whole flushed runs age out together, sees
+// Stats().BytesOnDisk fall at delete time (SRDFilesRetired and
+// SRDBytesReclaimed count it). A file the delete only partly covers keeps
+// its dropped blocks as dead space until a compaction rewrites it; the gap
+// shows as Levels[i].BytesOnDisk − LiveBytes. To keep that gap small, let
+// deletes line up with files: delete in slices no finer than a flushed
+// buffer's worth of delete keys (BufferBytes of ingest), and prefer a
+// TilePages large enough that covered pages drop whole rather than as edge
+// rewrites. A long-lived snapshot defers the unlink, never the delete.
+//
 // # Block size: Storage.BlockSizeBytes
 //
 // Format v2 (internal/sstable/format.go) stores each delete-tile page as a
