@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench` output into a stable JSON
 // document and an optional Markdown summary table — the format the CI
-// perf-trajectory job archives (BENCH_PR3.json and successors) so benchmark
-// numbers can be compared across PRs by machines, not eyeballs.
+// perf-trajectory job archives (bench-current.json, and the committed
+// BENCH_BASELINE.json) so benchmark numbers can be compared across PRs by
+// machines, not eyeballs.
 //
 // Usage:
 //
@@ -13,7 +14,7 @@
 // whole `go test` output can be piped in unfiltered.
 //
 // With -baseline PREV.json (a previous -json output, e.g. the committed
-// BENCH_PR6.json), a "versus baseline" Markdown section is appended diffing
+// BENCH_BASELINE.json), a "versus baseline" Markdown section is appended diffing
 // ns/op, B/op, and allocs/op per benchmark, and every regression past
 // -threshold percent (default 20) emits a GitHub Actions ::warning::
 // annotation on stderr — the CI bench-regression gate. Memory columns are

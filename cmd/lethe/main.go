@@ -36,8 +36,8 @@
 //
 // -wal-sync selects the commit durability policy: "grouped" (default)
 // batches concurrent commits through the group-commit pipeline with one WAL
-// sync per group, "always" syncs every commit individually on the
-// serialized path, "never" defers durability to the OS. The stats command
+// sync per group, "always" commits and syncs every batch as a group of
+// one, "never" defers durability to the OS. The stats command
 // reports the pipeline's grouping factor and sync counts.
 //
 // Commands (one per line):

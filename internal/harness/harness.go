@@ -125,17 +125,20 @@ func NewEnv(cfg Config, sys System, wl workload.Config) (*Env, error) {
 	}
 	gen := workload.New(wl)
 	db, err := lethe.Open(lethe.Options{
-		FS:          fs,
-		Clock:       clock,
-		SizeRatio:   cfg.SizeRatio,
-		BufferBytes: cfg.BufferBytes,
-		PageSize:    cfg.PageSize,
-		FilePages:   cfg.FilePages,
-		// The paper's figures reason in pages: a delete tile is h fixed-size
-		// pages. Format v2 partitions tiles by encoded block size instead,
-		// so pin the block target to the page size to keep the tile
-		// geometry — and the figures' monotone relations — in page units.
-		BlockSizeBytes:       cfg.PageSize,
+		Storage: lethe.StorageOptions{
+			FS: fs,
+			// The paper's figures reason in pages: a delete tile is h
+			// fixed-size pages. Tiles are partitioned by encoded block size,
+			// so pin the block target to the page size to keep the tile
+			// geometry — and the figures' monotone relations — in page
+			// units.
+			BlockSizeBytes: cfg.PageSize,
+		},
+		Clock:                clock,
+		SizeRatio:            cfg.SizeRatio,
+		BufferBytes:          cfg.BufferBytes,
+		PageSize:             cfg.PageSize,
+		FilePages:            cfg.FilePages,
 		TilePages:            sys.TilePages,
 		Mode:                 sys.Mode,
 		Dth:                  sys.Dth,

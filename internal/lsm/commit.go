@@ -7,7 +7,9 @@ import (
 	"lethe/internal/memtable"
 )
 
-// This file implements the group-commit write pipeline.
+// This file implements the group-commit write pipeline — the one commit
+// path: every Put, Delete, RangeDelete and batch goes through it, in every
+// mode.
 //
 // Writers encode their operations into a commitBatch (a single Put, Delete,
 // or RangeDelete becomes a one-entry batch) and enqueue it; sequence numbers
@@ -28,9 +30,13 @@ import (
 // and for buffer rotation — never across WAL I/O or memtable inserts.
 //
 // Synchronous mode (DisableBackgroundMaintenance, forced under a manual
-// clock) and SyncAlways never reach this path: they use commitInlineLocked,
-// the serialized per-commit path, preserving the paper's deterministic
-// execution.
+// clock) and SyncAlways run the same protocol with groups of one: the leader
+// takes only its own batch, so each commit gets its own WAL record and its
+// own Sync, and the batches queued behind it lead their own groups in
+// sequence order. With a single writer that is exactly the paper's
+// deterministic execution: log, apply, publish, then — when the buffer
+// filled — the inline flush and maintenance of maybeRotateBufferLocked, all
+// in the caller's goroutine.
 
 // commitBatch is one writer's atomic set of entries traveling through the
 // commit pipeline.
@@ -55,75 +61,10 @@ type commitBatch struct {
 	promote chan struct{}
 }
 
-// usePipeline reports whether writes go through the group-commit pipeline.
-// bgStarted and WALSync are immutable after Open, so this needs no lock.
-func (db *DB) usePipeline() bool {
-	return db.bgStarted && db.opts.WALSync != SyncAlways
-}
-
-// commit routes a writer's entries to the group-commit pipeline or, in
-// synchronous mode and under SyncAlways, to the serialized inline path. The
-// entries carry a zero sequence number; commit assigns real ones.
+// commit enqueues a writer's entries as one batch and drives or joins the
+// group-commit protocol described at the top of the file. The entries carry
+// a zero sequence number; commit assigns real ones.
 func (db *DB) commit(entries []base.Entry) error {
-	if db.usePipeline() {
-		return db.commitPipeline(entries)
-	}
-	if db.bgStarted {
-		// Background mode on the serialized path (SyncAlways): gate on the
-		// global memtable budget before taking db.mu, so a budget stall
-		// never blocks the flush installs that resolve it.
-		if err := db.admitMemory(); err != nil {
-			return err
-		}
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writableLocked(); err != nil {
-		return err
-	}
-	return db.commitInlineLocked(entries)
-}
-
-// commitInlineLocked is the serialized commit path: assign sequence numbers,
-// log the batch as one group record, sync per policy, apply, publish.
-// Callers hold db.mu and have passed writableLocked.
-func (db *DB) commitInlineLocked(entries []base.Entry) error {
-	seqLo := db.seq + 1
-	for i := range entries {
-		db.seq++
-		entries[i].Key.Trailer = base.MakeTrailer(db.seq, entries[i].Key.Kind())
-		db.m.userBytesWritten.Add(int64(entries[i].Size()))
-	}
-	seqHi := db.seq
-	if db.wal != nil {
-		err := db.wal.AppendGroup(entries)
-		if err == nil && db.opts.WALSync != SyncNever {
-			if err = db.wal.Sync(); err == nil {
-				db.m.walSyncs.Add(1)
-			}
-		}
-		if err != nil {
-			// Burn the range so the publication frontier stays gapless, and
-			// poison the engine like the pipeline path does: the log may now
-			// hold a torn record, and a later commit appended behind it
-			// would be stranded beyond the corruption on replay.
-			db.publishRange(seqLo, seqHi)
-			db.setBackgroundErrLocked(err)
-			return err
-		}
-	}
-	db.mem.ApplyAll(entries)
-	db.updateMemoryUsageLocked()
-	db.m.commitGroups.Add(1)
-	db.m.commitBatches.Add(1)
-	db.m.commitEntries.Add(int64(len(entries)))
-	db.publishRange(seqLo, seqHi)
-	return db.maybeRotateBufferLocked()
-}
-
-// commitPipeline enqueues the entries as one batch and drives or joins the
-// group-commit protocol described at the top of the file.
-func (db *DB) commitPipeline(entries []base.Entry) error {
 	// Cross-shard memory gate, before the batch takes a sequence number or
 	// queue position: a writer stalled here holds nothing, so the shared
 	// pool's flushes drain the backlog that releases it.
@@ -173,7 +114,8 @@ func (db *DB) commitPipeline(entries []base.Entry) error {
 }
 
 // leadCommit runs the leader role for the group containing b: snatch
-// everything queued, commit it as one group, then retire — handing
+// everything queued — or, in synchronous mode and under SyncAlways, only b,
+// which heads the queue — commit it as one group, then retire — handing
 // leadership to the first still-queued batch, if any, so no caller ever
 // serves more than its own group (bounded leader latency, RocksDB-style
 // leader chaining).
@@ -181,9 +123,12 @@ func (db *DB) leadCommit(b *commitBatch) error {
 	db.cq.mu.Lock()
 	group := db.cq.pending
 	db.cq.pending = nil
+	if (!db.bgStarted || db.opts.WALSync == SyncAlways) && len(group) > 1 {
+		group, db.cq.pending = group[:1:1], group[1:]
+	}
 	db.cq.mu.Unlock()
 	// group contains at least b: a batch is only promoted (or elected at
-	// enqueue) while it sits in the queue.
+	// enqueue) while it sits in the queue, and the leader is its head.
 
 	rerr := db.commitGroup(group, b)
 
@@ -200,7 +145,7 @@ func (db *DB) leadCommit(b *commitBatch) error {
 		return b.err
 	}
 	// A rotation error is reported to the leader's caller; the group's
-	// members have committed, and the failure also travels via bgErr.
+	// members have committed.
 	return rerr
 }
 
@@ -228,7 +173,7 @@ func (db *DB) commitGroup(group []*commitBatch, self *commitBatch) error {
 		for _, b := range group {
 			all = append(all, b.entries...)
 		}
-		if err = db.wal.AppendGroup(all); err == nil && db.opts.WALSync == SyncGrouped {
+		if err = db.wal.AppendGroup(all); err == nil && db.opts.WALSync != SyncNever {
 			if err = db.wal.Sync(); err == nil {
 				db.m.walSyncs.Add(1)
 			}
@@ -291,18 +236,13 @@ func (db *DB) commitGroup(group []*commitBatch, self *commitBatch) error {
 	wg.Wait()
 
 	// The whole group has landed in the buffer; now the rotation check is
-	// safe. A rotation failure poisons the engine and is reported to the
-	// leader's caller.
+	// safe. A rotation failure is reported to the leader's caller.
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed || db.bgErr != nil {
 		return nil
 	}
-	if rerr := db.maybeRotateBufferLocked(); rerr != nil {
-		db.setBackgroundErrLocked(rerr)
-		return rerr
-	}
-	return nil
+	return db.maybeRotateBufferLocked()
 }
 
 // applyCommitted performs one batch's memtable insert and ordered sequence

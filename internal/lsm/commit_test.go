@@ -14,29 +14,22 @@ import (
 	"lethe/internal/vfs"
 )
 
-// TestCommitPipelineStress hammers the group-commit pipeline with concurrent
-// writers (single puts, deletes, and multi-op batches) and readers, under
-// -race. It asserts the pipeline's core invariants: the published-sequence
-// frontier is nondecreasing and ends gapless at the total entry count, every
-// acknowledged write is readable, grouping actually happened, and a reopen
-// over the same filesystem replays the multi-entry group records exactly.
+// TestCommitPipelineStress hammers the commit pipeline, in each commit mode,
+// with concurrent writers (single puts, deletes, and multi-op batches) and
+// readers, under -race. It asserts the pipeline's core invariants: the
+// published-sequence frontier is nondecreasing and ends gapless at the total
+// entry count, every acknowledged write is readable, commits were accounted
+// with no more syncs than groups, and a reopen over the same filesystem
+// replays the multi-entry group records exactly.
 func TestCommitPipelineStress(t *testing.T) {
-	fs := vfs.NewMem()
-	opts := Options{
-		FS:          fs,
-		BufferBytes: 8 << 10,
-		PageSize:    512,
-		FilePages:   4,
-		SizeRatio:   4,
-		WALSync:     SyncGrouped,
-	}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.usePipeline() {
-		t.Fatal("wall-clock grouped DB must use the commit pipeline")
-	}
+	forEachCommitMode(t, nil, stressCommitPipeline)
+}
+
+func stressCommitPipeline(t *testing.T, opts Options) {
+	// A small buffer, so rotations — sealed for the pool, or flushed inline
+	// by the leader in synchronous mode — race the appliers.
+	opts.BufferBytes = 8 << 10
+	db := mustOpen(t, opts)
 
 	const (
 		writers   = 8
@@ -137,7 +130,7 @@ func TestCommitPipelineStress(t *testing.T) {
 		t.Fatalf("groups %d exceed batches %d", st.CommitGroups, st.CommitBatches)
 	}
 	if st.WALSyncs > st.CommitGroups {
-		t.Fatalf("syncs %d exceed groups %d under SyncGrouped", st.WALSyncs, st.CommitGroups)
+		t.Fatalf("syncs %d exceed groups %d", st.WALSyncs, st.CommitGroups)
 	}
 
 	// Every surviving key reads back correctly (deletes removed i-1 at i%10==7).
@@ -183,8 +176,8 @@ func TestCommitPipelineStress(t *testing.T) {
 
 // TestCommitPipelineGroups forces commit grouping by making WAL syncs slow:
 // while the leader is inside a sync, other writers pile onto the queue and
-// must be committed as one group with one sync. The serialized SyncAlways
-// path, by contrast, must issue one sync per put.
+// must be committed as one group with one sync. SyncAlways and synchronous
+// mode, by contrast, commit groups of one: one sync per put.
 func TestCommitPipelineGroups(t *testing.T) {
 	slowSync := func(op vfs.Op, name string) error {
 		if op == vfs.OpSync && strings.HasPrefix(name, "wal") {
@@ -196,7 +189,7 @@ func TestCommitPipelineGroups(t *testing.T) {
 		writers   = 8
 		perWriter = 25
 	)
-	run := func(t *testing.T, policy WALSyncPolicy) Stats {
+	run := func(t *testing.T, policy WALSyncPolicy, syncMode bool) Stats {
 		db, err := Open(Options{
 			FS:          vfs.NewInject(vfs.NewMem(), slowSync),
 			BufferBytes: 1 << 20,
@@ -204,6 +197,8 @@ func TestCommitPipelineGroups(t *testing.T) {
 			FilePages:   4,
 			SizeRatio:   4,
 			WALSync:     policy,
+
+			DisableBackgroundMaintenance: syncMode,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +222,7 @@ func TestCommitPipelineGroups(t *testing.T) {
 	}
 
 	t.Run("grouped", func(t *testing.T) {
-		st := run(t, SyncGrouped)
+		st := run(t, SyncGrouped, false)
 		if st.CommitBatches != writers*perWriter {
 			t.Fatalf("batches %d, want %d", st.CommitBatches, writers*perWriter)
 		}
@@ -243,15 +238,25 @@ func TestCommitPipelineGroups(t *testing.T) {
 			t.Fatalf("sync count %d not amortized over %d puts", st.WALSyncs, writers*perWriter)
 		}
 	})
-	t.Run("always", func(t *testing.T) {
-		st := run(t, SyncAlways)
-		if st.WALSyncs != int64(writers*perWriter) {
-			t.Fatalf("SyncAlways must sync per put: %d syncs for %d puts", st.WALSyncs, writers*perWriter)
-		}
-		if st.CommitGroups != st.CommitBatches {
-			t.Fatalf("SyncAlways must not group: %d groups, %d batches", st.CommitGroups, st.CommitBatches)
-		}
-	})
+	for _, tc := range []struct {
+		name     string
+		policy   WALSyncPolicy
+		syncMode bool
+	}{
+		{"always", SyncAlways, false},
+		{"synchronous", SyncGrouped, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := run(t, tc.policy, tc.syncMode)
+			if st.WALSyncs != int64(writers*perWriter) {
+				t.Fatalf("must sync per put: %d syncs for %d puts", st.WALSyncs, writers*perWriter)
+			}
+			if st.CommitGroups != st.CommitBatches || st.MaxCommitGroupBatches != 1 {
+				t.Fatalf("must not group: %d groups, %d batches, max group %d",
+					st.CommitGroups, st.CommitBatches, st.MaxCommitGroupBatches)
+			}
+		})
+	}
 }
 
 // TestWALSyncFailureSurfaces is the durability-gap regression test: before
@@ -266,11 +271,11 @@ func TestWALSyncFailureSurfaces(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		policy   WALSyncPolicy
-		syncMode bool // DisableBackgroundMaintenance (inline path)
+		syncMode bool // DisableBackgroundMaintenance
 		wantErr  bool
 	}{
-		{"grouped-pipeline", SyncGrouped, false, true},
-		{"grouped-inline", SyncGrouped, true, true},
+		{"grouped-background", SyncGrouped, false, true},
+		{"grouped-synchronous", SyncGrouped, true, true},
 		{"always", SyncAlways, false, true},
 		{"never", SyncNever, false, false},
 	} {
@@ -330,119 +335,134 @@ func TestWALSyncFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestWALSyncFailurePoisonsPipeline checks that a group-commit WAL failure
+// forEachCommitMode runs fn once per way a commit can be shaped — grouped
+// behind a leader, a group of one under SyncAlways, a group of one in
+// synchronous mode — each time over a fresh in-memory filesystem wrapped by
+// the fault hook. The failure contracts below hold on all three.
+func forEachCommitMode(t *testing.T, hook func(op vfs.Op, name string) error, fn func(t *testing.T, opts Options)) {
+	for _, tc := range []struct {
+		name     string
+		policy   WALSyncPolicy
+		syncMode bool
+	}{
+		{"background-grouped", SyncGrouped, false},
+		{"background-always", SyncAlways, false},
+		{"synchronous", SyncGrouped, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fs vfs.FS = vfs.NewMem()
+			if hook != nil {
+				fs = vfs.NewInject(fs, hook)
+			}
+			fn(t, Options{
+				FS:          fs,
+				BufferBytes: 1 << 20,
+				PageSize:    512,
+				FilePages:   4,
+				SizeRatio:   4,
+				WALSync:     tc.policy,
+
+				DisableBackgroundMaintenance: tc.syncMode,
+			})
+		})
+	}
+}
+
+// TestWALSyncFailurePoisonsPipeline checks that a commit's WAL failure
 // poisons the engine: the log may hold a torn record, so later commits must
 // fail rather than append behind the corruption.
 func TestWALSyncFailurePoisonsPipeline(t *testing.T) {
 	boom := errors.New("sync fault")
 	var failing atomic.Bool
-	inj := vfs.NewInject(vfs.NewMem(), func(op vfs.Op, name string) error {
+	hook := func(op vfs.Op, name string) error {
 		if op == vfs.OpSync && strings.HasPrefix(name, "wal") && failing.Load() {
 			return boom
 		}
 		return nil
+	}
+	forEachCommitMode(t, hook, func(t *testing.T, opts Options) {
+		failing.Store(false)
+		db := mustOpen(t, opts)
+		defer db.Close()
+		if err := db.Put(key(0), 0, value(0)); err != nil {
+			t.Fatal(err)
+		}
+		failing.Store(true)
+		if err := db.Put(key(1), 0, value(1)); !errors.Is(err, boom) {
+			t.Fatalf("want sync fault, got %v", err)
+		}
+		failing.Store(false)
+		if err := db.Put(key(2), 0, value(2)); !errors.Is(err, boom) {
+			t.Fatalf("engine must stay poisoned after a WAL failure, got %v", err)
+		}
 	})
-	db, err := Open(Options{
-		FS:          inj,
-		BufferBytes: 1 << 20,
-		PageSize:    512,
-		FilePages:   4,
-		SizeRatio:   4,
-		WALSync:     SyncGrouped,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put(key(0), 0, value(0)); err != nil {
-		t.Fatal(err)
-	}
-	failing.Store(true)
-	if err := db.Put(key(1), 0, value(1)); !errors.Is(err, boom) {
-		t.Fatalf("want sync fault, got %v", err)
-	}
-	failing.Store(false)
-	if err := db.Put(key(2), 0, value(2)); !errors.Is(err, boom) {
-		t.Fatalf("engine must stay poisoned after a WAL failure, got %v", err)
-	}
 }
 
 // TestBatchAtomicReplay verifies batch atomicity across the group record: a
 // crash after a synced batch replays the whole batch, never a prefix.
 func TestBatchAtomicReplay(t *testing.T) {
-	fs := vfs.NewMem()
-	opts := Options{
-		FS:          fs,
-		BufferBytes: 1 << 20,
-		PageSize:    512,
-		FilePages:   4,
-		SizeRatio:   4,
-		WALSync:     SyncGrouped,
-	}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := make([]BatchOp, 20)
-	for i := range ops {
-		ops[i] = BatchOp{Kind: base.KindSet, Key: key(i), DKey: base.DeleteKey(i), Value: value(i)}
-	}
-	if err := db.ApplyBatch(ops); err != nil {
-		t.Fatal(err)
-	}
-	// Crash without Close; reopen and expect all 20 operations.
-	db2, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for i := range ops {
-		v, _, err := db2.Get(key(i))
-		if err != nil || !bytes.Equal(v, value(i)) {
-			t.Fatalf("batch member %d not recovered: %q %v", i, v, err)
+	forEachCommitMode(t, nil, func(t *testing.T, opts Options) {
+		db := mustOpen(t, opts)
+		ops := make([]BatchOp, 20)
+		for i := range ops {
+			ops[i] = BatchOp{Kind: base.KindSet, Key: key(i), DKey: base.DeleteKey(i), Value: value(i)}
 		}
-	}
+		if err := db.ApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		// Crash without Close; reopen and expect all 20 operations.
+		db2, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db2.Close()
+		for i := range ops {
+			v, _, err := db2.Get(key(i))
+			if err != nil || !bytes.Equal(v, value(i)) {
+				t.Fatalf("batch member %d not recovered: %q %v", i, v, err)
+			}
+		}
+	})
 }
 
-// TestInlineWALFailureDoesNotStallPublication regression-tests a pipeline
-// bookkeeping hazard on the serialized path: a failed WAL append consumed
-// sequence numbers, and if the range were not burned, the next commit's
-// ordered publication would wait forever for the gap to fill.
-func TestInlineWALFailureDoesNotStallPublication(t *testing.T) {
+// TestWALAppendFailureDoesNotStallPublication regression-tests a bookkeeping
+// hazard of the commit path: a failed WAL append consumed sequence numbers,
+// and if the range were not burned, the next commit's ordered publication
+// would wait forever for the gap to fill.
+func TestWALAppendFailureDoesNotStallPublication(t *testing.T) {
 	boom := errors.New("write fault")
 	var failing atomic.Bool
-	inj := vfs.NewInject(vfs.NewMem(), func(op vfs.Op, name string) error {
+	hook := func(op vfs.Op, name string) error {
 		if op == vfs.OpWrite && strings.HasPrefix(name, "wal") && failing.Load() {
 			return boom
 		}
 		return nil
-	})
-	clock := base.NewManualClock(time.Unix(0, 0))
-	opts := smallOpts(inj, clock)
-	opts.BufferBytes = 1 << 20
-	db := mustOpen(t, opts)
-	defer db.Close()
-	if db.usePipeline() {
-		t.Fatal("manual clock must force the inline path")
 	}
-	failing.Store(true)
-	if err := db.Put(key(0), 0, value(0)); !errors.Is(err, boom) {
-		t.Fatalf("want write fault, got %v", err)
-	}
-	failing.Store(false)
-	// The engine is poisoned (the log may hold a torn record), so the next
-	// put must fail promptly with the original fault — not hang waiting for
-	// the failed commit's sequence range to publish.
-	done := make(chan error, 1)
-	go func() { done <- db.Put(key(1), 0, value(1)) }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, boom) {
-			t.Fatalf("want poisoned engine to surface %v, got %v", boom, err)
+	forEachCommitMode(t, hook, func(t *testing.T, opts Options) {
+		failing.Store(false)
+		db := mustOpen(t, opts)
+		defer db.Close()
+		failing.Store(true)
+		if err := db.Put(key(0), 0, value(0)); !errors.Is(err, boom) {
+			t.Fatalf("want write fault, got %v", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("put deadlocked on the burned sequence gap")
-	}
-	if got := db.PublishedSeq(); got != 1 {
-		t.Fatalf("published seq %d, want 1 (the burned range)", got)
-	}
+		failing.Store(false)
+		// The engine is poisoned (the log may hold a torn record), so the
+		// next put must fail promptly with the original fault — not hang
+		// waiting for the failed commit's sequence range to publish.
+		done := make(chan error, 1)
+		go func() { done <- db.Put(key(1), 0, value(1)) }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, boom) {
+				t.Fatalf("want poisoned engine to surface %v, got %v", boom, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("put deadlocked on the burned sequence gap")
+		}
+		// Both commits took their sequence number at enqueue and burned it.
+		if got := db.PublishedSeq(); got != 2 {
+			t.Fatalf("published seq %d, want 2 (both burned ranges)", got)
+		}
+	})
 }

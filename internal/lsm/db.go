@@ -60,10 +60,10 @@ const manifestName = "MANIFEST"
 // across shards. Each job merges outside db.mu and installs its result
 // atomically. Setting Options.DisableBackgroundMaintenance — automatic
 // when a manual clock is injected — reverts to the paper's synchronous
-// mode: the commit pipeline is bypassed for a serialized inline path (as
-// it is under SyncAlways), and flushes and compactions run inline inside
-// the writing goroutine, preserving the deterministic execution the
-// experiments and the reproduction harness depend on.
+// mode: commits run the same pipeline as groups of one (as they do under
+// SyncAlways), and flushes and compactions run inline inside the writing
+// goroutine, preserving the deterministic execution the experiments and
+// the reproduction harness depend on.
 type DB struct {
 	opts Options
 
@@ -83,9 +83,9 @@ type DB struct {
 	wal   *wal.Manager
 	store *manifest.Store
 
-	// seq is the last assigned sequence number. In pipeline mode it is
-	// guarded by cq.mu (assignment happens at enqueue); in synchronous and
-	// SyncAlways mode by db.mu. Open and recovery access it single-threaded.
+	// seq is the last assigned sequence number, guarded by cq.mu (assignment
+	// happens at commit enqueue). Open and recovery access it
+	// single-threaded.
 	seq        base.SeqNum
 	flushedSeq base.SeqNum // highest seq durable in sstables
 	memSeed    int64

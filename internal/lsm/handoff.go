@@ -207,7 +207,6 @@ func (db *DB) RewriteClip(num uint64, lo, hi []byte, dst vfs.FS, dstName string,
 	}
 	w := sstable.NewWriter(f, sstable.WriterOptions{
 		FileNum:           dstNum,
-		FormatVersion:     db.opts.SSTableFormat,
 		PageSize:          db.opts.PageSize,
 		BlockSizeBytes:    db.opts.BlockSizeBytes,
 		TilePages:         db.opts.TilePages,

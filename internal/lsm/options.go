@@ -2,16 +2,17 @@
 // compaction orchestration, reads, primary and secondary deletes, recovery,
 // and the statistics the paper's evaluation measures.
 //
-// The engine has two execution models. In background mode (the default with
-// a wall clock) maintenance is pipelined: full buffers are sealed onto an
-// immutable-flush queue, FADE's triggers are evaluated on demand, and both
-// kinds of work execute on a shared maintenance runtime's worker pool
-// (internal/runtime) that spans every engine instance registered with it —
-// readers run against immutable refcounted version snapshots without
-// blocking behind either. In synchronous mode
-// (DisableBackgroundMaintenance, forced with a manual clock) flushes and
-// compactions run inline in the writing goroutine, byte-for-byte matching
-// the paper's single-threaded experiments.
+// Every write takes the one commit path of commit.go. Maintenance has two
+// execution models. In background mode (the default with a wall clock) it is
+// pipelined: full buffers are sealed onto an immutable-flush queue, FADE's
+// triggers are evaluated on demand, and both kinds of work execute on a
+// shared maintenance runtime's worker pool (internal/runtime) that spans
+// every engine instance registered with it — readers run against immutable
+// refcounted version snapshots without blocking behind either. In
+// synchronous mode (DisableBackgroundMaintenance, forced with a manual
+// clock) flushes and compactions run inline in the goroutine whose commit
+// filled the buffer, byte-for-byte matching the paper's single-threaded
+// experiments.
 package lsm
 
 import (
@@ -29,15 +30,13 @@ import (
 type WALSyncPolicy int
 
 const (
-	// SyncGrouped is the default: commits flow through the group-commit
-	// pipeline, and the leader issues one Sync covering the whole group
-	// before any member is acknowledged. Every acknowledged write is durable
-	// (same guarantee as SyncAlways) but the sync cost is amortized across
-	// all writers in the group.
+	// SyncGrouped is the default: the commit leader issues one Sync covering
+	// its whole group before any member is acknowledged. Every acknowledged
+	// write is durable (same guarantee as SyncAlways) but the sync cost is
+	// amortized across all writers in the group.
 	SyncGrouped WALSyncPolicy = iota
-	// SyncAlways appends and syncs every commit individually before it
-	// returns, bypassing the group-commit pipeline entirely — the serialized
-	// pre-pipeline write path. It is the baseline the group-commit
+	// SyncAlways makes every commit a group of one: its own WAL record and
+	// its own Sync before it returns. It is the baseline the group-commit
 	// benchmarks compare against; throughput collapses under concurrency.
 	SyncAlways
 	// SyncNever skips the commit-path Sync. Group records are still written
@@ -97,14 +96,10 @@ type Options struct {
 	FilePages int
 	// TilePages is h, the pages per delete tile. 1 = classical layout.
 	TilePages int
-	// BlockSizeBytes is the target encoded size of a format-v2 data block
-	// (PageSize when zero, so the tile geometry — h blocks per delete tile —
-	// and per-read block cost match the fixed-page layout by default).
+	// BlockSizeBytes is the target encoded size of a data block (PageSize
+	// when zero, so the tile geometry — h blocks per delete tile — and
+	// per-read block cost stay in the paper's page units by default).
 	BlockSizeBytes int
-	// SSTableFormat pins the sstable format version new files are written
-	// with (sstable.FormatV2 when zero). Only mixed-version and
-	// backward-compat tests set it; readers always open both formats.
-	SSTableFormat int
 	// BloomBitsPerKey sizes Bloom filters (Table 1: 10 bits/entry).
 	BloomBitsPerKey int
 	// Mode selects the compaction policy family (baseline vs Lethe).
@@ -123,9 +118,9 @@ type Options struct {
 	// with the WAL disabled).
 	DisableWAL bool
 	// WALSync selects the commit-path durability policy: SyncGrouped (the
-	// default) amortizes one Sync per commit group, SyncAlways serializes
-	// an individual append+Sync per commit, SyncNever defers durability to
-	// the OS and segment rotation. Ignored when DisableWAL is set.
+	// default) amortizes one Sync per commit group, SyncAlways commits every
+	// batch as its own group with its own Sync, SyncNever defers durability
+	// to the OS and segment rotation. Ignored when DisableWAL is set.
 	WALSync WALSyncPolicy
 	// CoverageEstimator estimates what fraction of the key domain a range
 	// [start, end) covers, standing in for the system-wide histogram used
@@ -238,13 +233,10 @@ func (o Options) withDefaults() Options {
 	if o.BlockSizeBytes == 0 {
 		// Default the block target to the page size: compression then shrinks
 		// the disk footprint while a delete tile keeps costing h page-sized
-		// reads, so scan and point-read work match the fixed-page layout.
+		// reads, so scan and point-read work stay in the paper's page units.
 		// Larger blocks (e.g. sstable.DefaultBlockSize) are an explicit
 		// opt-in for scan-heavy workloads; see "Block size" in tuning.go.
 		o.BlockSizeBytes = o.PageSize
-	}
-	if o.SSTableFormat == 0 {
-		o.SSTableFormat = sstable.FormatV2
 	}
 	return o
 }

@@ -1,13 +1,11 @@
 package lsm
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
 
 	"lethe/internal/base"
-	"lethe/internal/sstable"
 	"lethe/internal/vfs"
 )
 
@@ -83,79 +81,5 @@ func TestVerifyTablesDetectsCorruption(t *testing.T) {
 	}
 	if vr.CorruptFiles != 1 {
 		t.Fatalf("CorruptFiles = %d, want 1", vr.CorruptFiles)
-	}
-}
-
-// TestMixedFormatVersions is the upgrade-path regression: a database written
-// entirely in the v1 page format reopens under the v2 default, serves every
-// read correctly from the old files, and compactions write new files forward
-// in v2 — both formats verifying clean side by side.
-func TestMixedFormatVersions(t *testing.T) {
-	clock := base.NewManualClock(time.Unix(1e6, 0))
-	fs := vfs.NewMem()
-	opts := smallOpts(fs, clock)
-	opts.SSTableFormat = sstable.FormatV1
-	db := mustOpen(t, opts)
-	const n = 400
-	for i := 0; i < n; i++ {
-		if err := db.Put(key(i), base.DeleteKey(i), value(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with the default (v2) write format over the v1 files.
-	opts = smallOpts(fs, clock)
-	db = mustOpen(t, opts)
-	defer db.Close()
-	sawV1 := false
-	db.current.forEach(func(h *fileHandle) {
-		if h.meta.Format < sstable.FormatV2 {
-			sawV1 = true
-		}
-	})
-	if !sawV1 {
-		t.Fatal("expected surviving v1 files after reopen")
-	}
-	for i := 0; i < n; i++ {
-		v, d, err := db.Get(key(i))
-		if err != nil || !bytes.Equal(v, value(i)) || d != base.DeleteKey(i) {
-			t.Fatalf("get %s from v1 file: %q %d %v", key(i), v, d, err)
-		}
-	}
-	if _, err := db.VerifyTables(); err != nil {
-		t.Fatalf("verify over v1 files: %v", err)
-	}
-
-	// Push more data and compact everything: new output is v2.
-	for i := n; i < 2*n; i++ {
-		if err := db.Put(key(i), base.DeleteKey(i), value(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.FullTreeCompact(); err != nil {
-		t.Fatal(err)
-	}
-	db.current.forEach(func(h *fileHandle) {
-		if h.meta.Format != sstable.FormatV2 {
-			t.Fatalf("post-compaction file %s still format %d", h.name, h.meta.Format)
-		}
-	})
-	for i := 0; i < 2*n; i++ {
-		v, _, err := db.Get(key(i))
-		if err != nil || !bytes.Equal(v, value(i)) {
-			t.Fatalf("get %s after upgrade compaction: %q %v", key(i), v, err)
-		}
-	}
-	if vr, err := db.VerifyTables(); err != nil || vr.CorruptFiles != 0 {
-		t.Fatalf("verify after upgrade: %+v %v", vr, err)
 	}
 }

@@ -24,35 +24,21 @@ func (db *DB) Put(key []byte, dkey base.DeleteKey, value []byte) error {
 // filters; if no component can contain the key, the tombstone is skipped
 // entirely (§4.1.5 "Blind Deletes") — the probe costs hashing but no I/O.
 func (db *DB) Delete(key []byte) error {
-	if db.usePipeline() {
-		if db.opts.SuppressBlindDeletes {
-			// Check engine health before the probe: a suppressed delete on
-			// a closed or poisoned engine must surface the error, not
-			// report success.
-			if err := db.writeErr(); err != nil {
-				return err
-			}
-			if !db.mayContainPinned(key) {
-				db.m.blindDeletesSuppressed.Add(1)
-				return nil
-			}
+	if db.opts.SuppressBlindDeletes {
+		// Check engine health before the probe: a suppressed delete on a
+		// closed or poisoned engine must surface the error, not report
+		// success.
+		if err := db.writeErr(); err != nil {
+			return err
 		}
-		e := base.MakeEntry(key, 0, base.KindDelete,
-			base.DeleteKey(db.opts.Clock.Now().UnixNano()), nil)
-		return db.commitPipeline([]base.Entry{e})
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writableLocked(); err != nil {
-		return err
-	}
-	if db.opts.SuppressBlindDeletes && !db.mayContainLocked(key) {
-		db.m.blindDeletesSuppressed.Add(1)
-		return nil
+		if !db.mayContainPinned(key) {
+			db.m.blindDeletesSuppressed.Add(1)
+			return nil
+		}
 	}
 	e := base.MakeEntry(key, 0, base.KindDelete,
 		base.DeleteKey(db.opts.Clock.Now().UnixNano()), nil)
-	return db.commitInlineLocked([]base.Entry{e})
+	return db.commit([]base.Entry{e})
 }
 
 // RangeDelete inserts a range tombstone deleting every key in [start, end).
@@ -100,8 +86,8 @@ func (db *DB) writableLocked() error {
 }
 
 // mayContain reports whether any of the given components may hold key: a
-// buffer, or any file of v whose tile filters answer positive. It is the
-// blind-delete probe core shared by both Delete paths.
+// buffer, or any file of v whose tile filters answer positive — the
+// blind-delete probe.
 func mayContain(mems []memView, v *version, key []byte) bool {
 	for _, mt := range mems {
 		if _, ok := mt.Get(key); ok {
@@ -118,16 +104,6 @@ func mayContain(mems []memView, v *version, key []byte) bool {
 		}
 	}
 	return false
-}
-
-// mayContainLocked probes the live engine state. Callers hold db.mu.
-func (db *DB) mayContainLocked(key []byte) bool {
-	mems := make([]memView, 0, 1+len(db.imm))
-	mems = append(mems, db.mem)
-	for _, fl := range db.imm {
-		mems = append(mems, fl.mem)
-	}
-	return mayContain(mems, db.current, key)
 }
 
 func handleCoversKey(h *fileHandle, key []byte) bool {
@@ -149,10 +125,9 @@ func (db *DB) writeErr() error {
 	return db.bgErr
 }
 
-// mayContainPinned is the pipeline-mode blind-delete probe: it pins a read
-// state and checks the same components as mayContainLocked, but outside
-// db.mu, so the probe never serializes against the commit pipeline. A probe
-// racing a concurrent insert of the same key may insert a redundant
+// mayContainPinned runs the blind-delete probe over a pinned read state,
+// outside db.mu, so the probe never serializes against the commit pipeline.
+// A probe racing a concurrent insert of the same key may insert a redundant
 // tombstone (safe) — the suppression is an optimization, not a guarantee.
 func (db *DB) mayContainPinned(key []byte) bool {
 	rs, err := db.acquireReadState()
@@ -163,15 +138,19 @@ func (db *DB) mayContainPinned(key []byte) bool {
 	return mayContain(rs.memtables(), rs.v, key)
 }
 
-// maybeRotateBufferLocked turns over a full buffer: background mode seals it
-// onto the flush queue for the worker; synchronous mode flushes and
-// maintains inline. Callers hold db.mu.
+// maybeRotateBufferLocked turns over a full buffer — where the commit path
+// hands over to maintenance, and so where it asks which kind the engine
+// runs. Background mode seals the buffer onto the flush queue for the pool;
+// a failure there is a failed WAL rotation and poisons the engine.
+// Synchronous mode flushes and maintains inline; that failure goes to the
+// committing caller only and stays retryable. Callers hold db.mu.
 func (db *DB) maybeRotateBufferLocked() error {
 	if db.mem.ApproxBytes() < db.opts.BufferBytes {
 		return nil
 	}
 	if db.bgStarted {
 		if err := db.sealMemtableLocked(); err != nil {
+			db.setBackgroundErrLocked(err)
 			return err
 		}
 		db.kickMaintenance()
@@ -340,7 +319,6 @@ func (db *DB) writeRun(entries []base.Entry, rts []base.RangeTombstone, fs vfs.F
 		}
 		w := sstable.NewWriter(f, sstable.WriterOptions{
 			FileNum:           num,
-			FormatVersion:     db.opts.SSTableFormat,
 			PageSize:          db.opts.PageSize,
 			BlockSizeBytes:    db.opts.BlockSizeBytes,
 			TilePages:         db.opts.TilePages,

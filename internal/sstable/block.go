@@ -7,9 +7,9 @@ import (
 	"lethe/internal/base"
 )
 
-// This file implements the format-v2 data block codec: prefix-compressed
-// entries with restart points, the in-block binary search that rides them,
-// and the full decode used by scans and the block cache.
+// This file implements the data block codec: prefix-compressed entries with
+// restart points, the in-block binary search that rides them, and the full
+// decode used by scans and the block cache.
 //
 // Block payload layout (the payload is what sealPage wraps with a CRC):
 //

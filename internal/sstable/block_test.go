@@ -107,20 +107,3 @@ func TestV2WriterAcceptsOversizeEntry(t *testing.T) {
 		t.Fatal("oversize entry value mismatch")
 	}
 }
-
-func TestV2FileSmallerThanV1(t *testing.T) {
-	// The acceptance criterion at file granularity: same entries, same
-	// geometry, measurably fewer bytes on disk under v2.
-	entries := seqEntries(2000, func(i int) base.DeleteKey { return base.DeleteKey(i % 97) })
-	v1opts := testOpts(4)
-	v1opts.FormatVersion = FormatV1
-	v1, _ := buildFile(t, v1opts, entries, nil)
-	defer v1.Close()
-	v2, _ := buildFile(t, testOpts(4), entries, nil)
-	defer v2.Close()
-	if v2.Meta.Size >= v1.Meta.Size {
-		t.Fatalf("v2 file %d bytes >= v1 file %d bytes", v2.Meta.Size, v1.Meta.Size)
-	}
-	t.Logf("v1 %d bytes, v2 %d bytes (%.1f%% smaller)",
-		v1.Meta.Size, v2.Meta.Size, 100*(1-float64(v2.Meta.Size)/float64(v1.Meta.Size)))
-}

@@ -2,8 +2,9 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 
 	"lethe/internal/base"
@@ -145,76 +146,94 @@ func TestCorruptFooter(t *testing.T) {
 // passes verification with the expected totals.
 func TestVerifyIntegrityClean(t *testing.T) {
 	entries := seqEntries(500, func(i int) base.DeleteKey { return base.DeleteKey(i % 31) })
-	for _, format := range []int{FormatV1, FormatV2} {
-		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
-			opts := testOpts(4)
-			opts.FormatVersion = format
-			r, _ := buildFile(t, opts, entries, nil)
-			defer r.Close()
-			vs, err := r.VerifyIntegrity()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if vs.Entries != len(entries) {
-				t.Fatalf("verified %d entries, want %d", vs.Entries, len(entries))
-			}
-			if vs.Blocks != r.Meta.NumPages {
-				t.Fatalf("verified %d blocks, want %d", vs.Blocks, r.Meta.NumPages)
-			}
-		})
-	}
-}
-
-// TestV1BackwardCompat writes a file in the legacy page format and serves it
-// through the current reader: open, point lookups, iteration, and
-// verification must all behave exactly as for v2.
-func TestV1BackwardCompat(t *testing.T) {
-	entries := seqEntries(300, func(i int) base.DeleteKey { return base.DeleteKey(i * 3 % 101) })
-	opts := testOpts(4)
-	opts.FormatVersion = FormatV1
-	r, fs := buildFile(t, opts, entries, nil)
-	r.Close()
-
-	r, err := tryReopen(t, fs)
+	r, _ := buildFile(t, testOpts(4), entries, nil)
+	defer r.Close()
+	vs, err := r.VerifyIntegrity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Meta.Format != FormatV1 {
-		t.Fatalf("Format = %d, want v1", r.Meta.Format)
+	if vs.Entries != len(entries) {
+		t.Fatalf("verified %d entries, want %d", vs.Entries, len(entries))
 	}
-	for _, want := range entries {
-		e, ok, err := r.Get(want.Key.UserKey)
-		if err != nil || !ok {
-			t.Fatalf("v1 Get %q: ok=%v err=%v", want.Key.UserKey, ok, err)
-		}
-		if !bytes.Equal(e.Value, want.Value) || e.DKey != want.DKey {
-			t.Fatalf("v1 Get %q: wrong entry %+v", want.Key.UserKey, e)
-		}
+	if vs.Blocks != r.Meta.NumPages {
+		t.Fatalf("verified %d blocks, want %d", vs.Blocks, r.Meta.NumPages)
 	}
-	it := r.NewIter()
-	n := 0
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		if !bytes.Equal(e.Key.UserKey, entries[n].Key.UserKey) {
-			t.Fatalf("v1 iter entry %d: got %q want %q", n, e.Key.UserKey, entries[n].Key.UserKey)
-		}
-		n++
-	}
-	if err := it.Error(); err != nil || n != len(entries) {
-		t.Fatalf("v1 iteration: n=%d err=%v", n, err)
-	}
-	if _, err := r.VerifyIntegrity(); err != nil {
-		t.Fatalf("v1 VerifyIntegrity: %v", err)
-	}
+}
 
-	// And a corrupt v1 page is still caught by its page CRC.
-	pm := &r.Tiles[0].Pages[0]
-	flipByte(t, fs, "000001.sst", pm.Offset+int64(pm.Bytes)/2)
-	if _, _, err := r.Get(entries[0].Key.UserKey); !errors.Is(err, ErrCorruption) {
-		t.Fatalf("v1 Get over corrupt page: err=%v, want ErrCorruption", err)
+// writeFooter overwrites the tail of the named file with footer, leaving the
+// file's length as it is.
+func writeFooter(t *testing.T, fs *vfs.MemFS, name string, footer []byte) {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(footer, size-int64(len(footer))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestV1MagicRefused: a file laid out like the retired fixed-page format —
+// page array, meta block, 24-byte footer ending in Magic — is refused at
+// open with an ErrCorruption that names the format.
+func TestV1MagicRefused(t *testing.T) {
+	fs := vfs.NewMem()
+	f, err := fs.Create("000001.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pageBytes, metaBytes = 1024, 64
+	body := make([]byte, pageBytes+metaBytes)
+	footer := base.AppendUint64(nil, pageBytes)
+	footer = base.AppendUint64(footer, metaBytes)
+	footer = base.AppendUint64(footer, Magic)
+	if _, err := f.Write(append(body, footer...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	r, err := tryReopen(t, fs)
+	if err == nil {
+		r.Close()
+		t.Fatal("v1 file opened")
+	}
+	if !errors.Is(err, ErrCorruption) || !strings.Contains(err.Error(), "format v1") {
+		t.Fatalf("v1 file: err=%v, want ErrCorruption naming format v1", err)
+	}
+}
+
+// TestFooterOffsetsBounded crafts footers whose meta offset and length are
+// individually absurd but sum, in wrapping uint64 arithmetic, to the file
+// size: the open and the verifier must reject them instead of allocating
+// metaLen bytes.
+func TestFooterOffsetsBounded(t *testing.T) {
+	entries := seqEntries(200, func(i int) base.DeleteKey { return base.DeleteKey(i) })
+	r, fs := buildFile(t, testOpts(4), entries, nil)
+	defer r.Close()
+	size := uint64(r.Meta.Size)
+
+	for _, metaLen := range []uint64{1 << 62, size, ^uint64(0)} {
+		metaOff := size - FooterSizeV2 - metaLen // wraps
+		footer := base.AppendUint64(nil, metaOff)
+		footer = base.AppendUint64(footer, metaLen)
+		footer = binary.LittleEndian.AppendUint32(footer, 0)
+		footer = binary.LittleEndian.AppendUint32(footer, FormatV2)
+		footer = base.AppendUint64(footer, MagicV2)
+		writeFooter(t, fs, "000001.sst", footer)
+
+		if r2, err := tryReopen(t, fs); !errors.Is(err, ErrCorruption) {
+			if r2 != nil {
+				r2.Close()
+			}
+			t.Fatalf("metaLen=%d: open err=%v, want ErrCorruption", metaLen, err)
+		}
+		if _, err := r.VerifyIntegrity(); !errors.Is(err, ErrCorruption) {
+			t.Fatalf("metaLen=%d: VerifyIntegrity err=%v, want ErrCorruption", metaLen, err)
+		}
 	}
 }

@@ -1,42 +1,26 @@
 // Package sstable implements the on-disk sorted-run file format, including
 // the paper's Key Weaving Storage Layout (KiWi, §4.2).
 //
-// Two format versions exist. Writers emit v2 by default; readers open both,
-// so databases written before the block format reopen in place and mixed-
-// version trees compact forward naturally (compaction output is always v2).
+// # File layout
 //
-// # Format v1 (fixed pages)
+// A file is a sequence of variable-length data blocks, written back to back
+// and addressed by explicit (Offset, Len) pairs in the metadata — the block
+// index — followed by a metadata block and a 32-byte footer:
 //
-// A v1 file is a sequence of fixed-size data pages followed by a metadata
-// block and a 24-byte footer:
+//	[block 0][block 1]...[block n-1][meta block][footer]
 //
-//	[page 0][page 1]...[page n-1][meta block][footer v1]
-//
-//	footer v1: metaOffset(8) | metaLen(8) | Magic(8)
-//
-// Page i lives at byte offset i*PageSize; each page is CRC-prefixed and
-// padded to PageSize. Every entry stores its full key (base.AppendEntry).
-//
-// # Format v2 (prefix-compressed blocks)
-//
-// A v2 file replaces the fixed pages with variable-length data blocks,
-// written back to back and addressed by explicit (Offset, Len) pairs in the
-// metadata — the block index:
-//
-//	[block 0][block 1]...[block n-1][meta block][footer v2]
-//
-//	footer v2: metaOffset(8) | metaLen(8) | metaCRC(4) | version(4) | MagicV2(8)
+//	footer: metaOffset(8) | metaLen(8) | metaCRC(4) | version(4) | MagicV2(8)
 //
 // Each block is a CRC32-C-prefixed payload of prefix-compressed entries with
 // restart points (see block.go for the entry framing and in-block layout).
 // The block index is woven into the tile metadata: each PageMeta carries the
-// block's Offset and encoded length (Bytes) alongside its first key (MinS),
-// so the v1 "page index" and the v2 "block index of (FirstKey, Offset, Len)"
-// are the same structure. Each descriptor also records the block's decoded
-// key-byte total (KeyBytes), letting readers size the read buffer and key
-// arena in a single allocation. Blocks target Meta.BlockSize encoded bytes
-// (DefaultBlockSize unless tuned); a single entry larger than the target
-// gets a block of its own rather than an error.
+// block's Offset and encoded length (Bytes) alongside its first key (MinS).
+// Each descriptor also records the block's decoded key-byte total (KeyBytes),
+// letting readers size the read buffer and key arena in a single allocation.
+// Blocks target Meta.BlockSize encoded bytes (DefaultBlockSize unless
+// tuned); a single entry larger than the target gets a block of its own
+// rather than an error. The paper's "page" is this block: PageMeta,
+// TilePages and the page counters all count blocks.
 //
 // The meta block itself is covered by the footer's metaCRC, and the footer
 // carries an explicit format version so future revisions can extend the
@@ -44,31 +28,30 @@
 //
 // # Footer versioning rules
 //
-// The last 8 bytes of a file always hold a magic number, which selects the
-// footer size and format: Magic → 24-byte v1 footer, MagicV2 → 32-byte v2
-// footer whose version field must equal FormatV2. Unknown magics and
-// unknown versions fail with ErrCorruption. New versions must introduce a
-// new magic (or bump the version field under MagicV2 with the same footer
-// size) — never reinterpret existing footer bytes.
+// The last 8 bytes of a file always hold a magic number. MagicV2 selects the
+// 32-byte footer above, whose version field must equal FormatV2. Magic is
+// the trailer of the retired fixed-page format v1; a file ending in it is
+// refused with an ErrCorruption that names the format, as are unknown magics
+// and unknown versions. New versions must introduce a new magic (or bump the
+// version field under MagicV2 with the same footer size) — never reinterpret
+// existing footer bytes.
 //
-// # Shared structure (both versions)
+// # Delete tiles
 //
-// Pages (v1) and blocks (v2) are grouped into delete tiles of
-// (approximately) h units each. The weave (§4.2.1): files within a level
-// are sorted on the sort key S, delete tiles within a file are sorted on S,
-// blocks *within a tile* are sorted on the delete key D, and entries within
-// a block are sorted on S. With h = 1 the layout degenerates to the
-// classical fully-S-sorted file, which is the baseline ("RocksDB")
-// configuration. FADE and SecondaryRangeDelete operate on this logical
-// structure only, so their semantics are identical across versions.
+// Blocks are grouped into delete tiles of (approximately) h blocks each. The
+// weave (§4.2.1): files within a level are sorted on the sort key S, delete
+// tiles within a file are sorted on S, blocks *within a tile* are sorted on
+// the delete key D, and entries within a block are sorted on S. With h = 1
+// the layout degenerates to the classical fully-S-sorted file, which is the
+// baseline ("RocksDB") configuration.
 //
 // The metadata block holds, per tile, a fence pointer on S and, per block, a
 // delete fence on D plus a block-granularity Bloom filter on S (§4.2.3).
 // Range tombstones live in their own section of the metadata block, as in
 // RocksDB's range tombstone block. The footer records where the meta block
 // starts so it can be rewritten when secondary range deletes drop or shrink
-// blocks (§4.2.2): v1 rewrites it in place after the fixed page array; v2
-// rewrites it at Meta.DataEnd, past the live data region.
+// blocks (§4.2.2): it is rewritten at Meta.DataEnd, past the live data
+// region.
 //
 // Tombstone timestamps: point and range tombstones store their insertion
 // wall-clock time (unix nanoseconds) in the entry's DKey field — a tombstone
@@ -86,31 +69,23 @@ import (
 	"lethe/internal/bloom"
 )
 
-// Magic identifies a format-v1 Lethe sstable footer.
-const Magic uint64 = 0x4c657468654b6957 // "LetheKiW"
-
-// MagicV2 identifies a format-v2 footer (versioned, with a meta-block CRC).
+// MagicV2 identifies the footer of the (only supported) block format.
 const MagicV2 uint64 = 0x4c65746865426c6b // "LetheBlk"
 
-// FooterSize is the fixed byte length of the v1 footer:
-// metaOffset(8) + metaLen(8) + magic(8).
-const FooterSize = 24
+// Magic is the trailer of the retired fixed-page format v1. Nothing writes
+// it; readMeta recognises it only to refuse the file by name.
+const Magic uint64 = 0x4c657468654b6957 // "LetheKiW"
 
-// FooterSizeV2 is the fixed byte length of the v2 footer:
+// FooterSizeV2 is the fixed byte length of the footer:
 // metaOffset(8) + metaLen(8) + metaCRC(4) + version(4) + magic(8).
 const FooterSizeV2 = 32
 
-// Format versions. The footer magic (plus, for v2, the footer's version
-// field) selects which one a file uses; see the package doc for the rules.
-const (
-	// FormatV1 is the original fixed-page KiWi layout.
-	FormatV1 = 1
-	// FormatV2 is the block layout: prefix-compressed variable-length
-	// blocks with restart points, addressed by (Offset, Len).
-	FormatV2 = 2
-)
+// FormatV2 is the value of the footer's version field: the block layout of
+// prefix-compressed variable-length blocks with restart points, addressed
+// by (Offset, Len).
+const FormatV2 = 2
 
-// DefaultBlockSize is the target encoded size of a v2 data block when the
+// DefaultBlockSize is the target encoded size of a data block when the
 // writer is not given an explicit BlockSizeBytes.
 const DefaultBlockSize = 16 << 10
 
@@ -127,19 +102,15 @@ type PageMeta struct {
 	// ValueCount is the number of value (non-tombstone) entries; pages are
 	// eligible for full drops only when ValueCount == Count.
 	ValueCount int
-	// Bytes is the encoded length of the page's sealed payload. In v1 it is
-	// <= PageSize (the page is padded to PageSize on disk); in v2 it is the
-	// exact on-disk length of the block.
+	// Bytes is the exact on-disk length of the page's sealed block.
 	Bytes int
-	// Offset is the byte offset of the page's sealed payload in the file. In
-	// v1 it is implied by position ((FirstPage+i)*PageSize) and filled in at
-	// decode time; in v2 it is explicit — blocks are variable-length and may
-	// be relocated by partial drops.
+	// Offset is the byte offset of the sealed block in the file; blocks are
+	// variable-length and may be relocated by partial drops.
 	Offset int64
-	// KeyBytes is the total decoded user-key length of the page's entries
-	// (v2 only; zero in v1). Prefix-compressed keys must be materialized at
-	// decode time, so the reader sizes one read+arena buffer exactly from
-	// Bytes+KeyBytes and the decode allocates nothing beyond it.
+	// KeyBytes is the total decoded user-key length of the page's entries.
+	// Prefix-compressed keys must be materialized at decode time, so the
+	// reader sizes one read+arena buffer exactly from Bytes+KeyBytes and the
+	// decode allocates nothing beyond it.
 	KeyBytes int
 	// MinD and MaxD fence the delete keys of the page's value entries
 	// (meaningless when the page holds only tombstones).
@@ -171,22 +142,18 @@ type TileMeta struct {
 type Meta struct {
 	// FileNum is the engine-assigned file number (also in the file name).
 	FileNum uint64
-	// Format is the file's format version (FormatV1 or FormatV2), derived
-	// from the footer at open time; it is not stored in the meta block.
-	Format int
-	// PageSize is the fixed byte size of each data page (v1). v2 files
-	// record the PageSize they were configured with for I/O accounting, but
-	// block placement does not depend on it.
+	// PageSize is the disk page size the file was configured with, recorded
+	// for I/O accounting; block placement does not depend on it.
 	PageSize int
-	// BlockSize is the target encoded block size (v2 only; zero in v1).
+	// BlockSize is the target encoded block size.
 	BlockSize int
-	// DataEnd is the end of the data region (v2 only): the offset one past
-	// the last byte holding block data, where the meta block is written.
-	// Blocks relocated by partial drops extend it.
+	// DataEnd is the end of the data region: the offset one past the last
+	// byte holding block data, where the meta block is written. Blocks
+	// relocated by partial drops extend it.
 	DataEnd int64
-	// DeadBytes counts bytes of abandoned block space (v2 only): fully
-	// dropped blocks plus slack left behind by in-place shrinks and
-	// relocations. LiveBytes subtracts it from Size.
+	// DeadBytes counts bytes of abandoned block space: fully dropped blocks
+	// plus slack left behind by in-place shrinks and relocations. LiveBytesOf
+	// subtracts it from Size.
 	DeadBytes int64
 	// TilePages is the h the file was written with (target pages per tile).
 	TilePages int
@@ -249,32 +216,11 @@ func (m *Meta) EstimatedInvalidated(treeEntries int) float64 {
 	return float64(m.NumPointTombstones) + m.RangeCoverage*float64(treeEntries)
 }
 
-// LiveBytes returns the file size minus the space of dropped pages; the
-// space-amplification accounting uses it. It requires the tile metadata.
-func LiveBytes(m *Meta, tiles []TileMeta) int64 {
-	if m.Format >= FormatV2 {
-		// v2 tracks abandoned block space directly: full drops and the
-		// slack left by partial-drop shrinks/relocations.
-		return m.Size - m.DeadBytes
-	}
-	live := m.Size
-	for _, t := range tiles {
-		for _, p := range t.Pages {
-			if p.Dropped {
-				live -= int64(m.PageSize)
-			}
-		}
-	}
-	return live
-}
-
 // ---------------------------------------------------------------------------
 // Meta block encoding
 
-// appendPageMeta serializes one page descriptor. v2 additionally records the
-// block's explicit file offset (v1 offsets are implied by page position, and
-// gating the field keeps v1 meta blocks byte-identical to older writers).
-func appendPageMeta(dst []byte, p *PageMeta, format int) []byte {
+// appendPageMeta serializes one page descriptor.
+func appendPageMeta(dst []byte, p *PageMeta) []byte {
 	dst = base.AppendUvarint(dst, uint64(p.Count))
 	dst = base.AppendUvarint(dst, uint64(p.ValueCount))
 	dst = base.AppendUvarint(dst, uint64(p.Bytes))
@@ -291,14 +237,12 @@ func appendPageMeta(dst []byte, p *PageMeta, format int) []byte {
 	dst = base.AppendBytes(dst, p.MinS)
 	dst = base.AppendBytes(dst, p.MaxS)
 	dst = base.AppendBytes(dst, p.Filter)
-	if format >= FormatV2 {
-		dst = base.AppendUvarint(dst, uint64(p.Offset))
-		dst = base.AppendUvarint(dst, uint64(p.KeyBytes))
-	}
+	dst = base.AppendUvarint(dst, uint64(p.Offset))
+	dst = base.AppendUvarint(dst, uint64(p.KeyBytes))
 	return dst
 }
 
-func decodePageMeta(b []byte, format int) (PageMeta, []byte, error) {
+func decodePageMeta(b []byte) (PageMeta, []byte, error) {
 	var p PageMeta
 	var v uint64
 	var err error
@@ -340,16 +284,14 @@ func decodePageMeta(b []byte, format int) (PageMeta, []byte, error) {
 		return p, nil, err
 	}
 	p.Filter = append(bloom.Filter(nil), s...)
-	if format >= FormatV2 {
-		if v, b, err = base.Uvarint(b); err != nil {
-			return p, nil, err
-		}
-		p.Offset = int64(v)
-		if v, b, err = base.Uvarint(b); err != nil {
-			return p, nil, err
-		}
-		p.KeyBytes = int(v)
+	if v, b, err = base.Uvarint(b); err != nil {
+		return p, nil, err
 	}
+	p.Offset = int64(v)
+	if v, b, err = base.Uvarint(b); err != nil {
+		return p, nil, err
+	}
+	p.KeyBytes = int(v)
 	return p, b, nil
 }
 
@@ -386,8 +328,6 @@ func decodeRangeTombstone(b []byte) (base.RangeTombstone, []byte, error) {
 }
 
 // encodeMetaBlock serializes the file metadata, tiles, and range tombstones.
-// m.Format selects the encoding; FormatV1 output is byte-identical to what
-// pre-v2 writers produced, FormatV2 appends the block-layout fields.
 func encodeMetaBlock(m *Meta, tiles []TileMeta, rts []base.RangeTombstone) []byte {
 	var dst []byte
 	dst = base.AppendUvarint(dst, m.FileNum)
@@ -406,11 +346,9 @@ func encodeMetaBlock(m *Meta, tiles []TileMeta, rts []base.RangeTombstone) []byt
 	dst = base.AppendUvarint(dst, uint64(m.MaxSeq))
 	dst = base.AppendUint64(dst, uint64(m.OldestTombstone.UnixNano()))
 	dst = base.AppendUint64(dst, uint64(m.CreatedAt.UnixNano()))
-	if m.Format >= FormatV2 {
-		dst = base.AppendUvarint(dst, uint64(m.BlockSize))
-		dst = base.AppendUvarint(dst, uint64(m.DataEnd))
-		dst = base.AppendUvarint(dst, uint64(m.DeadBytes))
-	}
+	dst = base.AppendUvarint(dst, uint64(m.BlockSize))
+	dst = base.AppendUvarint(dst, uint64(m.DataEnd))
+	dst = base.AppendUvarint(dst, uint64(m.DeadBytes))
 
 	dst = base.AppendUvarint(dst, uint64(len(tiles)))
 	for i := range tiles {
@@ -420,7 +358,7 @@ func encodeMetaBlock(m *Meta, tiles []TileMeta, rts []base.RangeTombstone) []byt
 		dst = base.AppendBytes(dst, t.MaxS)
 		dst = base.AppendUvarint(dst, uint64(len(t.Pages)))
 		for j := range t.Pages {
-			dst = appendPageMeta(dst, &t.Pages[j], m.Format)
+			dst = appendPageMeta(dst, &t.Pages[j])
 		}
 	}
 	dst = base.AppendUvarint(dst, uint64(len(rts)))
@@ -430,14 +368,12 @@ func encodeMetaBlock(m *Meta, tiles []TileMeta, rts []base.RangeTombstone) []byt
 	return dst
 }
 
-// decodeMetaBlock parses what encodeMetaBlock wrote. format comes from the
-// footer (which is the sole authority on the file's version) and is stamped
-// into the returned Meta.
-func decodeMetaBlock(b []byte, format int) (*Meta, []TileMeta, []base.RangeTombstone, error) {
+// decodeMetaBlock parses what encodeMetaBlock wrote.
+func decodeMetaBlock(b []byte) (*Meta, []TileMeta, []base.RangeTombstone, error) {
 	fail := func(err error) (*Meta, []TileMeta, []base.RangeTombstone, error) {
 		return nil, nil, nil, fmt.Errorf("sstable: meta block: %w", err)
 	}
-	m := &Meta{Format: format}
+	m := &Meta{}
 	var v uint64
 	var err error
 	if v, b, err = base.Uvarint(b); err != nil {
@@ -505,20 +441,18 @@ func decodeMetaBlock(b []byte, format int) (*Meta, []TileMeta, []base.RangeTombs
 		return fail(err)
 	}
 	m.CreatedAt = time.Unix(0, int64(v))
-	if format >= FormatV2 {
-		if v, b, err = base.Uvarint(b); err != nil {
-			return fail(err)
-		}
-		m.BlockSize = int(v)
-		if v, b, err = base.Uvarint(b); err != nil {
-			return fail(err)
-		}
-		m.DataEnd = int64(v)
-		if v, b, err = base.Uvarint(b); err != nil {
-			return fail(err)
-		}
-		m.DeadBytes = int64(v)
+	if v, b, err = base.Uvarint(b); err != nil {
+		return fail(err)
 	}
+	m.BlockSize = int(v)
+	if v, b, err = base.Uvarint(b); err != nil {
+		return fail(err)
+	}
+	m.DataEnd = int64(v)
+	if v, b, err = base.Uvarint(b); err != nil {
+		return fail(err)
+	}
+	m.DeadBytes = int64(v)
 
 	if v, b, err = base.Uvarint(b); err != nil {
 		return fail(err)
@@ -543,13 +477,8 @@ func decodeMetaBlock(b []byte, format int) (*Meta, []TileMeta, []base.RangeTombs
 		}
 		t.Pages = make([]PageMeta, v)
 		for j := range t.Pages {
-			if t.Pages[j], b, err = decodePageMeta(b, format); err != nil {
+			if t.Pages[j], b, err = decodePageMeta(b); err != nil {
 				return fail(err)
-			}
-			if format < FormatV2 {
-				// v1 page offsets are positional; materialize them so the
-				// read path addresses both formats uniformly.
-				t.Pages[j].Offset = int64(t.FirstPage+j) * int64(m.PageSize)
 			}
 		}
 	}

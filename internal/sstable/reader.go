@@ -51,88 +51,81 @@ func (r *Reader) SetCache(c *CacheHandle) { r.cache = c }
 // preferred cache admission and iterator read-ahead.
 func (r *Reader) SetRemote(remote bool) { r.remote = remote }
 
-// OpenReader loads the metadata of the sstable stored in f. It opens both
-// format versions: the trailing magic selects the footer layout (see the
-// package doc's versioning rules), so v1 files written before the block
-// format keep working alongside v2 output.
+// OpenReader loads the metadata of the sstable stored in f.
 func OpenReader(f vfs.File) (*Reader, error) {
-	size, err := f.Size()
-	if err != nil {
-		return nil, fmt.Errorf("sstable: size: %w", err)
-	}
-	if size < FooterSize {
-		return nil, fmt.Errorf("sstable: file too small (%d bytes): %w", size, ErrCorruption)
-	}
-	var magicBuf [8]byte
-	if _, err := f.ReadAt(magicBuf[:], size-8); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("sstable: read footer magic: %w", err)
-	}
-	var metaOff, metaLen uint64
-	var metaCRC uint32
-	format := 0
-	switch magic := binary.LittleEndian.Uint64(magicBuf[:]); magic {
-	case Magic:
-		format = FormatV1
-		footer := make([]byte, FooterSize)
-		if _, err := f.ReadAt(footer, size-FooterSize); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("sstable: read footer: %w", err)
-		}
-		metaOff = binary.LittleEndian.Uint64(footer[0:8])
-		metaLen = binary.LittleEndian.Uint64(footer[8:16])
-		if metaOff+metaLen+FooterSize != uint64(size) {
-			return nil, fmt.Errorf("sstable: inconsistent footer: %w", ErrCorruption)
-		}
-	case MagicV2:
-		if size < FooterSizeV2 {
-			return nil, fmt.Errorf("sstable: file too small for v2 footer (%d bytes): %w", size, ErrCorruption)
-		}
-		footer := make([]byte, FooterSizeV2)
-		if _, err := f.ReadAt(footer, size-FooterSizeV2); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("sstable: read footer: %w", err)
-		}
-		metaOff = binary.LittleEndian.Uint64(footer[0:8])
-		metaLen = binary.LittleEndian.Uint64(footer[8:16])
-		metaCRC = binary.LittleEndian.Uint32(footer[16:20])
-		version := binary.LittleEndian.Uint32(footer[20:24])
-		if version != FormatV2 {
-			return nil, fmt.Errorf("sstable: unknown format version %d: %w", version, ErrCorruption)
-		}
-		format = FormatV2
-		if metaOff+metaLen+FooterSizeV2 != uint64(size) {
-			return nil, fmt.Errorf("sstable: inconsistent footer: %w", ErrCorruption)
-		}
-	default:
-		return nil, fmt.Errorf("sstable: bad magic %x: %w", magic, ErrCorruption)
-	}
-	metaBlock := make([]byte, metaLen)
-	if _, err := f.ReadAt(metaBlock, int64(metaOff)); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("sstable: read meta block: %w", err)
-	}
-	if format >= FormatV2 {
-		if got := crc32.Checksum(metaBlock, crc32.MakeTable(crc32.Castagnoli)); got != metaCRC {
-			return nil, fmt.Errorf("sstable: meta block checksum mismatch: %w", ErrCorruption)
-		}
-	}
-	meta, tiles, rts, err := decodeMetaBlock(metaBlock, format)
+	meta, tiles, rts, err := readMeta(f)
 	if err != nil {
 		return nil, err
 	}
-	meta.Size = size
-	if format >= FormatV2 && meta.DataEnd != int64(metaOff) {
-		return nil, fmt.Errorf("sstable: meta offset %d disagrees with data end %d: %w",
-			metaOff, meta.DataEnd, ErrCorruption)
-	}
 	return &Reader{f: f, Meta: meta, Tiles: tiles, RangeTombstones: rts}, nil
+}
+
+// readMeta reads and checks the footer and the meta block of the sstable in
+// f — the one parse OpenReader and VerifyIntegrity share. The footer's
+// offsets come from the file, so they are bounded by its size before they
+// are added or allocated from. Every rejection wraps ErrCorruption; see the
+// package doc for the versioning rules.
+func readMeta(f vfs.File) (*Meta, []TileMeta, []base.RangeTombstone, error) {
+	fail := func(err error) (*Meta, []TileMeta, []base.RangeTombstone, error) {
+		return nil, nil, nil, err
+	}
+	size, err := f.Size()
+	if err != nil {
+		return fail(fmt.Errorf("sstable: size: %w", err))
+	}
+	if size < FooterSizeV2 {
+		return fail(fmt.Errorf("sstable: file too small (%d bytes): %w", size, ErrCorruption))
+	}
+	var magicBuf [8]byte
+	if _, err := f.ReadAt(magicBuf[:], size-8); err != nil && err != io.EOF {
+		return fail(fmt.Errorf("sstable: read footer magic: %w", err))
+	}
+	switch magic := binary.LittleEndian.Uint64(magicBuf[:]); magic {
+	case MagicV2:
+	case Magic:
+		return fail(fmt.Errorf("sstable: format v1 (fixed-page) files are not supported: %w", ErrCorruption))
+	default:
+		return fail(fmt.Errorf("sstable: bad magic %x: %w", magic, ErrCorruption))
+	}
+	footer := make([]byte, FooterSizeV2)
+	if _, err := f.ReadAt(footer, size-FooterSizeV2); err != nil && err != io.EOF {
+		return fail(fmt.Errorf("sstable: read footer: %w", err))
+	}
+	metaOff := binary.LittleEndian.Uint64(footer[0:8])
+	metaLen := binary.LittleEndian.Uint64(footer[8:16])
+	metaCRC := binary.LittleEndian.Uint32(footer[16:20])
+	if version := binary.LittleEndian.Uint32(footer[20:24]); version != FormatV2 {
+		return fail(fmt.Errorf("sstable: unknown format version %d: %w", version, ErrCorruption))
+	}
+	if body := uint64(size - FooterSizeV2); metaLen > body || metaOff != body-metaLen {
+		return fail(fmt.Errorf("sstable: inconsistent footer: %w", ErrCorruption))
+	}
+	metaBlock := make([]byte, metaLen)
+	if _, err := f.ReadAt(metaBlock, int64(metaOff)); err != nil && err != io.EOF {
+		return fail(fmt.Errorf("sstable: read meta block: %w", err))
+	}
+	if got := crc32.Checksum(metaBlock, crc32.MakeTable(crc32.Castagnoli)); got != metaCRC {
+		return fail(fmt.Errorf("sstable: meta block checksum mismatch: %w", ErrCorruption))
+	}
+	meta, tiles, rts, err := decodeMetaBlock(metaBlock)
+	if err != nil {
+		return fail(err)
+	}
+	meta.Size = size
+	if meta.DataEnd != int64(metaOff) {
+		return fail(fmt.Errorf("sstable: meta offset %d disagrees with data end %d: %w",
+			metaOff, meta.DataEnd, ErrCorruption))
+	}
+	return meta, tiles, rts, nil
 }
 
 // Close releases the underlying file handle.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// readPageRaw reads and CRC-checks one page/block's sealed bytes at its
-// recorded offset, returning the payload. The buffer carries pm.KeyBytes of
-// spare capacity so a v2 decode can materialize every prefix-compressed key
-// into the same allocation (decodeBlock uses the payload's tail as its
-// arena); pm.KeyBytes is zero for v1.
+// readPageRaw reads and CRC-checks one block's sealed bytes at its recorded
+// offset, returning the payload. The buffer carries pm.KeyBytes of spare
+// capacity so the decode can materialize every prefix-compressed key into
+// the same allocation (decodeBlock uses the payload's tail as its arena).
 func (r *Reader) readPageRaw(pm *PageMeta, pi int) ([]byte, error) {
 	buf := make([]byte, pm.Bytes, pm.Bytes+pm.KeyBytes)
 	if _, err := r.f.ReadAt(buf, pm.Offset); err != nil && err != io.EOF {
@@ -145,29 +138,12 @@ func (r *Reader) readPageRaw(pm *PageMeta, pi int) ([]byte, error) {
 	return payload, nil
 }
 
-// decodePagePayload decodes a CRC-verified page/block payload into entries,
+// decodePagePayload decodes a CRC-verified block payload into entries,
 // cross-checking the decoded count against the metadata's.
 func (r *Reader) decodePagePayload(pm *PageMeta, pi int, payload []byte) ([]base.Entry, error) {
-	var entries []base.Entry
-	if r.Meta.Format >= FormatV2 {
-		var err error
-		if entries, err = decodeBlock(payload); err != nil {
-			return nil, fmt.Errorf("sstable: block %d: %w", pi, err)
-		}
-	} else {
-		count, rest, err := base.Uvarint(payload)
-		if err != nil {
-			return nil, fmt.Errorf("sstable: page %d header: %w", pi, err)
-		}
-		entries = make([]base.Entry, 0, count)
-		for i := uint64(0); i < count; i++ {
-			var e base.Entry
-			e, rest, err = base.DecodeEntry(rest)
-			if err != nil {
-				return nil, fmt.Errorf("sstable: page %d entry %d: %w", pi, i, err)
-			}
-			entries = append(entries, e)
-		}
+	entries, err := decodeBlock(payload)
+	if err != nil {
+		return nil, fmt.Errorf("sstable: block %d: %w", pi, err)
 	}
 	if len(entries) != pm.Count {
 		return nil, fmt.Errorf("sstable: page %d holds %d entries, meta says %d: %w",
@@ -336,7 +312,7 @@ func (r *Reader) Get(key []byte) (base.Entry, bool, error) {
 		if !pm.Filter.MayContain(key) {
 			continue
 		}
-		if r.cache == nil && r.Meta.Format >= FormatV2 {
+		if r.cache == nil {
 			// No cache to populate: search the raw block via its restart
 			// points — binary search over whole-key restart entries, then a
 			// bounded forward decode — instead of materializing every entry

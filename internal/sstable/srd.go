@@ -97,13 +97,11 @@ scan:
 }
 
 // dropPage marks one page dropped: its descriptor is zeroed, its cached copy
-// released, and (v2) its bytes counted dead. No I/O.
+// released, and its bytes counted dead. No I/O.
 func (r *Reader) dropPage(tile *TileMeta, pi int) {
 	pm := &tile.Pages[pi]
 	r.cache.invalidate(r.Meta.FileNum, tile.FirstPage+pi)
-	if r.Meta.Format >= FormatV2 {
-		r.Meta.DeadBytes += int64(pm.Bytes)
-	}
+	r.Meta.DeadBytes += int64(pm.Bytes)
 	pm.Dropped = true
 	pm.Count = 0
 	pm.ValueCount = 0
@@ -140,7 +138,7 @@ func (r *Reader) partialDrop(tile *TileMeta, pi int, lo, hi base.DeleteKey, bits
 	}
 
 	// Re-encode the surviving entries (already in S order since we preserved
-	// their order) in the file's format.
+	// their order).
 	newPM := PageMeta{
 		Count:  len(kept),
 		Offset: pm.Offset,
@@ -149,16 +147,8 @@ func (r *Reader) partialDrop(tile *TileMeta, pi int, lo, hi base.DeleteKey, bits
 		MinD:   ^base.DeleteKey(0),
 	}
 	keys := make([][]byte, 0, len(kept))
-	var buf []byte
-	if r.Meta.Format < FormatV2 {
-		buf = base.AppendUvarint(nil, uint64(len(kept)))
-	}
 	for _, e := range kept {
-		if r.Meta.Format < FormatV2 {
-			buf = base.AppendEntry(buf, e)
-		} else {
-			newPM.KeyBytes += len(e.Key.UserKey)
-		}
+		newPM.KeyBytes += len(e.Key.UserKey)
 		keys = append(keys, e.Key.UserKey)
 		switch e.Key.Kind() {
 		case base.KindDelete:
@@ -178,32 +168,22 @@ func (r *Reader) partialDrop(tile *TileMeta, pi int, lo, hi base.DeleteKey, bits
 	}
 	newPM.Filter = bloom.New(keys, bitsPerKey)
 
-	if r.Meta.Format < FormatV2 {
-		buf = sealPage(buf)
-		newPM.Bytes = len(buf)
-		padded := make([]byte, r.Meta.PageSize)
-		copy(padded, buf)
-		if _, err := r.f.WriteAt(padded, pm.Offset); err != nil {
-			return 0, fmt.Errorf("sstable: rewrite page: %w", err)
-		}
+	// Dropping an entry can lengthen its successor's unshared suffix, so a
+	// shrunken entry set does not guarantee a shorter block. Overwrite in
+	// place when the new block fits the old footprint; otherwise relocate it
+	// to the end of the data region (the old bytes become dead space either
+	// way).
+	sealed := encodeBlock(kept)
+	newPM.Bytes = len(sealed)
+	if len(sealed) <= pm.Bytes {
+		r.Meta.DeadBytes += int64(pm.Bytes - len(sealed))
 	} else {
-		// Dropping an entry can lengthen its successor's unshared suffix, so
-		// a shrunken entry set does not guarantee a shorter block. Overwrite
-		// in place when the new block fits the old footprint; otherwise
-		// relocate it to the end of the data region (the old bytes become
-		// dead space either way).
-		sealed := encodeBlock(kept)
-		newPM.Bytes = len(sealed)
-		if len(sealed) <= pm.Bytes {
-			r.Meta.DeadBytes += int64(pm.Bytes - len(sealed))
-		} else {
-			newPM.Offset = r.Meta.DataEnd
-			r.Meta.DataEnd += int64(len(sealed))
-			r.Meta.DeadBytes += int64(pm.Bytes)
-		}
-		if _, err := r.f.WriteAt(sealed, newPM.Offset); err != nil {
-			return 0, fmt.Errorf("sstable: rewrite block: %w", err)
-		}
+		newPM.Offset = r.Meta.DataEnd
+		r.Meta.DataEnd += int64(len(sealed))
+		r.Meta.DeadBytes += int64(pm.Bytes)
+	}
+	if _, err := r.f.WriteAt(sealed, newPM.Offset); err != nil {
+		return 0, fmt.Errorf("sstable: rewrite block: %w", err)
 	}
 	r.cache.invalidate(r.Meta.FileNum, tile.FirstPage+pi)
 	tile.Pages[pi] = newPM
@@ -241,17 +221,13 @@ func (r *Reader) recomputeFileMeta() {
 	}
 }
 
-// rewriteMetaBlock re-serializes the metadata block — at its fixed offset
-// past the page array in v1 (data pages are untouched by drops), at the
-// current end of the data region in v2 (relocated blocks may have extended
-// it) — and truncates the file behind the new footer.
+// rewriteMetaBlock re-serializes the metadata block at the current end of the
+// data region (relocated blocks may have extended it) and truncates the file
+// behind the new footer.
 func (r *Reader) rewriteMetaBlock() error {
-	metaOff := int64(r.Meta.NumPages) * int64(r.Meta.PageSize)
-	if r.Meta.Format >= FormatV2 {
-		metaOff = r.Meta.DataEnd
-	}
+	metaOff := r.Meta.DataEnd
 	metaBlock := encodeMetaBlock(r.Meta, r.Tiles, r.RangeTombstones)
-	footer := appendFooter(nil, r.Meta.Format, metaOff, metaBlock)
+	footer := appendFooter(nil, metaOff, metaBlock)
 	if _, err := r.f.WriteAt(append(metaBlock, footer...), metaOff); err != nil {
 		return fmt.Errorf("sstable: rewrite meta block: %w", err)
 	}
@@ -266,11 +242,12 @@ func (r *Reader) rewriteMetaBlock() error {
 	return nil
 }
 
-// LiveBytesOf returns the file's live byte count (size minus dropped pages).
+// LiveBytesOf returns the file's live byte count: its size minus the
+// abandoned block space. The space-amplification accounting uses it.
 func (r *Reader) LiveBytesOf() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return LiveBytes(r.Meta, r.Tiles)
+	return r.Meta.Size - r.Meta.DeadBytes
 }
 
 // CountDropped returns how many pages of the file have been dropped.

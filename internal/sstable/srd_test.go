@@ -91,14 +91,11 @@ func TestSRDLiveBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := r.LiveBytesOf()
-	// v1 frees whole fixed pages; v2 frees each dropped block's actual
-	// (compressed) footprint, tracked in DeadBytes.
-	wantFreed := int64(stats.FullDrops) * int64(r.Meta.PageSize)
-	if r.Meta.Format >= FormatV2 {
-		wantFreed = r.Meta.DeadBytes
-		if wantFreed <= 0 {
-			t.Fatal("v2 drops must accumulate DeadBytes")
-		}
+	// A drop frees the block's actual (compressed) footprint, tracked in
+	// DeadBytes.
+	wantFreed := r.Meta.DeadBytes
+	if wantFreed <= 0 {
+		t.Fatal("drops must accumulate DeadBytes")
 	}
 	// The meta block also shrank, so at least the page space must be freed.
 	if before-after < wantFreed {

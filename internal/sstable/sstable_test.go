@@ -312,20 +312,6 @@ func TestWriterRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestWriterRejectsOversizeEntry(t *testing.T) {
-	// v1 pages are fixed-size, so an entry that cannot fit one page is an
-	// error; v2 blocks are variable-length and give it a block of its own.
-	fs := vfs.NewMem()
-	f, _ := fs.Create("x.sst")
-	opts := testOpts(1)
-	opts.FormatVersion = FormatV1
-	w := NewWriter(f, opts)
-	huge := base.MakeEntry([]byte("k"), 1, base.KindSet, 0, bytes.Repeat([]byte{'v'}, 4096))
-	if err := w.Add(huge); err == nil {
-		t.Fatal("oversize entry accepted by v1 writer")
-	}
-}
-
 func TestEmptyFile(t *testing.T) {
 	r, _ := buildFile(t, testOpts(2), nil, nil)
 	defer r.Close()

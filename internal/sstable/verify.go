@@ -1,9 +1,7 @@
 package sstable
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"lethe/internal/base"
@@ -23,7 +21,7 @@ type VerifyStats struct {
 }
 
 // VerifyIntegrity re-reads the file from disk and checks everything the
-// format promises: footer magic/version and (v2) meta-block CRC, meta-block
+// format promises: footer magic/version and meta-block CRC, meta-block
 // decode, index ordering (tiles disjoint and ascending on S, block offsets
 // inside the data region), every live block's CRC, entry framing, in-block
 // S-order, and agreement between each block's contents and its metadata
@@ -37,70 +35,14 @@ func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
 	var vs VerifyStats
 
 	// Footer and meta block, re-read and re-checked from disk.
-	size, err := r.f.Size()
+	meta, tiles, _, err := readMeta(r.f)
 	if err != nil {
-		return vs, fmt.Errorf("sstable: verify size: %w", err)
-	}
-	if size < FooterSize {
-		return vs, fmt.Errorf("sstable: verify: file too small (%d bytes): %w", size, ErrCorruption)
-	}
-	var magicBuf [8]byte
-	if _, err := r.f.ReadAt(magicBuf[:], size-8); err != nil && err != io.EOF {
-		return vs, fmt.Errorf("sstable: verify footer magic: %w", err)
-	}
-	var metaOff, metaLen uint64
-	var metaCRC uint32
-	format := 0
-	switch magic := binary.LittleEndian.Uint64(magicBuf[:]); magic {
-	case Magic:
-		format = FormatV1
-		footer := make([]byte, FooterSize)
-		if _, err := r.f.ReadAt(footer, size-FooterSize); err != nil && err != io.EOF {
-			return vs, fmt.Errorf("sstable: verify footer: %w", err)
-		}
-		metaOff = binary.LittleEndian.Uint64(footer[0:8])
-		metaLen = binary.LittleEndian.Uint64(footer[8:16])
-		if metaOff+metaLen+FooterSize != uint64(size) {
-			return vs, fmt.Errorf("sstable: verify: inconsistent footer: %w", ErrCorruption)
-		}
-	case MagicV2:
-		if size < FooterSizeV2 {
-			return vs, fmt.Errorf("sstable: verify: file too small for v2 footer: %w", ErrCorruption)
-		}
-		footer := make([]byte, FooterSizeV2)
-		if _, err := r.f.ReadAt(footer, size-FooterSizeV2); err != nil && err != io.EOF {
-			return vs, fmt.Errorf("sstable: verify footer: %w", err)
-		}
-		metaOff = binary.LittleEndian.Uint64(footer[0:8])
-		metaLen = binary.LittleEndian.Uint64(footer[8:16])
-		metaCRC = binary.LittleEndian.Uint32(footer[16:20])
-		if v := binary.LittleEndian.Uint32(footer[20:24]); v != FormatV2 {
-			return vs, fmt.Errorf("sstable: verify: unknown format version %d: %w", v, ErrCorruption)
-		}
-		format = FormatV2
-		if metaOff+metaLen+FooterSizeV2 != uint64(size) {
-			return vs, fmt.Errorf("sstable: verify: inconsistent footer: %w", ErrCorruption)
-		}
-	default:
-		return vs, fmt.Errorf("sstable: verify: bad magic %x: %w", magic, ErrCorruption)
-	}
-	metaBlock := make([]byte, metaLen)
-	if _, err := r.f.ReadAt(metaBlock, int64(metaOff)); err != nil && err != io.EOF {
-		return vs, fmt.Errorf("sstable: verify meta block: %w", err)
-	}
-	if format >= FormatV2 {
-		if got := crc32.Checksum(metaBlock, crc32.MakeTable(crc32.Castagnoli)); got != metaCRC {
-			return vs, fmt.Errorf("sstable: verify: meta block checksum mismatch: %w", ErrCorruption)
-		}
-	}
-	meta, tiles, _, err := decodeMetaBlock(metaBlock, format)
-	if err != nil {
-		return vs, err
+		return vs, fmt.Errorf("sstable: verify: %w", err)
 	}
 
 	// Index ordering: tiles disjoint and ascending on S, block fences inside
 	// their tile, offsets inside the data region. (Block offsets are not
-	// monotone in v2 — partial drops relocate — but must stay in bounds.)
+	// monotone — partial drops relocate — but must stay in bounds.)
 	for ti := range tiles {
 		t := &tiles[ti]
 		if base.CompareUserKeys(t.MinS, t.MaxS) > 0 {
@@ -118,16 +60,16 @@ func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
 			if base.CompareUserKeys(pm.MinS, t.MinS) < 0 || base.CompareUserKeys(pm.MaxS, t.MaxS) > 0 {
 				return vs, fmt.Errorf("sstable: verify: block %d.%d fences escape tile: %w", ti, pi, ErrCorruption)
 			}
-			if pm.Offset < 0 || pm.Offset+int64(pm.Bytes) > int64(metaOff) {
+			if pm.Offset < 0 || pm.Offset+int64(pm.Bytes) > meta.DataEnd {
 				return vs, fmt.Errorf("sstable: verify: block %d.%d spans [%d,%d) outside data region [0,%d): %w",
-					ti, pi, pm.Offset, pm.Offset+int64(pm.Bytes), metaOff, ErrCorruption)
+					ti, pi, pm.Offset, pm.Offset+int64(pm.Bytes), meta.DataEnd, ErrCorruption)
 			}
 
 			sealed := make([]byte, pm.Bytes)
 			if _, err := r.f.ReadAt(sealed, pm.Offset); err != nil && err != io.EOF {
 				return vs, fmt.Errorf("sstable: verify read block %d.%d: %w", ti, pi, err)
 			}
-			count, err := r.verifyBlock(format, sealed, pm)
+			count, err := verifyBlock(sealed, pm)
 			if err != nil {
 				return vs, fmt.Errorf("sstable: verify block %d.%d: %w", ti, pi, err)
 			}
@@ -144,53 +86,27 @@ func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
 }
 
 // verifyBlock checks one sealed block against its descriptor.
-func (r *Reader) verifyBlock(format int, sealed []byte, pm *PageMeta) (int, error) {
-	var entries []base.Entry
-	if format >= FormatV2 {
-		if _, err := validateBlock(sealed); err != nil {
-			return 0, err
-		}
-		payload, err := openPage(sealed)
-		if err != nil {
-			return 0, err
-		}
-		if entries, err = decodeBlock(payload); err != nil {
-			return 0, err
-		}
-	} else {
-		payload, err := openPage(sealed)
-		if err != nil {
-			return 0, err
-		}
-		count, rest, err := base.Uvarint(payload)
-		if err != nil {
-			return 0, err
-		}
-		entries = make([]base.Entry, 0, count)
-		for i := uint64(0); i < count; i++ {
-			var e base.Entry
-			if e, rest, err = base.DecodeEntry(rest); err != nil {
-				return 0, err
-			}
-			entries = append(entries, e)
-		}
-		for i := 1; i < len(entries); i++ {
-			if base.CompareUserKeys(entries[i-1].Key.UserKey, entries[i].Key.UserKey) >= 0 {
-				return 0, fmt.Errorf("page keys out of order at entry %d: %w", i, ErrCorruption)
-			}
-		}
+func verifyBlock(sealed []byte, pm *PageMeta) (int, error) {
+	if _, err := validateBlock(sealed); err != nil {
+		return 0, err
+	}
+	payload, err := openPage(sealed)
+	if err != nil {
+		return 0, err
+	}
+	entries, err := decodeBlock(payload)
+	if err != nil {
+		return 0, err
 	}
 	if len(entries) != pm.Count {
 		return 0, fmt.Errorf("block holds %d entries, meta says %d: %w", len(entries), pm.Count, ErrCorruption)
 	}
-	if format >= FormatV2 {
-		keyBytes := 0
-		for i := range entries {
-			keyBytes += len(entries[i].Key.UserKey)
-		}
-		if keyBytes != pm.KeyBytes {
-			return 0, fmt.Errorf("block holds %d key bytes, meta says %d: %w", keyBytes, pm.KeyBytes, ErrCorruption)
-		}
+	keyBytes := 0
+	for i := range entries {
+		keyBytes += len(entries[i].Key.UserKey)
+	}
+	if keyBytes != pm.KeyBytes {
+		return 0, fmt.Errorf("block holds %d key bytes, meta says %d: %w", keyBytes, pm.KeyBytes, ErrCorruption)
 	}
 	if len(entries) > 0 {
 		if base.CompareUserKeys(entries[0].Key.UserKey, pm.MinS) != 0 ||

@@ -12,23 +12,15 @@ import (
 	"lethe/internal/vfs"
 )
 
-// pageHeaderReserve is the space reserved in each page for the checksum and
-// the entry-count varint.
-const pageHeaderReserve = 9
-
 // WriterOptions configures sstable construction.
 type WriterOptions struct {
 	// FileNum is the engine-assigned file number.
 	FileNum uint64
-	// FormatVersion selects the on-disk format: FormatV1 or FormatV2.
-	// Zero means FormatV2 — new files get the block format unless a test
-	// (or a mixed-version scenario) explicitly pins v1.
-	FormatVersion int
-	// PageSize is the byte size of each data page (the paper's disk page).
-	// v2 files record it for I/O accounting but place blocks by offset.
+	// PageSize is the byte size of the paper's disk page. Files record it
+	// for I/O accounting but place blocks by offset.
 	PageSize int
-	// BlockSizeBytes is the target encoded size of a v2 data block
-	// (DefaultBlockSize when zero). Ignored by v1, which uses PageSize.
+	// BlockSizeBytes is the target encoded size of a data block
+	// (DefaultBlockSize when zero).
 	BlockSizeBytes int
 	// TilePages is h, the target number of pages per delete tile. h = 1
 	// yields the classical layout.
@@ -45,9 +37,6 @@ type WriterOptions struct {
 
 func (o *WriterOptions) withDefaults() WriterOptions {
 	opts := *o
-	if opts.FormatVersion == 0 {
-		opts.FormatVersion = FormatV2
-	}
 	if opts.PageSize == 0 {
 		opts.PageSize = 4096
 	}
@@ -78,9 +67,9 @@ type Writer struct {
 
 	tiles    []TileMeta
 	rts      []base.RangeTombstone
-	pageOff  int64 // next page/block write offset
+	pageOff  int64 // next block write offset
 	numPages int
-	bw       blockWriter // reused across v2 blocks
+	bw       blockWriter // reused across blocks
 
 	meta     Meta
 	lastKey  []byte
@@ -95,29 +84,16 @@ func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	w := &Writer{f: f, opts: o}
 	w.meta = Meta{
 		FileNum:   o.FileNum,
-		Format:    o.FormatVersion,
 		PageSize:  o.PageSize,
+		BlockSize: o.BlockSizeBytes,
 		TilePages: o.TilePages,
 		MinSeq:    base.MaxSeqNum,
-	}
-	if o.FormatVersion >= FormatV2 {
-		w.meta.BlockSize = o.BlockSizeBytes
 	}
 	return w
 }
 
 func encodedEntrySize(e base.Entry) int {
 	return len(base.AppendEntry(nil, e))
-}
-
-// pageBudget is the target payload bytes per page (v1) or block (v2). Both
-// tile partitioning and the flat-encoded entry-size estimate use it; v2
-// prefix compression only makes blocks land under the target, never over.
-func (w *Writer) pageBudget() int {
-	if w.opts.FormatVersion >= FormatV2 {
-		return w.opts.BlockSizeBytes
-	}
-	return w.opts.PageSize - pageHeaderReserve
 }
 
 // Add appends an entry (value or point tombstone). Keys must be strictly
@@ -138,14 +114,11 @@ func (w *Writer) Add(e base.Entry) error {
 	e = e.Clone()
 	w.lastKey = e.Key.UserKey
 
+	// Tile and block partitioning budget on the flat-encoded entry size;
+	// prefix compression only makes blocks land under the target, never
+	// over, and an oversize entry gets a block of its own.
 	sz := encodedEntrySize(e)
-	budget := w.opts.TilePages * w.pageBudget()
-	if w.opts.FormatVersion < FormatV2 && sz > w.pageBudget() {
-		// v1 pages are fixed-size, so an entry must fit in one page. v2
-		// blocks are variable-length: an oversize entry gets its own block.
-		return fmt.Errorf("sstable: entry of %d bytes exceeds page size %d", sz, w.opts.PageSize)
-	}
-	if len(w.tileBuf) > 0 && w.tileBytes+sz > budget {
+	if len(w.tileBuf) > 0 && w.tileBytes+sz > w.opts.TilePages*w.opts.BlockSizeBytes {
 		if err := w.flushTile(); err != nil {
 			return err
 		}
@@ -216,7 +189,7 @@ func (w *Writer) flushTile() error {
 	// byte budget.
 	h := w.opts.TilePages
 	targetCount := (len(byD) + h - 1) / h
-	budget := w.pageBudget()
+	budget := w.opts.BlockSizeBytes
 	var page []base.Entry
 	var pageBytes int
 	flushPage := func() error {
@@ -250,20 +223,14 @@ func (w *Writer) flushTile() error {
 	return nil
 }
 
-// writePage sorts one page's entries on S, encodes them in the file's
-// format (v1: flat count-prefixed page padded to PageSize; v2: prefix-
-// compressed block written back to back), and records its metadata in the
-// tile.
+// writePage sorts one page's entries on S, encodes them as a prefix-
+// compressed block written back to back with its predecessor, and records
+// its metadata in the tile.
 func (w *Writer) writePage(tile *TileMeta, entries []base.Entry) error {
 	sort.Slice(entries, func(i, j int) bool {
 		return base.CompareUserKeys(entries[i].Key.UserKey, entries[j].Key.UserKey) < 0
 	})
-	var buf []byte
-	if w.opts.FormatVersion < FormatV2 {
-		buf = base.AppendUvarint(nil, uint64(len(entries)))
-	} else {
-		w.bw.reset()
-	}
+	w.bw.reset()
 	pm := PageMeta{
 		Count:  len(entries),
 		Offset: w.pageOff,
@@ -273,12 +240,8 @@ func (w *Writer) writePage(tile *TileMeta, entries []base.Entry) error {
 	}
 	keys := make([][]byte, 0, len(entries))
 	for _, e := range entries {
-		if w.opts.FormatVersion < FormatV2 {
-			buf = base.AppendEntry(buf, e)
-		} else {
-			w.bw.add(e)
-			pm.KeyBytes += len(e.Key.UserKey)
-		}
+		w.bw.add(e)
+		pm.KeyBytes += len(e.Key.UserKey)
 		keys = append(keys, e.Key.UserKey)
 		switch e.Key.Kind() {
 		case base.KindDelete:
@@ -315,28 +278,13 @@ func (w *Writer) writePage(tile *TileMeta, entries []base.Entry) error {
 	}
 	pm.Filter = bloom.New(keys, w.opts.BloomBitsPerKey)
 
-	if w.opts.FormatVersion < FormatV2 {
-		buf = sealPage(buf)
-		pm.Bytes = len(buf)
-		if pm.Bytes > w.opts.PageSize {
-			return fmt.Errorf("sstable: page payload %d exceeds page size %d", pm.Bytes, w.opts.PageSize)
-		}
-		padded := make([]byte, w.opts.PageSize)
-		copy(padded, buf)
-		if _, err := w.f.Write(padded); err != nil {
-			w.err = fmt.Errorf("sstable: write page: %w", err)
-			return w.err
-		}
-		w.pageOff += int64(w.opts.PageSize)
-	} else {
-		sealed := sealPage(w.bw.finish())
-		pm.Bytes = len(sealed)
-		if _, err := w.f.Write(sealed); err != nil {
-			w.err = fmt.Errorf("sstable: write block: %w", err)
-			return w.err
-		}
-		w.pageOff += int64(len(sealed))
+	sealed := sealPage(w.bw.finish())
+	pm.Bytes = len(sealed)
+	if _, err := w.f.Write(sealed); err != nil {
+		w.err = fmt.Errorf("sstable: write block: %w", err)
+		return w.err
 	}
+	w.pageOff += int64(len(sealed))
 	tile.Pages = append(tile.Pages, pm)
 	w.numPages++
 	return nil
@@ -381,7 +329,7 @@ func (w *Writer) Finish() (*Meta, error) {
 	if _, err := w.f.Write(metaBlock); err != nil {
 		return nil, fmt.Errorf("sstable: write meta block: %w", err)
 	}
-	footer := appendFooter(nil, w.opts.FormatVersion, w.pageOff, metaBlock)
+	footer := appendFooter(nil, w.pageOff, metaBlock)
 	if _, err := w.f.Write(footer); err != nil {
 		return nil, fmt.Errorf("sstable: write footer: %w", err)
 	}
@@ -393,17 +341,14 @@ func (w *Writer) Finish() (*Meta, error) {
 	return &metaCopy, nil
 }
 
-// appendFooter serializes the version-appropriate footer for a meta block
-// written at metaOff. The v2 footer carries a CRC of the meta block and an
-// explicit version field; see the package doc for the versioning rules.
-func appendFooter(dst []byte, format int, metaOff int64, metaBlock []byte) []byte {
+// appendFooter serializes the footer for a meta block written at metaOff: it
+// carries a CRC of the meta block and an explicit version field; see the
+// package doc for the versioning rules.
+func appendFooter(dst []byte, metaOff int64, metaBlock []byte) []byte {
 	dst = base.AppendUint64(dst, uint64(metaOff))
 	dst = base.AppendUint64(dst, uint64(len(metaBlock)))
-	if format < FormatV2 {
-		return base.AppendUint64(dst, Magic)
-	}
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(metaBlock, crc32.MakeTable(crc32.Castagnoli)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(format))
+	dst = binary.LittleEndian.AppendUint32(dst, FormatV2)
 	return base.AppendUint64(dst, MagicV2)
 }
 

@@ -84,8 +84,8 @@ const (
 //     boundary outside the shard's key range, or on a synchronous-mode
 //     database, which has no maintenance pool to reshard with).
 //
-// Configuration mistakes caught by Open (missing filesystem, conflicting
-// deprecated aliases) return plain descriptive errors; everything reachable
+// Configuration mistakes caught by Open (missing filesystem, a Placement
+// without a RemoteFS) return plain descriptive errors; everything reachable
 // at runtime maps to a sentinel.
 var (
 	ErrNotFound = lsm.ErrNotFound
@@ -104,13 +104,11 @@ type WALSyncPolicy = lsm.WALSyncPolicy
 
 // The available WAL sync policies.
 const (
-	// SyncGrouped (default) batches concurrent commits through the
-	// group-commit pipeline and issues one sync per group: per-commit
-	// durability at amortized cost.
+	// SyncGrouped (default) batches concurrent commits into groups and
+	// issues one sync per group: per-commit durability at amortized cost.
 	SyncGrouped = lsm.SyncGrouped
-	// SyncAlways appends and syncs each commit individually, bypassing
-	// group commit — the serialized path, maximal isolation, lowest
-	// throughput.
+	// SyncAlways commits every batch as a group of one, with its own WAL
+	// record and its own sync — maximal isolation, lowest throughput.
 	SyncAlways = lsm.SyncAlways
 	// SyncNever defers durability to the OS and WAL segment rotation;
 	// recently acknowledged groups may be lost whole on a crash.
@@ -124,15 +122,6 @@ type Clock = base.Clock
 // and which on StorageOptions.RemoteFS. See "Tiered storage" in tuning.go.
 type PlacementPolicy = lsm.PlacementPolicy
 
-// SSTable format versions for StorageOptions.SSTableFormat.
-const (
-	// SSTableFormatV1 is the original fixed-page KiWi layout.
-	SSTableFormatV1 = sstable.FormatV1
-	// SSTableFormatV2 (the default) is the block layout: prefix
-	// compression, restart points, per-block checksums.
-	SSTableFormatV2 = sstable.FormatV2
-)
-
 // StorageOptions groups everything about where and how bytes land: the
 // filesystems, the local/remote tier split, the on-disk block geometry, and
 // the page-cache budget. The zero value means "local only, defaults
@@ -140,7 +129,9 @@ const (
 type StorageOptions struct {
 	// FS overrides the filesystem entirely (advanced; takes precedence
 	// over Options.Path/InMemory). Wrap with vfs.NewCounting to measure
-	// I/O.
+	// I/O. Sstables are written in one block format (prefix compression,
+	// restart points, per-block checksums); a file in the retired
+	// fixed-page format is refused at Open with ErrCorruption.
 	FS vfs.FS
 	// RemoteFS, when non-nil, enables tiered placement: levels at or past
 	// Placement.LocalLevels keep their sstables here while the WAL, the
@@ -162,10 +153,6 @@ type StorageOptions struct {
 	// analogue). This is a whole-database budget: with Shards > 1 every
 	// shard shares one cache. Zero disables it.
 	CacheBytes int64
-	// SSTableFormat pins the format version new sstables are written with
-	// (SSTableFormatV2 when zero). Only compatibility tests set it;
-	// readers always open both formats.
-	SSTableFormat int
 }
 
 // NewManualClock returns a manually advanced clock for tests and
@@ -198,10 +185,6 @@ type Options struct {
 	PageSize int
 	// FilePages is the number of pages per sstable (default 256).
 	FilePages int
-	// BlockSizeBytes is the target encoded size of an sstable data block.
-	//
-	// Deprecated: use Storage.BlockSizeBytes. Setting both is an error.
-	BlockSizeBytes int
 	// BloomBitsPerKey sizes the Bloom filters (default 10).
 	BloomBitsPerKey int
 	// Tiering selects tiered merging instead of leveling.
@@ -211,30 +194,20 @@ type Options struct {
 	// DisableWAL turns off write-ahead logging.
 	DisableWAL bool
 	// WALSync selects the commit-path durability policy: SyncGrouped (the
-	// default) amortizes one sync per commit group, SyncAlways syncs every
-	// commit individually on the serialized path, SyncNever defers
-	// durability to the OS. See the tuning notes in tuning.go. Ignored when
-	// DisableWAL is set.
+	// default) amortizes one sync per commit group, SyncAlways commits and
+	// syncs every batch as a group of one, SyncNever defers durability to
+	// the OS. See the tuning notes in tuning.go. Ignored when DisableWAL is
+	// set.
 	WALSync WALSyncPolicy
 	// Clock overrides the time source (tests/simulations).
 	Clock Clock
-	// FS overrides the filesystem entirely.
-	//
-	// Deprecated: use Storage.FS. Setting both is an error.
-	FS vfs.FS
 	// Storage groups the filesystem, tiering, block geometry, and cache
-	// configuration. The flat FS, BlockSizeBytes, and CacheBytes fields
-	// remain as deprecated aliases; Open resolves them into Storage and
-	// rejects an Options value that sets a field both ways.
+	// configuration.
 	Storage StorageOptions
 	// CoverageEstimator estimates the key-domain fraction covered by a
 	// primary range delete, used to weight range tombstones in FADE's file
 	// selection.
 	CoverageEstimator func(start, end []byte) float64
-	// CacheBytes bounds the decoded-page cache.
-	//
-	// Deprecated: use Storage.CacheBytes. Setting both is an error.
-	CacheBytes int64
 	// Seed fixes internal randomness for reproducibility.
 	Seed int64
 	// DisableBackgroundMaintenance turns off the background flush and
@@ -333,9 +306,9 @@ type Options struct {
 // and friends for the batching it achieves. When the background flush queue
 // is saturated, writers stall until the shared maintenance pool catches up (see
 // Stats().WriteStalls). With DisableBackgroundMaintenance — automatic under
-// a manual clock — commits serialize on the engine lock and all maintenance
-// runs inline inside the writing goroutine, preserving the paper's
-// deterministic single-threaded execution.
+// a manual clock — commits take the same pipeline as groups of one and all
+// maintenance runs inline inside the writing goroutine, preserving the
+// paper's deterministic single-threaded execution.
 //
 // With Options.Shards > 1 the handle routes over range-partitioned engine
 // instances: point operations go to exactly one shard, Scan and NewIter
@@ -517,40 +490,11 @@ func (db *DB) retryRead(err error, t *routingTable) bool {
 	return errors.Is(err, ErrClosed) && !db.closed.Load() && db.table.Load() != t
 }
 
-// resolveStorage merges the Storage group with the deprecated flat aliases.
-// A field set both ways is a configuration conflict, not a precedence
-// question — Open refuses rather than silently preferring one.
-func (o Options) resolveStorage() (StorageOptions, error) {
-	s := o.Storage
-	if o.FS != nil {
-		if s.FS != nil {
-			return s, errors.New("lethe: both Options.FS and Options.Storage.FS are set")
-		}
-		s.FS = o.FS
-	}
-	if o.BlockSizeBytes != 0 {
-		if s.BlockSizeBytes != 0 {
-			return s, errors.New("lethe: both Options.BlockSizeBytes and Options.Storage.BlockSizeBytes are set")
-		}
-		s.BlockSizeBytes = o.BlockSizeBytes
-	}
-	if o.CacheBytes != 0 {
-		if s.CacheBytes != 0 {
-			return s, errors.New("lethe: both Options.CacheBytes and Options.Storage.CacheBytes are set")
-		}
-		s.CacheBytes = o.CacheBytes
-	}
-	if s.RemoteFS == nil && s.Placement.LocalLevels != 0 {
-		return s, errors.New("lethe: Storage.Placement is set but Storage.RemoteFS is nil")
-	}
-	return s, nil
-}
-
 // Open creates or reopens a database.
 func Open(opts Options) (*DB, error) {
-	storage, err := opts.resolveStorage()
-	if err != nil {
-		return nil, err
+	storage := opts.Storage
+	if storage.RemoteFS == nil && storage.Placement.LocalLevels != 0 {
+		return nil, errors.New("lethe: Storage.Placement is set but Storage.RemoteFS is nil")
 	}
 	fs := storage.FS
 	if fs == nil {
@@ -613,7 +557,6 @@ func Open(opts Options) (*DB, error) {
 			FilePages:            opts.FilePages,
 			TilePages:            opts.TilePages,
 			BlockSizeBytes:       storage.BlockSizeBytes,
-			SSTableFormat:        storage.SSTableFormat,
 			BloomBitsPerKey:      opts.BloomBitsPerKey,
 			Mode:                 mode,
 			Dth:                  opts.Dth,

@@ -2,51 +2,33 @@ package lethe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"lethe/internal/sstable"
 	"lethe/internal/vfs"
 )
 
-// TestStorageOptionsConflict: a field set both flat (deprecated) and inside
-// Storage is a configuration error, not a precedence question.
+// TestStorageOptionsConflict: a Placement that names no remote tier to place
+// on is a configuration error.
 func TestStorageOptionsConflict(t *testing.T) {
-	cases := []struct {
-		name string
-		opts Options
-		want string
-	}{
-		{"fs", Options{FS: vfs.NewMem(), Storage: StorageOptions{FS: vfs.NewMem()}},
-			"Options.FS and Options.Storage.FS"},
-		{"block", Options{InMemory: true, BlockSizeBytes: 512,
-			Storage: StorageOptions{BlockSizeBytes: 1024}},
-			"Options.BlockSizeBytes and Options.Storage.BlockSizeBytes"},
-		{"cache", Options{InMemory: true, CacheBytes: 1 << 20,
-			Storage: StorageOptions{CacheBytes: 1 << 20}},
-			"Options.CacheBytes and Options.Storage.CacheBytes"},
-		{"placement-without-remote", Options{InMemory: true,
-			Storage: StorageOptions{Placement: PlacementPolicy{LocalLevels: 2}}},
-			"Storage.RemoteFS is nil"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Open(tc.opts)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want error containing %q, got %v", tc.want, err)
-			}
-		})
+	_, err := Open(Options{InMemory: true,
+		Storage: StorageOptions{Placement: PlacementPolicy{LocalLevels: 2}}})
+	if want := "Storage.RemoteFS is nil"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want error containing %q, got %v", want, err)
 	}
 }
 
-// TestStorageOptionsAliases: the deprecated flat fields keep working and
-// mean exactly what their Storage counterparts do.
-func TestStorageOptionsAliases(t *testing.T) {
-	fs := vfs.NewMem()
-	db, err := Open(Options{FS: fs, BlockSizeBytes: 1024, CacheBytes: 1 << 20,
-		DisableWAL: true})
+// TestStorageOptionsReopen: a database written through Storage reopens
+// through Storage against the same filesystem.
+func TestStorageOptionsReopen(t *testing.T) {
+	opts := Options{Storage: StorageOptions{FS: vfs.NewMem(), BlockSizeBytes: 1024,
+		CacheBytes: 1 << 20}, DisableWAL: true}
+	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +38,82 @@ func TestStorageOptionsAliases(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen via the Storage form against the same filesystem.
-	db2, err := Open(Options{Storage: StorageOptions{FS: fs, BlockSizeBytes: 1024,
-		CacheBytes: 1 << 20}, DisableWAL: true})
+	db2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
 	if v, err := db2.Get([]byte("k")); err != nil || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("get after alias/Storage reopen: %q %v", v, err)
+		t.Fatalf("get after reopen: %q %v", v, err)
 	}
+}
+
+// TestV1FileRefused: an sstable in the retired fixed-page format (24-byte
+// footer ending in the v1 magic) is refused, by name and as ErrCorruption,
+// by both steps of `lethe verify` — the table walk of an open database and
+// the Open of a directory holding such a file.
+func TestV1FileRefused(t *testing.T) {
+	fs := vfs.NewMem()
+	opts := Options{Storage: StorageOptions{FS: fs}, DisableBackgroundMaintenance: true}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), DeleteKey(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sst string
+	for _, name := range names {
+		if strings.HasSuffix(name, ".sst") {
+			sst = name
+		}
+	}
+	if sst == "" {
+		t.Fatal("flush left no sstable")
+	}
+	// Page array, meta block, then metaOffset | metaLen | Magic.
+	v1 := make([]byte, 4096+64, 4096+64+24)
+	v1 = binary.LittleEndian.AppendUint64(v1, 4096)
+	v1 = binary.LittleEndian.AppendUint64(v1, 64)
+	v1 = binary.LittleEndian.AppendUint64(v1, sstable.Magic)
+	// Overwrite in place, so the open database's handle sees the new bytes.
+	f, err := fs.Open(sst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(int64(len(v1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(v1, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	refused := func(step string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorruption) || !strings.Contains(err.Error(), "format v1") {
+			t.Fatalf("%s: err=%v, want ErrCorruption naming format v1", step, err)
+		}
+	}
+	vs, err := db.VerifyTables()
+	refused("VerifyTables", err)
+	if vs.CorruptFiles != 1 {
+		t.Fatalf("CorruptFiles = %d, want 1", vs.CorruptFiles)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(opts)
+	refused("Open", err)
 }
 
 // TestErrorSentinels: every documented failure mode is checkable with

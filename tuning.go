@@ -14,10 +14,10 @@
 //     (watch Stats().WALSyncs versus Stats().CommitBatches). This is the
 //     right choice for almost every durable workload.
 //
-//   - SyncAlways: each commit appends and syncs individually on a serialized
-//     path. Throughput degrades to one device sync per write — use it only
-//     when commits must not share fate with neighbors in a group (a torn
-//     group record drops the whole group on replay).
+//   - SyncAlways: every commit is a group of one — its own WAL record and
+//     its own sync. Throughput degrades to one device sync per write — use
+//     it only when commits must not share fate with neighbors in a group (a
+//     torn group record drops the whole group on replay).
 //
 //   - SyncNever: no commit-path sync; group records still reach the file on
 //     every commit and sealed segments sync at rotation, so a crash loses at
@@ -234,13 +234,13 @@
 //
 // # Block size: Storage.BlockSizeBytes
 //
-// Format v2 (internal/sstable/format.go) stores each delete-tile page as a
-// variable-length block: entries are prefix-compressed against their
-// predecessor, restart points every 16 entries keep in-block binary search
-// possible, and each block carries its own CRC. BlockSizeBytes is the target
-// *encoded* size at which the writer cuts a block (default: PageSize, so the
-// unit of read I/O is unchanged and v2 is purely a footprint win), and it
-// trades scans against point reads:
+// The sstable format (internal/sstable/format.go) stores each delete-tile
+// page as a variable-length block: entries are prefix-compressed against
+// their predecessor, restart points every 16 entries keep in-block binary
+// search possible, and each block carries its own CRC. BlockSizeBytes is the
+// target *encoded* size at which the writer cuts a block (default: PageSize,
+// so the unit of read I/O is the paper's page and compression is purely a
+// footprint win), and it trades scans against point reads:
 //
 //   - Larger blocks compress better (longer runs share prefixes, fewer
 //     restart points and per-block headers per entry) and make scans
@@ -261,9 +261,9 @@
 // SRD precision — bigger blocks mean coarser drops (more partial-block
 // rewrites at range edges), smaller blocks mean more full drops but more
 // fence metadata. Workloads leaning on SecondaryRangeDelete should keep
-// blocks near the v1 page size they replaced (a few KiB); scan-heavy,
-// rarely-deleting workloads can raise BlockSizeBytes toward 32-64KiB for
-// the compression win. The paper-experiment harness pins BlockSizeBytes to
+// blocks near the page size (a few KiB); scan-heavy, rarely-deleting
+// workloads can raise BlockSizeBytes toward 32-64KiB for the compression
+// win. The paper-experiment harness pins BlockSizeBytes to
 // PageSize so the figures keep reasoning in the paper's page units.
 //
 // # Tiered storage: Storage.RemoteFS and Storage.Placement
@@ -323,7 +323,7 @@
 // value copy), and sstable/memtable decode paths hand out views into pooled
 // buffers rather than copies. BenchmarkIteratorFirstK and
 // BenchmarkSnapshotReads track this as allocs/op, and CI diffs both against
-// the committed baseline (BENCH_PR6.json) exactly like ns/op — an
+// the committed baseline (BENCH_BASELINE.json) exactly like ns/op — an
 // accidental per-key allocation is a flagged regression, not silent noise.
 //
 // The visible consequence is the Iterator validity contract: Key and Value
