@@ -89,7 +89,7 @@ func main() {
 	}
 	fmt.Printf("\nafter 21 days: %d live docs, oldest day=%d (retention %d days)\n",
 		len(live), oldest, retentionDays)
-	fmt.Printf("purged %d docs total; %d pages dropped with zero I/O, %d edge pages rewritten\n",
+	fmt.Printf("purged %d docs total; %d pages dropped with zero I/O, %d edge pages filtered (no sstable byte written)\n",
 		totalDropped, totalFull, totalPartial)
 	engineStats := db.Stats()
 	if engineStats.FullTreeCompactions != 0 {

@@ -20,6 +20,28 @@ func MakeEntry(userKey []byte, seq SeqNum, kind Kind, dkey DeleteKey, value []by
 	return Entry{Key: MakeInternalKey(userKey, seq, kind), DKey: dkey, Value: value}
 }
 
+// MakeSecondaryRangeDelete encodes a secondary range delete of [lo, hi) as a
+// write-ahead-log entry: DKey holds lo and Value holds hi (8 bytes,
+// little-endian). seq is the highest sequence number written before the
+// delete, so recovery skips the record, as it does any other, once
+// everything the delete could remove is durable in sstables.
+func MakeSecondaryRangeDelete(lo, hi DeleteKey, seq SeqNum) Entry {
+	return MakeEntry(nil, seq, KindSecondaryRangeDelete, lo, AppendUint64(nil, uint64(hi)))
+}
+
+// SecondaryRange returns the delete-key range a KindSecondaryRangeDelete
+// entry deletes; ok is false for any other entry.
+func (e Entry) SecondaryRange() (lo, hi DeleteKey, ok bool) {
+	if e.Key.Kind() != KindSecondaryRangeDelete {
+		return 0, 0, false
+	}
+	v, _, err := Uint64(e.Value)
+	if err != nil {
+		return 0, 0, false
+	}
+	return e.DKey, DeleteKey(v), true
+}
+
 // Clone deep-copies the entry so it can outlive the buffers it was parsed
 // from.
 func (e Entry) Clone() Entry {

@@ -26,6 +26,10 @@ const (
 	// KindRangeDelete is a range tombstone on the sort key. Its user key is
 	// the inclusive start of the range and its value holds the exclusive end.
 	KindRangeDelete
+	// KindSecondaryRangeDelete is the write-ahead-log record of a secondary
+	// range delete (see MakeSecondaryRangeDelete). It is only ever replayed:
+	// no buffer or sstable holds one.
+	KindSecondaryRangeDelete
 	numKinds
 )
 
@@ -38,6 +42,8 @@ func (k Kind) String() string {
 		return "DEL"
 	case KindRangeDelete:
 		return "RANGEDEL"
+	case KindSecondaryRangeDelete:
+		return "SRD"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}

@@ -88,7 +88,9 @@ func (db *DB) setBackgroundErrLocked(err error) {
 func (db *DB) claimJobLocked(flushOnly bool) *maintJob {
 	if !db.flushActive && len(db.imm) > 0 {
 		db.flushActive = true
-		return &maintJob{kind: jobFlush, fl: db.imm[0], fs: db.maintFS}
+		job := &maintJob{kind: jobFlush, fl: db.imm[0], fs: db.maintFS}
+		db.running[job] = struct{}{}
+		return job
 	}
 	if flushOnly {
 		return nil
@@ -110,12 +112,14 @@ func (db *DB) claimJobLocked(flushOnly bool) *maintJob {
 	}
 	db.claimLocked(job)
 	db.inflight++
+	db.running[job] = struct{}{}
 	return job
 }
 
 // finishJobLocked releases a job's claim and wakes everything waiting on
 // maintenance progress. Callers hold db.mu.
 func (db *DB) finishJobLocked(job *maintJob) {
+	delete(db.running, job)
 	if job.kind == jobFlush {
 		db.flushActive = false
 	} else {

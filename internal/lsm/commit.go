@@ -162,6 +162,7 @@ func (db *DB) commitGroup(group []*commitBatch, self *commitBatch) error {
 	if err == nil {
 		mem = db.mem
 		mem.BeginApplies(len(group))
+		db.admittedSeq = group[len(group)-1].seqHi
 		// Re-sync the global budget with the buffer's growth since the last
 		// group (applies run outside db.mu; this is the cheap sync point).
 		db.updateMemoryUsageLocked()

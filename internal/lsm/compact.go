@@ -91,6 +91,10 @@ type maintJob struct {
 	// the merge ran must stay a separate, newer run at install rather than
 	// be flattened into the rewrite's output run.
 	levelAtPrepare map[uint64]bool
+	// srds are the secondary range deletes that landed while the job ran
+	// (appended under db.mu). The job may have read its inputs before them,
+	// so its install applies them to the files it wrote.
+	srds []sstable.Interval
 }
 
 // inputs returns every file the job consumes.
@@ -452,6 +456,9 @@ func (db *DB) discardCopy(orig, dup *fileHandle) {
 // installJobLocked makes an executed job's result the current version.
 // Callers hold db.mu.
 func (db *DB) installJobLocked(job *maintJob) error {
+	if err := db.settleDropsLocked(job); err != nil {
+		return err
+	}
 	switch job.kind {
 	case compactNoop:
 		return nil
@@ -502,6 +509,33 @@ func (db *DB) installJobLocked(job *maintJob) error {
 		// picker decision without a merge.
 		db.m.trivialMoves.Add(1)
 		db.countCompaction(job.d.Trigger)
+	}
+	return nil
+}
+
+// settleDropsLocked brings the files a job wrote up to date with the
+// secondary range deletes that landed while it ran. Every one of its inputs
+// predates those deletes, so applying them to the outputs removes whatever
+// the job copied before the delete reached its inputs; their work was
+// already counted against the inputs and is not counted again. A
+// migration's copies instead take over their originals' drops, which
+// include any delete that landed during the copy. Outputs that are inputs
+// (trivial moves, correctly placed files) carry their own. Callers hold
+// db.mu.
+func (db *DB) settleDropsLocked(job *maintJob) error {
+	for i, h := range job.outputs {
+		switch {
+		case job.kind == compactMigrate:
+			if src := job.srcHandles[i]; h != src {
+				h.r.InheritDrops(src.r)
+			}
+		case job.kind != compactTrivialMove:
+			for _, iv := range job.srds {
+				if _, _, err := h.r.ApplySecondaryRangeDelete(iv.Lo, iv.Hi, db.opts.BloomBitsPerKey); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	return nil
 }

@@ -91,7 +91,11 @@ type DB struct {
 	// single-threaded.
 	seq        base.SeqNum
 	flushedSeq base.SeqNum // highest seq durable in sstables
-	memSeed    int64
+	// admittedSeq is the highest sequence number of a commit group admitted
+	// to the buffer, guarded by db.mu: the sequence number a secondary range
+	// delete's WAL record carries.
+	admittedSeq base.SeqNum
+	memSeed     int64
 	// cache is this instance's namespaced handle on the runtime's page
 	// cache — shared across every shard of a database.
 	cache *sstable.CacheHandle
@@ -156,6 +160,10 @@ type DB struct {
 	busyLevels  map[int]int     // level -> in-flight claim count
 	pauseBG     int             // >0: the pool claims nothing
 	bgErr       error           // first pool-run job failure
+	// running holds every claimed job until it finishes, so a secondary
+	// range delete can hand its range to jobs that may have read their
+	// inputs before it (maintJob.srds).
+	running map[*maintJob]struct{}
 
 	m internalMetrics
 }
@@ -233,6 +241,7 @@ func Open(opts Options) (db *DB, err error) {
 		srcID:      -1,
 		busyFiles:  make(map[uint64]bool),
 		busyLevels: make(map[int]int),
+		running:    make(map[*maintJob]struct{}),
 	}
 	// Attach (or build) the runtime before any file opens: the page cache
 	// handle and the throttled maintenance filesystem come from it. A
@@ -294,6 +303,7 @@ func Open(opts Options) (db *DB, err error) {
 	db.seq = base.SeqNum(state.LastSeq)
 	db.flushedSeq = base.SeqNum(state.LastSeq)
 
+	drops := state.DropsByFile()
 	// Tier membership is manifest state: seed the placement registry before
 	// any file opens so dataFS routes each sstable to the device it lives
 	// on.
@@ -306,11 +316,12 @@ func Open(opts Options) (db *DB, err error) {
 		return nil, errors.New("lsm: manifest lists remote-tier files but Options.RemoteFS is unset")
 	}
 
-	// Open the tree, leaving out files that hold nothing: a secondary range
-	// delete retires the files it empties (srd.go), but a manifest written
-	// before that existed, or one whose retirement never committed, can
-	// still name one. One commit drops them all; the orphan pass below then
-	// unlinks them with the rest of what the manifest does not claim.
+	// Open the tree with each file's persisted drops, leaving out files that
+	// hold nothing: a secondary range delete retires the files it empties
+	// (srd.go), but a manifest written before that existed, or one whose
+	// retirement never committed, can still name one. One commit drops them
+	// all; the orphan pass below then unlinks them with the rest of what the
+	// manifest does not claim.
 	v := &version{levels: make([][]run, len(state.Levels))}
 	swept := false
 	for l, runsIn := range state.Levels {
@@ -321,7 +332,13 @@ func Open(opts Options) (db *DB, err error) {
 				if err != nil {
 					return nil, err
 				}
-				if h.meta.Empty() {
+				if d, ok := drops[num]; ok {
+					if err := h.r.SetDrops(d); err != nil {
+						h.r.Close()
+						return nil, fmt.Errorf("lsm: drops of file %d: %w", num, err)
+					}
+				}
+				if h.r.Live().Empty() {
 					swept = true
 					if err := h.r.Close(); err != nil {
 						return nil, fmt.Errorf("lsm: close emptied file %d: %w", num, err)
@@ -353,6 +370,7 @@ func Open(opts Options) (db *DB, err error) {
 	if err := db.recoverWAL(); err != nil {
 		return nil, err
 	}
+	db.admittedSeq = db.seq
 	if !o.DisableWAL {
 		mgr, err := wal.NewManagerAt(o.FS, o.Clock, "wal", db.walStartNum())
 		if err != nil {
@@ -510,7 +528,7 @@ func treeEntries(v *version, mask map[uint64]bool) int {
 	n := 0
 	v.forEach(func(h *fileHandle) {
 		if !mask[h.meta.FileNum] {
-			n += h.meta.NumEntries
+			n += h.r.Live().NumEntries
 		}
 	})
 	return n
@@ -583,12 +601,14 @@ func (db *DB) Close() error {
 }
 
 // commitManifestLocked persists the structure of v together with the current
-// sequence and file-number state. Callers hold db.mu.
+// sequence and file-number state and each file's secondary-range-delete
+// drops. Callers hold db.mu.
 func (db *DB) commitManifestLocked(v *version) error {
 	st := &manifest.State{
 		NextFileNum: db.nextFileNum.Load(),
 		LastSeq:     uint64(db.flushedSeq),
 	}
+	drops := make(map[uint64]sstable.Drops)
 	for _, runs := range v.levels {
 		var lvl [][]uint64
 		for _, r := range runs {
@@ -598,11 +618,15 @@ func (db *DB) commitManifestLocked(v *version) error {
 				if h.remote {
 					st.Remote = append(st.Remote, h.meta.FileNum)
 				}
+				if d := h.r.Drops(); !d.IsZero() {
+					drops[h.meta.FileNum] = d
+				}
 			}
 			lvl = append(lvl, nums)
 		}
 		st.Levels = append(st.Levels, lvl)
 	}
+	st.SetDrops(drops)
 	return db.store.Commit(st)
 }
 

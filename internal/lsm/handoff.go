@@ -54,6 +54,9 @@ type HandoffFile struct {
 	MinS, MaxS      []byte
 	RangeTombstones []base.RangeTombstone
 	Tiles           []sstable.TileSpan
+	// Drops is what secondary range deletes removed from the file; a file
+	// moved whole takes them into the receiving shard's manifest.
+	Drops sstable.Drops
 }
 
 // Handoff is a consistent snapshot of a quiescent instance's file layout:
@@ -92,14 +95,14 @@ func (db *DB) ExportHandoff() (Handoff, error) {
 		for ri, r := range runs {
 			files := make([]HandoffFile, 0, len(r))
 			for _, fh := range r {
-				m := fh.r.MetaCopy()
 				hf := HandoffFile{
 					Num:        fh.meta.FileNum,
 					Remote:     fh.remote,
-					Size:       m.Size,
-					NumEntries: m.NumEntries,
-					MinS:       append([]byte(nil), m.MinS...),
-					MaxS:       append([]byte(nil), m.MaxS...),
+					Size:       fh.meta.Size,
+					NumEntries: fh.r.Live().NumEntries,
+					MinS:       append([]byte(nil), fh.meta.MinS...),
+					MaxS:       append([]byte(nil), fh.meta.MaxS...),
+					Drops:      fh.r.Drops(),
 				}
 				for _, rt := range fh.r.RangeTombstones {
 					hf.RangeTombstones = append(hf.RangeTombstones, base.RangeTombstone{

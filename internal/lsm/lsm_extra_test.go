@@ -230,7 +230,7 @@ func TestStatsLevelAccounting(t *testing.T) {
 }
 
 // TestSecondaryRangeScanAfterDrops verifies delete fences stay truthful
-// after pages have been dropped and rewritten.
+// after pages have been dropped and filtered.
 func TestSecondaryRangeScanAfterDrops(t *testing.T) {
 	clock := base.NewManualClock(time.Unix(1e6, 0))
 	opts := smallOpts(vfs.NewMem(), clock)

@@ -528,8 +528,7 @@ func secondaryRangeScanViews(views []memView, v *version, lo, hi base.DeleteKey)
 	for _, runs := range v.levels {
 		for _, r := range runs {
 			for _, h := range r {
-				m := h.r.MetaCopy()
-				if m.MaxD < lo || m.MinD >= hi {
+				if m := h.r.Live(); m.MaxD < lo || m.MinD >= hi {
 					continue
 				}
 				got, err := h.r.CollectByDeleteKey(lo, hi)

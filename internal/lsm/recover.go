@@ -25,7 +25,10 @@ func (db *DB) walStartNum() int {
 // recoverWAL replays surviving WAL segments into the buffer, flushes the
 // recovered data, and removes the segments. Records already durable in
 // sstables (seq <= flushedSeq) are skipped; a torn tail ends a segment's
-// replay without failing recovery.
+// replay without failing recovery. A secondary range delete's record
+// removes its range from what has been replayed so far: the log holds the
+// delete after every entry it removed from the buffer and before every
+// later write.
 func (db *DB) recoverWAL() error {
 	if db.opts.DisableWAL {
 		return nil
@@ -41,6 +44,10 @@ func (db *DB) recoverWAL() error {
 	for _, seg := range segs {
 		err := wal.Replay(db.opts.FS, seg, func(e base.Entry) error {
 			if e.Key.SeqNum() <= db.flushedSeq {
+				return nil
+			}
+			if lo, hi, ok := e.SecondaryRange(); ok {
+				db.mem.DeleteSecondaryRange(lo, hi)
 				return nil
 			}
 			db.mem.Apply(e)

@@ -115,9 +115,9 @@ func (f *frozenMem) slice(start, end []byte) []base.Entry {
 // Two caveats, both documented on the operations themselves: a snapshot
 // taken mid-commit-group may see a batch the group has not fully published
 // yet (the same property every read path here has), and
-// SecondaryRangeDelete is a physical delete — it edits sealed buffers and
-// sstable pages in place, so entries it removes disappear from existing
-// snapshots too.
+// SecondaryRangeDelete is a physical delete — it filters sealed buffers and
+// drops sstable pages (the files' drops, which every reader of a file
+// shares), so entries it removes disappear from existing snapshots too.
 type Snapshot struct {
 	views []memView
 	v     *version

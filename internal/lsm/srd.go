@@ -18,25 +18,37 @@ type SRDStats struct {
 // [lo, hi) — the paper's headline secondary range delete ("delete all
 // entries older than D days", §4.2.2). With KiWi it touches only what the
 // delete fences implicate, along the drop hierarchy page → tile → file:
-// fully covered pages are dropped without I/O, edge pages are filtered in
-// place, and a file the delete leaves empty is retired before the call
-// returns. The buffers (mutable and queued) are filtered in memory. No
-// full-tree compaction occurs. Aggregate per-file statistics are returned.
+// fully covered pages are dropped without I/O, edge pages are read and
+// filtered in memory (PartialDrops counts them), and a file the delete
+// leaves empty is retired before the call returns. The buffers (mutable and
+// queued) are filtered in memory. No full-tree compaction occurs, and no
+// sstable byte is written: sstables are write-once.
+//
+// Durability: the delete is one logged metadata edit. A WAL record of the
+// range (when the buffers hold anything) makes the buffer filtering survive
+// a crash — replay applies it to the recovered buffer — and one manifest
+// commit records, per touched file, the pages dropped and the delete-key
+// interval excluded from the pages that remain (see sstable.Drops). Both
+// precede the acknowledgement.
 //
 // Space: an emptied file's bytes are returned at delete time (see
-// retireEmptiedLocked). A partly dropped file keeps its dead blocks until a
-// compaction rewrites it; Stats reports the gap as BytesOnDisk − LiveBytes.
+// retireEmptiedLocked). A partly covered file keeps its dropped blocks and
+// its excluded entries on disk until a compaction rewrites it — merges leave
+// excluded entries behind — and Stats reports the gap as BytesOnDisk −
+// LiveBytes.
 //
-// Concurrency: background flushes and compactions are paused for the
-// duration (a compaction merging a file while its pages are dropped could
-// resurrect deleted entries in its output), and db.mu is held, so no new
-// commit group is admitted while the delete runs; in-flight group applies
-// already admitted to the buffer are drained first (WaitApplies below), so
-// the in-memory filter sees every acknowledged write. Writes enqueued but
-// not yet admitted are concurrent with the delete and commit after it.
-// Concurrent reads are not blocked: they synchronize per file on the
-// reader's internal lock and observe each page either before or after its
-// drop.
+// Concurrency: db.mu is held, so no new commit group is admitted while the
+// delete runs; in-flight group applies already admitted to the buffer are
+// drained first (WaitApplies below), so the in-memory filter sees every
+// acknowledged write. Writes enqueued but not yet admitted are concurrent
+// with the delete and commit after it. Background flushes and compactions
+// keep running: a job already in flight when the delete lands may have read
+// its inputs before it, so the range is handed to the job, whose install
+// applies it to its outputs (all of which predate the delete). Reads are not
+// blocked: each file's drops are an immutable generation swapped atomically,
+// so a lookup sees a file before or after the delete, never torn; iterators
+// and snapshots pinned across the delete see it from their next tile on, as
+// they would any physical removal.
 //
 // Semantics: the deletion is physical, matching the paper's design. It
 // removes every stored version whose D qualifies; it does not write
@@ -58,31 +70,45 @@ func (db *DB) SecondaryRangeDelete(lo, hi base.DeleteKey) (SRDStats, error) {
 	if db.closed {
 		return agg, ErrClosed
 	}
-	db.pauseBackgroundLocked()
-	defer db.resumeBackgroundLocked()
+	if db.bgErr != nil {
+		return agg, db.bgErr
+	}
+	if hi <= lo {
+		return agg, nil
+	}
 
 	// Drain in-flight commit-pipeline applies: holding db.mu keeps new
-	// groups from being admitted, so after this the buffer is stable and
-	// the filter below cannot miss an acknowledged entry.
+	// groups from being admitted, so after this the buffer is stable, the
+	// filter below cannot miss an acknowledged entry, and every admitted
+	// group's WAL record precedes the delete's.
 	db.mem.WaitApplies()
-
+	if db.wal != nil && (!db.mem.Empty() || len(db.imm) > 0) {
+		if err := db.logSecondaryRangeDeleteLocked(lo, hi); err != nil {
+			return agg, err
+		}
+	}
 	agg.EntriesDropped += db.mem.DeleteSecondaryRange(lo, hi)
 	for _, fl := range db.imm {
 		agg.EntriesDropped += fl.mem.DeleteSecondaryRange(lo, hi)
 	}
+	for job := range db.running {
+		job.srds = append(job.srds, sstable.Interval{Lo: lo, Hi: hi})
+	}
 
 	var firstErr error
+	touched := false
 	db.current.forEach(func(h *fileHandle) {
 		if firstErr != nil {
 			return
 		}
-		if h.meta.NumEntries == 0 || h.meta.MaxD < lo || h.meta.MinD >= hi {
+		if m := h.r.Live(); m.NumEntries == 0 || m.MaxD < lo || m.MinD >= hi {
 			return
 		}
 		// A failing file still reports the pages it dropped before the
 		// error.
 		st, _, err := h.r.ApplySecondaryRangeDelete(lo, hi, db.opts.BloomBitsPerKey)
 		firstErr = err
+		touched = touched || st.FullDrops+st.PartialDrops > 0
 		agg.FullDrops += st.FullDrops
 		agg.PartialDrops += st.PartialDrops
 		agg.EntriesDropped += st.EntriesDropped
@@ -93,44 +119,63 @@ func (db *DB) SecondaryRangeDelete(lo, hi base.DeleteKey) (SRDStats, error) {
 	db.m.srdEntriesDropped.Add(int64(agg.EntriesDropped))
 
 	var err error
-	agg.FilesRetired, err = db.retireEmptiedLocked()
+	agg.FilesRetired, err = db.retireEmptiedLocked(touched)
 	if firstErr == nil {
 		firstErr = err
 	}
 	return agg, firstErr
 }
 
-// retireEmptiedLocked removes from the tree every file that holds nothing —
-// no entry and no range tombstone — and reports how many it retired. It is
-// the file level of KiWi's drop hierarchy: a secondary range delete that
-// covers a whole file gives its bytes back here, with no data I/O, instead
-// of leaving a dead run for reads to probe and a saturation compaction to
-// find (a sliding retention window keeps live bytes under every level's
-// capacity, so that compaction never comes).
+// logSecondaryRangeDeleteLocked appends the delete's WAL record and syncs
+// it. Every group admitted to the buffer was logged before it and every
+// later one will be logged after it, so replay, applying the record where
+// it lies, removes exactly the entries the delete removed. A failed append
+// may have left a torn record, behind which later records would be stranded
+// on replay, so it poisons the engine as a failed commit does. Callers hold
+// db.mu.
+func (db *DB) logSecondaryRangeDeleteLocked(lo, hi base.DeleteKey) error {
+	err := db.wal.AppendGroup([]base.Entry{base.MakeSecondaryRangeDelete(lo, hi, db.admittedSeq)})
+	if err == nil {
+		err = db.wal.Sync()
+	}
+	if err != nil {
+		db.setBackgroundErrLocked(err)
+	}
+	return err
+}
+
+// retireEmptiedLocked commits a secondary range delete's effect on the tree
+// and reports how many files it retired. Every file that holds nothing — no
+// entry and no range tombstone — leaves the tree: the file level of KiWi's
+// drop hierarchy, where a delete that covers a whole file gives its bytes
+// back with no data I/O, instead of leaving a dead run for reads to probe
+// and a saturation compaction to find (a sliding retention window keeps
+// live bytes under every level's capacity, so that compaction never comes).
 //
-// It is the install sequence every structural change ends in
-// (commitVersionLocked): commit the manifest, mark the handles obsolete,
-// install. The commit is
-// the durability point — it precedes the delete's acknowledgement, so a
-// crash cannot bring the file (whose own metadata block was not rewritten)
-// back — and the obsolete mark makes the last reference to drain unlink the
-// file from its tier, so iterators and snapshots pinned across the delete
-// finish undisturbed. Levels are kept even when they empty: the tree height,
-// and with it every level's TTL, does not move. Callers hold db.mu with
-// background work paused.
-func (db *DB) retireEmptiedLocked() (int, error) {
+// The one manifest commit is the delete's durability point for the files:
+// it records the drops of every file the delete touched (touched) along
+// with the retirements, before the acknowledgement. Retirements end in the
+// install sequence every structural change ends in (commitVersionLocked):
+// the obsolete mark makes the last reference to drain unlink the file from
+// its tier, so iterators and snapshots pinned across the delete finish
+// undisturbed. Levels are kept even when they empty: the tree height, and
+// with it every level's TTL, does not move. Callers hold db.mu.
+func (db *DB) retireEmptiedLocked(touched bool) (int, error) {
 	var emptied run
 	var bytes int64
 	drop := make(map[uint64]bool)
 	db.current.forEach(func(h *fileHandle) {
-		if h.meta.Empty() {
+		if h.r.Live().Empty() {
 			emptied = append(emptied, h)
 			drop[h.meta.FileNum] = true
 			bytes += h.meta.Size
 		}
 	})
 	if len(emptied) == 0 {
-		return 0, nil
+		if !touched {
+			return 0, nil
+		}
+		return 0, db.commitManifestLocked(db.current)
 	}
 	if err := db.commitVersionLocked(db.current.withoutFiles(drop), emptied); err != nil {
 		return 0, err

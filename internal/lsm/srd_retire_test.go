@@ -266,7 +266,7 @@ func TestSRDNeverRetiresTombstoneFiles(t *testing.T) {
 			if _, _, err := db.Get(victim); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("tombstoned key resurfaced: %v", err)
 			}
-			// And across a reopen: the kept file's metadata was rewritten.
+			// And across a reopen: the kept file's drops were committed.
 			db2 := mustOpen(t, opts)
 			defer db2.Close()
 			if _, _, err := db2.Get(victim); !errors.Is(err, ErrNotFound) {
@@ -534,9 +534,8 @@ func TestSRDRetireCrashSweep(t *testing.T) {
 		opts.CacheBytes = 1
 		db := mustOpen(t, opts)
 		fillByTime(t, db, 0, n)
-		// Cut on a file boundary: the delete then only empties files. (An
-		// edge page is rewritten in place ahead of its file's metadata
-		// block, which is a crash window of its own and not this test's.)
+		// Cut on a file boundary: the delete then only empties files
+		// (TestSRDCrashSweepEveryOp cuts through pages).
 		cut := fileAlignedCut(t, db)
 
 		fired := false

@@ -191,8 +191,8 @@ func (db *DB) Stats() Stats {
 			ls.Files += len(r)
 			for _, h := range r {
 				ls.LiveBytes += h.r.LiveBytesOf()
-				ls.BytesOnDisk += h.r.MetaCopy().Size
-				ls.Entries += h.meta.NumEntries
+				ls.BytesOnDisk += h.meta.Size
+				ls.Entries += h.r.Live().NumEntries
 				ls.PointTombstones += h.meta.NumPointTombstones
 				ls.RangeTombstones += h.meta.NumRangeTombstones
 			}
@@ -256,7 +256,7 @@ func (db *DB) Stats() Stats {
 		s.CacheMisses = c.Misses.Load()
 	}
 	db.current.forEach(func(h *fileHandle) {
-		size := h.r.MetaCopy().Size
+		size := h.meta.Size
 		if h.remote {
 			s.Tier.RemoteFiles++
 			s.Tier.RemoteBytes += size

@@ -9,8 +9,9 @@ import (
 )
 
 // fileHandle pairs a file's metadata with an open reader and a reference
-// count. The reader's Meta pointer is shared so secondary range deletes keep
-// both views consistent.
+// count. meta is the reader's Meta: the file as written, which never
+// changes. What secondary range deletes left of it — entry count, delete-key
+// bounds, emptiness — is h.r.Live().
 //
 // Lifecycle: every version containing the handle holds one reference. When
 // the last referencing version is released the reader is closed, and — if a

@@ -3,17 +3,22 @@
 // committed sequence number.
 //
 // The sstables themselves are self-describing (their metadata block carries
-// fences, filters, and FADE statistics), so the manifest stays tiny: it only
-// records structure. Commits replace the whole manifest via write-temp +
-// rename, which is atomic on every filesystem the engine targets.
+// fences, filters, and FADE statistics) and are never modified once written,
+// so the manifest stays small: it records structure, plus — per file a
+// secondary range delete touched — what that delete dropped. Commits replace
+// the whole manifest via write-temp + rename, which is atomic on every
+// filesystem the engine targets.
 package manifest
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
+	"lethe/internal/sstable"
 	"lethe/internal/vfs"
 )
 
@@ -36,6 +41,58 @@ type State struct {
 	// original. Absent in manifests written before tiering existed, which
 	// decode as all-local.
 	Remote []uint64 `json:",omitempty"`
+	// Drops records, per file a secondary range delete touched, the pages it
+	// dropped and the delete-key intervals it excluded (see SetDrops). A
+	// delete is durable once the manifest carrying its drops commits; the
+	// file itself is never rewritten.
+	Drops []FileDrops `json:",omitempty"`
+}
+
+// FileDrops is one entry of State.Drops: the drops of every file it lists.
+// Files with identical drops — typically every file one delete cut through
+// without dropping a page — share an entry, so the manifest, rewritten
+// whole on every commit, grows by little more than a file number per file
+// a delete touched.
+type FileDrops struct {
+	Files []uint64
+	sstable.Drops
+}
+
+// SetDrops replaces the recorded drops with byFile's, grouping files whose
+// drops are identical into one entry, in file-number order.
+func (s *State) SetDrops(byFile map[uint64]sstable.Drops) {
+	s.Drops = nil
+	nums := make([]uint64, 0, len(byFile))
+	for num := range byFile {
+		nums = append(nums, num)
+	}
+	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+	group := make(map[string]int)
+	for _, num := range nums {
+		d := byFile[num]
+		key := binary.AppendUvarint(nil, uint64(len(d.Pages)))
+		key = append(key, d.Pages...)
+		for _, iv := range d.Excluded {
+			key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(iv.Lo)), uint64(iv.Hi))
+		}
+		if i, ok := group[string(key)]; ok {
+			s.Drops[i].Files = append(s.Drops[i].Files, num)
+			continue
+		}
+		group[string(key)] = len(s.Drops)
+		s.Drops = append(s.Drops, FileDrops{Files: []uint64{num}, Drops: d})
+	}
+}
+
+// DropsByFile returns the recorded drops by file number.
+func (s *State) DropsByFile() map[uint64]sstable.Drops {
+	out := make(map[uint64]sstable.Drops)
+	for _, fd := range s.Drops {
+		for _, num := range fd.Files {
+			out[num] = fd.Drops
+		}
+	}
+	return out
 }
 
 // Clone returns a deep copy of the state.
@@ -50,6 +107,12 @@ func (s *State) Clone() *State {
 	}
 	if len(s.Remote) > 0 {
 		c.Remote = append([]uint64(nil), s.Remote...)
+	}
+	for _, fd := range s.Drops {
+		// Drops values are immutable once recorded; the file lists are what
+		// a clone must not share.
+		fd.Files = append([]uint64(nil), fd.Files...)
+		c.Drops = append(c.Drops, fd)
 	}
 	return c
 }
@@ -78,8 +141,8 @@ func (s *State) FileCount() int {
 }
 
 // Validate checks structural sanity: no duplicate file numbers, no file
-// number at or above NextFileNum, and every remote-tier entry naming a file
-// that actually exists in some level.
+// number at or above NextFileNum, and every remote-tier and drops entry
+// naming a file that actually exists in some level.
 func (s *State) Validate() error {
 	seen := make(map[uint64]bool)
 	for l, runs := range s.Levels {
@@ -105,6 +168,18 @@ func (s *State) Validate() error {
 			return fmt.Errorf("manifest: remote-tier file %d listed twice", f)
 		}
 		remote[f] = true
+	}
+	dropped := make(map[uint64]bool)
+	for _, fd := range s.Drops {
+		for _, f := range fd.Files {
+			if !seen[f] {
+				return fmt.Errorf("manifest: drops recorded for file %d, which is not in any level", f)
+			}
+			if dropped[f] {
+				return fmt.Errorf("manifest: drops recorded twice for file %d", f)
+			}
+			dropped[f] = true
+		}
 	}
 	return nil
 }

@@ -2,8 +2,10 @@ package manifest
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"lethe/internal/sstable"
 	"lethe/internal/vfs"
 )
 
@@ -149,5 +151,49 @@ func TestClone(t *testing.T) {
 	c.Levels[0][0][0] = 99
 	if s.Levels[0][0][0] != 1 {
 		t.Fatal("clone aliases source")
+	}
+}
+
+func TestDropsGroupRoundTripAndValidation(t *testing.T) {
+	fs := vfs.NewMem()
+	store := NewStore(fs, "MANIFEST")
+	window := []sstable.Interval{{Lo: 0, Hi: 100}}
+	byFile := map[uint64]sstable.Drops{
+		4: {Excluded: window},
+		1: {Excluded: append([]sstable.Interval(nil), window...)}, // equal, not shared
+		5: {Pages: []byte{0x3}, Excluded: window},
+	}
+	s := &State{NextFileNum: 10, Levels: [][][]uint64{{{1, 2}}, {{4, 5}}}}
+	s.SetDrops(byFile)
+	if len(s.Drops) != 2 || fmt.Sprint(s.Drops[0].Files) != "[1 4]" || fmt.Sprint(s.Drops[1].Files) != "[5]" {
+		t.Fatalf("identical drops not grouped in file order: %+v", s.Drops)
+	}
+	if err := store.Commit(s); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back := got.DropsByFile(); fmt.Sprint(back) != fmt.Sprint(byFile) {
+		t.Fatalf("drops round trip: %v, want %v", back, byFile)
+	}
+	c := got.Clone()
+	c.Drops[0].Files[0] = 2
+	if got.Drops[0].Files[0] != 1 {
+		t.Fatal("Clone shares drops file lists")
+	}
+
+	for name, bad := range map[string][]FileDrops{
+		"unknown file": {{Files: []uint64{9}, Drops: sstable.Drops{Excluded: window}}},
+		"file twice": {
+			{Files: []uint64{1}, Drops: sstable.Drops{Excluded: window}},
+			{Files: []uint64{1}, Drops: sstable.Drops{Pages: []byte{1}}},
+		},
+	} {
+		s.Drops = bad
+		if err := store.Commit(s); err == nil {
+			t.Fatalf("%s: committed", name)
+		}
 	}
 }

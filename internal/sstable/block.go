@@ -101,16 +101,6 @@ func (w *blockWriter) finish() []byte {
 	return w.buf
 }
 
-// encodeBlock is the one-shot form used by rewrites: entries (S-ordered) in,
-// sealed (CRC-prefixed) block out.
-func encodeBlock(entries []base.Entry) []byte {
-	var w blockWriter
-	for _, e := range entries {
-		w.add(e)
-	}
-	return sealPage(w.finish())
-}
-
 // splitBlockPayload separates a payload into its entry region and restart
 // array, validating the trailer against the payload length.
 func splitBlockPayload(payload []byte) (entries []byte, restarts []byte, numRestarts int, err error) {

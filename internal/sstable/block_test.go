@@ -8,6 +8,15 @@ import (
 	"lethe/internal/base"
 )
 
+// encodeBlock seals S-ordered entries as one CRC-prefixed block.
+func encodeBlock(entries []base.Entry) []byte {
+	var w blockWriter
+	for _, e := range entries {
+		w.add(e)
+	}
+	return sealPage(w.finish())
+}
+
 func blockEntries(n int) []base.Entry {
 	entries := make([]base.Entry, n)
 	for i := range entries {

@@ -16,8 +16,8 @@ import (
 // instances — the shards of one database — can share a single cache (one
 // whole-database memory budget) even though each numbers its files from
 // zero. Within a namespace file numbers are never reused, so stale entries
-// can only linger until evicted, never alias. Partial page drops invalidate
-// their page explicitly.
+// can only linger until evicted, never alias. A page a secondary range
+// delete drops whole is invalidated explicitly.
 type PageCache struct {
 	mu       sync.Mutex
 	capacity int64
@@ -175,7 +175,7 @@ func (c *PageCache) put(ns, file uint64, page int, entries []base.Entry, preferr
 	}
 }
 
-// invalidate removes a page (after an in-place rewrite or drop).
+// invalidate removes a page (after a secondary range delete drops it).
 func (c *PageCache) invalidate(ns, file uint64, page int) {
 	if c == nil {
 		return

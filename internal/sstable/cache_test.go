@@ -179,7 +179,8 @@ func TestReaderServesFromCache(t *testing.T) {
 		t.Fatal("cache must register hits")
 	}
 
-	// After a partial drop the rewritten page is re-read, not served stale.
+	// After a partial drop the cached page (the file never changes) is
+	// served filtered, never stale.
 	stats, _, err := r.ApplySecondaryRangeDelete(40, 45, 10)
 	if err != nil {
 		t.Fatal(err)

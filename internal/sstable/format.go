@@ -48,10 +48,21 @@
 // The metadata block holds, per tile, a fence pointer on S and, per block, a
 // delete fence on D plus a block-granularity Bloom filter on S (§4.2.3).
 // Range tombstones live in their own section of the metadata block, as in
-// RocksDB's range tombstone block. The footer records where the meta block
-// starts so it can be rewritten when secondary range deletes drop or shrink
-// blocks (§4.2.2): it is rewritten at Meta.DataEnd, past the live data
-// region.
+// RocksDB's range tombstone block.
+//
+// # Write-once files
+//
+// A file is written once, front to back, synced, and never modified: this
+// package never calls WriteAt or Truncate. A secondary range delete (§4.2.2)
+// drops covered blocks and filters edge blocks without touching the file —
+// its effect is a Drops value (dropped blocks plus excluded delete-key
+// intervals) that the reader applies and the engine persists in its
+// manifest. The bytes come back when a compaction rewrites the file, or at
+// once when the delete empties it and the engine retires it.
+//
+// Files written by older builds may carry blocks their metadata marks
+// Dropped, and blocks relocated past their tile's original extent; both
+// still read correctly.
 //
 // Tombstone timestamps: point and range tombstones store their insertion
 // wall-clock time (unix nanoseconds) in the entry's DKey field — a tombstone
@@ -105,7 +116,7 @@ type PageMeta struct {
 	// Bytes is the exact on-disk length of the page's sealed block.
 	Bytes int
 	// Offset is the byte offset of the sealed block in the file; blocks are
-	// variable-length and may be relocated by partial drops.
+	// variable-length.
 	Offset int64
 	// KeyBytes is the total decoded user-key length of the page's entries.
 	// Prefix-compressed keys must be materialized at decode time, so the
@@ -118,7 +129,9 @@ type PageMeta struct {
 	// HasTombstone marks pages containing point tombstones; such pages are
 	// never fully dropped by secondary range deletes.
 	HasTombstone bool
-	// Dropped marks pages removed by a full page drop; their data is gone.
+	// Dropped marks a page whose metadata an older build's secondary range
+	// delete rewrote in place to drop it; the reader starts with it dropped.
+	// The writer leaves it unset.
 	Dropped bool
 	// MinS and MaxS bound the page's sort keys.
 	MinS, MaxS []byte
@@ -148,13 +161,8 @@ type Meta struct {
 	// BlockSize is the target encoded block size.
 	BlockSize int
 	// DataEnd is the end of the data region: the offset one past the last
-	// byte holding block data, where the meta block is written. Blocks
-	// relocated by partial drops extend it.
+	// byte holding block data, where the meta block is written.
 	DataEnd int64
-	// DeadBytes counts bytes of abandoned block space: fully dropped blocks
-	// plus slack left behind by in-place shrinks and relocations. LiveBytesOf
-	// subtracts it from Size.
-	DeadBytes int64
 	// TilePages is the h the file was written with (target pages per tile).
 	TilePages int
 	// NumPages is the total number of data pages.
@@ -242,89 +250,12 @@ func appendPageMeta(dst []byte, p *PageMeta) []byte {
 	return dst
 }
 
-func decodePageMeta(b []byte) (PageMeta, []byte, error) {
-	var p PageMeta
-	var v uint64
-	var err error
-	if v, b, err = base.Uvarint(b); err != nil {
-		return p, nil, err
-	}
-	p.Count = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return p, nil, err
-	}
-	p.ValueCount = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return p, nil, err
-	}
-	p.Bytes = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return p, nil, err
-	}
-	p.MinD = base.DeleteKey(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return p, nil, err
-	}
-	p.MaxD = base.DeleteKey(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return p, nil, err
-	}
-	p.HasTombstone = v&1 != 0
-	p.Dropped = v&2 != 0
-	var s []byte
-	if s, b, err = base.Bytes(b); err != nil {
-		return p, nil, err
-	}
-	p.MinS = append([]byte(nil), s...)
-	if s, b, err = base.Bytes(b); err != nil {
-		return p, nil, err
-	}
-	p.MaxS = append([]byte(nil), s...)
-	if s, b, err = base.Bytes(b); err != nil {
-		return p, nil, err
-	}
-	p.Filter = append(bloom.Filter(nil), s...)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return p, nil, err
-	}
-	p.Offset = int64(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return p, nil, err
-	}
-	p.KeyBytes = int(v)
-	return p, b, nil
-}
-
 func appendRangeTombstone(dst []byte, rt base.RangeTombstone) []byte {
 	dst = base.AppendBytes(dst, rt.Start)
 	dst = base.AppendBytes(dst, rt.End)
 	dst = base.AppendUvarint(dst, uint64(rt.Seq))
 	dst = base.AppendUvarint(dst, uint64(rt.DKey))
 	return dst
-}
-
-func decodeRangeTombstone(b []byte) (base.RangeTombstone, []byte, error) {
-	var rt base.RangeTombstone
-	var s []byte
-	var err error
-	if s, b, err = base.Bytes(b); err != nil {
-		return rt, nil, err
-	}
-	rt.Start = append([]byte(nil), s...)
-	if s, b, err = base.Bytes(b); err != nil {
-		return rt, nil, err
-	}
-	rt.End = append([]byte(nil), s...)
-	var v uint64
-	if v, b, err = base.Uvarint(b); err != nil {
-		return rt, nil, err
-	}
-	rt.Seq = base.SeqNum(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return rt, nil, err
-	}
-	rt.DKey = base.DeleteKey(v)
-	return rt, b, nil
 }
 
 // encodeMetaBlock serializes the file metadata, tiles, and range tombstones.
@@ -348,7 +279,7 @@ func encodeMetaBlock(m *Meta, tiles []TileMeta, rts []base.RangeTombstone) []byt
 	dst = base.AppendUint64(dst, uint64(m.CreatedAt.UnixNano()))
 	dst = base.AppendUvarint(dst, uint64(m.BlockSize))
 	dst = base.AppendUvarint(dst, uint64(m.DataEnd))
-	dst = base.AppendUvarint(dst, uint64(m.DeadBytes))
+	dst = base.AppendUvarint(dst, 0) // reserved; older builds counted abandoned block bytes here
 
 	dst = base.AppendUvarint(dst, uint64(len(tiles)))
 	for i := range tiles {
@@ -370,129 +301,85 @@ func encodeMetaBlock(m *Meta, tiles []TileMeta, rts []base.RangeTombstone) []byt
 
 // decodeMetaBlock parses what encodeMetaBlock wrote.
 func decodeMetaBlock(b []byte) (*Meta, []TileMeta, []base.RangeTombstone, error) {
-	fail := func(err error) (*Meta, []TileMeta, []base.RangeTombstone, error) {
-		return nil, nil, nil, fmt.Errorf("sstable: meta block: %w", err)
-	}
-	m := &Meta{}
-	var v uint64
-	var err error
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.FileNum = v
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.PageSize = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.TilePages = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.NumPages = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.NumEntries = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.NumPointTombstones = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.NumRangeTombstones = int(v)
-	if v, b, err = base.Uint64(b); err != nil {
-		return fail(err)
-	}
-	m.RangeCoverage = float64(v) / (1 << 32)
-	var s []byte
-	if s, b, err = base.Bytes(b); err != nil {
-		return fail(err)
-	}
-	m.MinS = append([]byte(nil), s...)
-	if s, b, err = base.Bytes(b); err != nil {
-		return fail(err)
-	}
-	m.MaxS = append([]byte(nil), s...)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.MinD = base.DeleteKey(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.MaxD = base.DeleteKey(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.MinSeq = base.SeqNum(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.MaxSeq = base.SeqNum(v)
-	if v, b, err = base.Uint64(b); err != nil {
-		return fail(err)
-	}
-	m.OldestTombstone = time.Unix(0, int64(v))
-	if v, b, err = base.Uint64(b); err != nil {
-		return fail(err)
-	}
-	m.CreatedAt = time.Unix(0, int64(v))
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.BlockSize = int(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.DataEnd = int64(v)
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	m.DeadBytes = int64(v)
+	d := &decoder{b: b}
+	m := &Meta{FileNum: d.uvarint(), PageSize: int(d.uvarint()), TilePages: int(d.uvarint()),
+		NumPages: int(d.uvarint()), NumEntries: int(d.uvarint()),
+		NumPointTombstones: int(d.uvarint()), NumRangeTombstones: int(d.uvarint())}
+	m.RangeCoverage = float64(d.fixed64()) / (1 << 32)
+	m.MinS, m.MaxS = d.bytes(), d.bytes()
+	m.MinD, m.MaxD = base.DeleteKey(d.uvarint()), base.DeleteKey(d.uvarint())
+	m.MinSeq, m.MaxSeq = base.SeqNum(d.uvarint()), base.SeqNum(d.uvarint())
+	m.OldestTombstone = time.Unix(0, int64(d.fixed64()))
+	m.CreatedAt = time.Unix(0, int64(d.fixed64()))
+	m.BlockSize, m.DataEnd = int(d.uvarint()), int64(d.uvarint())
+	d.uvarint() // reserved
 
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	tiles := make([]TileMeta, v)
+	tiles := make([]TileMeta, d.count())
 	for i := range tiles {
 		t := &tiles[i]
-		if v, b, err = base.Uvarint(b); err != nil {
-			return fail(err)
-		}
-		t.FirstPage = int(v)
-		if s, b, err = base.Bytes(b); err != nil {
-			return fail(err)
-		}
-		t.MinS = append([]byte(nil), s...)
-		if s, b, err = base.Bytes(b); err != nil {
-			return fail(err)
-		}
-		t.MaxS = append([]byte(nil), s...)
-		if v, b, err = base.Uvarint(b); err != nil {
-			return fail(err)
-		}
-		t.Pages = make([]PageMeta, v)
+		t.FirstPage = int(d.uvarint())
+		t.MinS, t.MaxS = d.bytes(), d.bytes()
+		t.Pages = make([]PageMeta, d.count())
 		for j := range t.Pages {
-			if t.Pages[j], b, err = decodePageMeta(b); err != nil {
-				return fail(err)
-			}
+			p := &t.Pages[j]
+			p.Count, p.ValueCount, p.Bytes = int(d.uvarint()), int(d.uvarint()), int(d.uvarint())
+			p.MinD, p.MaxD = base.DeleteKey(d.uvarint()), base.DeleteKey(d.uvarint())
+			flags := d.uvarint()
+			p.HasTombstone, p.Dropped = flags&1 != 0, flags&2 != 0
+			p.MinS, p.MaxS, p.Filter = d.bytes(), d.bytes(), d.bytes()
+			p.Offset, p.KeyBytes = int64(d.uvarint()), int(d.uvarint())
 		}
 	}
-	if v, b, err = base.Uvarint(b); err != nil {
-		return fail(err)
-	}
-	rts := make([]base.RangeTombstone, v)
+	rts := make([]base.RangeTombstone, d.count())
 	for i := range rts {
-		if rts[i], b, err = decodeRangeTombstone(b); err != nil {
-			return fail(err)
-		}
+		rts[i] = base.RangeTombstone{Start: d.bytes(), End: d.bytes(),
+			Seq: base.SeqNum(d.uvarint()), DKey: base.DeleteKey(d.uvarint())}
 	}
-	if len(b) != 0 {
-		return fail(base.ErrCorrupt)
+	if d.err == nil && len(d.b) != 0 {
+		d.err = base.ErrCorrupt
+	}
+	if d.err != nil {
+		return nil, nil, nil, fmt.Errorf("sstable: meta block: %w", d.err)
 	}
 	return m, tiles, rts, nil
+}
+
+// decoder reads encoded fields in order, keeping the first error: after one,
+// every read returns a zero value.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) uvarint() (v uint64) {
+	if d.err == nil {
+		v, d.b, d.err = base.Uvarint(d.b)
+	}
+	return v
+}
+
+func (d *decoder) fixed64() (v uint64) {
+	if d.err == nil {
+		v, d.b, d.err = base.Uint64(d.b)
+	}
+	return v
+}
+
+// bytes returns a copy of a length-prefixed byte string (nil when empty).
+func (d *decoder) bytes() []byte {
+	var s []byte
+	if d.err == nil {
+		s, d.b, d.err = base.Bytes(d.b)
+	}
+	return append([]byte(nil), s...)
+}
+
+// count reads an element count. Every element takes at least one byte, so a
+// count beyond the bytes left is corruption, not an allocation to attempt.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.err, n = base.ErrCorrupt, 0
+	}
+	return int(n)
 }

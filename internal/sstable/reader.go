@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"lethe/internal/base"
 	"lethe/internal/vfs"
@@ -16,19 +16,20 @@ import (
 // (fences, delete fences, per-page Bloom filters, range tombstones) is held
 // in memory, as real engines cache it; only data pages cost I/O.
 //
-// A Reader is safe for concurrent use. File contents and most metadata are
-// immutable after open; the exception is ApplySecondaryRangeDelete, which
-// mutates pages and their descriptors in place under the reader's internal
-// write lock while lookups, scans, and metadata snapshots hold the read
-// lock. A lookup racing a secondary range delete sees each page either
-// before or after its drop — never a torn state.
+// A Reader is safe for concurrent use, with no lock: the file, Meta and
+// Tiles are exactly what was written and never change. What secondary range
+// deletes removed lives beside them in an immutable drop generation behind
+// an atomic pointer (see Drops); a lookup loads it once, an iterator once
+// per tile, so a read racing a delete sees each page either before or after
+// it — never a torn state.
 type Reader struct {
 	f vfs.File
-	// mu guards Meta's mutable aggregates and the Tiles page descriptors
-	// against in-place secondary-range-delete rewrites.
-	mu    sync.RWMutex
+	// Meta and Tiles describe the file as written; Live gives the aggregates
+	// over what secondary range deletes left.
 	Meta  *Meta
 	Tiles []TileMeta
+	// state is the current drop generation.
+	state atomic.Pointer[dropState]
 	// RangeTombstones is the file's range tombstone block. It is immutable
 	// after open.
 	RangeTombstones []base.RangeTombstone
@@ -51,13 +52,16 @@ func (r *Reader) SetCache(c *CacheHandle) { r.cache = c }
 // preferred cache admission and iterator read-ahead.
 func (r *Reader) SetRemote(remote bool) { r.remote = remote }
 
-// OpenReader loads the metadata of the sstable stored in f.
+// OpenReader loads the metadata of the sstable stored in f, with nothing
+// dropped but what its own metadata marks dropped (see SetDrops).
 func OpenReader(f vfs.File) (*Reader, error) {
 	meta, tiles, rts, err := readMeta(f)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, Meta: meta, Tiles: tiles, RangeTombstones: rts}, nil
+	r := &Reader{f: f, Meta: meta, Tiles: tiles, RangeTombstones: rts}
+	r.state.Store(r.newState(Drops{}))
+	return r, nil
 }
 
 // readMeta reads and checks the footer and the meta block of the sstable in
@@ -116,6 +120,17 @@ func readMeta(f vfs.File) (*Meta, []TileMeta, []base.RangeTombstone, error) {
 		return fail(fmt.Errorf("sstable: meta offset %d disagrees with data end %d: %w",
 			metaOff, meta.DataEnd, ErrCorruption))
 	}
+	// Pages are numbered in file order, tile after tile.
+	pages := 0
+	for i := range tiles {
+		if tiles[i].FirstPage != pages {
+			return fail(fmt.Errorf("sstable: tile %d starts at page %d, not %d: %w", i, tiles[i].FirstPage, pages, ErrCorruption))
+		}
+		pages += len(tiles[i].Pages)
+	}
+	if pages != meta.NumPages {
+		return fail(fmt.Errorf("sstable: tiles hold %d pages, meta says %d: %w", pages, meta.NumPages, ErrCorruption))
+	}
 	return meta, tiles, rts, nil
 }
 
@@ -152,13 +167,10 @@ func (r *Reader) decodePagePayload(pm *PageMeta, pi int, payload []byte) ([]base
 	return entries, nil
 }
 
-// readPage loads and decodes the entries of page index pi. Dropped pages
-// yield nil without I/O.
+// readPage loads and decodes the entries of page index pi, as written:
+// callers skip dropped pages and filter excluded entries.
 func (r *Reader) readPage(tile *TileMeta, pageInTile int) ([]base.Entry, error) {
 	pm := &tile.Pages[pageInTile]
-	if pm.Dropped {
-		return nil, nil
-	}
 	pi := tile.FirstPage + pageInTile
 	if cached, ok := r.cache.get(r.Meta.FileNum, pi); ok {
 		return cached, nil
@@ -175,21 +187,18 @@ func (r *Reader) readPage(tile *TileMeta, pageInTile int) ([]base.Entry, error) 
 	return entries, nil
 }
 
-// CopyTo streams the file's current bytes to w, returning the byte count.
-// It holds the reader's read lock for the duration, so an in-place
-// secondary-range-delete rewrite cannot tear the copy: the bytes written
-// are a point-in-time image of the file. Tier migration uses it to build
-// the remote replica of a local sstable.
+// CopyTo streams the file's bytes to w, returning the byte count. The file
+// never changes after it is written, so the copy needs no lock; its drops
+// are not part of it — tier migration, which builds the remote replica of a
+// local sstable this way, hands them to the copy (InheritDrops) when it
+// installs it.
 //
 // The copy is double-buffered: while one chunk drains into w, the next is
 // already being read, so a migration across a modeled remote link overlaps
 // the source read with the paced remote write instead of alternating between
 // them. The read-ahead goroutine touches only its own buffer and the file
-// (ReadAt is concurrent-safe), and every return path drains it first, so the
-// whole copy still runs inside this call's read-lock window.
+// (ReadAt is concurrent-safe), and every return path drains it first.
 func (r *Reader) CopyTo(w io.Writer) (int64, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	size := r.Meta.Size
 	const chunk = 1 << 20
 	var bufs [2][]byte
@@ -228,7 +237,7 @@ func (r *Reader) CopyTo(w io.Writer) (int64, error) {
 		}
 		if _, err := w.Write(bufs[cur][:res.n]); err != nil {
 			if inflight {
-				<-reads // the read-ahead must not outlive the lock
+				<-reads // the read-ahead must not outlive the call
 			}
 			return off, fmt.Errorf("sstable: copy write at %d: %w", off, err)
 		}
@@ -246,21 +255,18 @@ type TileSpan struct {
 	Bytes int64
 }
 
-// TileSpans snapshots the file's tile boundaries and live byte weights under
-// the read lock (page descriptors mutate under secondary range deletes). The
-// compaction range partitioner cuts a job's key space at these existing
-// index boundaries, so choosing subranges reads no data pages.
+// TileSpans returns the file's tile boundaries and the bytes secondary
+// range deletes left in each. The compaction range partitioner cuts a job's
+// key space at these existing index boundaries, so choosing subranges reads
+// no data pages.
 func (r *Reader) TileSpans() []TileSpan {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	st := r.state.Load()
 	spans := make([]TileSpan, 0, len(r.Tiles))
 	for ti := range r.Tiles {
 		tile := &r.Tiles[ti]
 		var live int64
 		for pi := range tile.Pages {
-			if !tile.Pages[pi].Dropped {
-				live += int64(tile.Pages[pi].Bytes)
-			}
+			live += int64(st.pages[tile.FirstPage+pi].bytes(&tile.Pages[pi]))
 		}
 		spans = append(spans, TileSpan{MinS: tile.MinS, Bytes: live})
 	}
@@ -289,27 +295,25 @@ func (r *Reader) findTile(key []byte) int {
 // It returns the entry (which may be a point tombstone — the caller decides
 // what a tombstone means at its level) and whether the key was found.
 //
+// Sort keys are unique within a file, so a key a secondary range delete
+// excluded is simply not found here.
+//
 // The returned entry is a view: its key and value bytes alias the decoded
 // page (possibly shared with the page cache) and must be treated as
 // read-only. The bytes stay valid as long as the entry is referenced — page
-// buffers are never mutated in place, a secondary range delete re-encodes
-// into fresh buffers — so callers that hand data across an API boundary copy
-// there (lsm's public Get copies the value), not here. This keeps the point-
-// lookup hot path free of per-hit key/value allocations.
+// buffers are never mutated — so callers that hand data across an API
+// boundary copy there (lsm's public Get copies the value), not here. This
+// keeps the point-lookup hot path free of per-hit key/value allocations.
 func (r *Reader) Get(key []byte) (base.Entry, bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	ti := r.findTile(key)
 	if ti < 0 {
 		return base.Entry{}, false, nil
 	}
+	st := r.state.Load()
 	tile := &r.Tiles[ti]
 	for pi := range tile.Pages {
 		pm := &tile.Pages[pi]
-		if pm.Dropped {
-			continue
-		}
-		if !pm.Filter.MayContain(key) {
+		if !st.mayContain(tile.FirstPage+pi, pm, key) {
 			continue
 		}
 		if r.cache == nil {
@@ -326,7 +330,7 @@ func (r *Reader) Get(key []byte) (base.Entry, bool, error) {
 				return base.Entry{}, false, err
 			}
 			if ok && base.CompareUserKeys(e.Key.UserKey, key) == 0 {
-				return e, true, nil
+				return st.found(e)
 			}
 			continue
 		}
@@ -339,28 +343,11 @@ func (r *Reader) Get(key []byte) (base.Entry, bool, error) {
 			return base.CompareUserKeys(entries[j].Key.UserKey, key) >= 0
 		})
 		if j < len(entries) && base.CompareUserKeys(entries[j].Key.UserKey, key) == 0 {
-			return entries[j], true, nil
+			return st.found(entries[j])
 		}
 		// False positive: fall through to the next page of the tile.
 	}
 	return base.Entry{}, false, nil
-}
-
-// ReadPageForScan exposes a single page's entries for delete-fence-guided
-// secondary range scans (§4.2.5). The returned entries alias a fresh buffer.
-func (r *Reader) ReadPageForScan(tileIdx, pageInTile int) ([]base.Entry, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.readPage(&r.Tiles[tileIdx], pageInTile)
-}
-
-// MetaCopy returns a consistent snapshot of the file-level metadata. Use it
-// instead of reading Meta fields directly whenever a concurrent secondary
-// range delete may be rewriting the file's aggregates.
-func (r *Reader) MetaCopy() Meta {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return *r.Meta
 }
 
 // MayContainKey probes the per-page Bloom filters of the tile covering key —
@@ -368,19 +355,14 @@ func (r *Reader) MetaCopy() Meta {
 // already-range-deleted key is itself blind, so the blind-delete pre-probe
 // (§4.1.5) only cares about materialized entries.
 func (r *Reader) MayContainKey(key []byte) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	ti := r.findTile(key)
 	if ti < 0 {
 		return false
 	}
+	st := r.state.Load()
 	tile := &r.Tiles[ti]
 	for pi := range tile.Pages {
-		pm := &tile.Pages[pi]
-		if pm.Dropped {
-			continue
-		}
-		if pm.Filter.MayContain(key) {
+		if st.mayContain(tile.FirstPage+pi, &tile.Pages[pi], key) {
 			return true
 		}
 	}
@@ -391,22 +373,21 @@ func (r *Reader) MayContainKey(key []byte) bool {
 // falls in [lo, hi), reading only the pages whose delete fences overlap the
 // range (§4.2.5 "Secondary Range Lookups").
 func (r *Reader) CollectByDeleteKey(lo, hi base.DeleteKey) ([]base.Entry, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	st := r.state.Load()
 	var out []base.Entry
 	for ti := range r.Tiles {
 		tile := &r.Tiles[ti]
 		for pi := range tile.Pages {
-			pm := &tile.Pages[pi]
-			if pm.Dropped || pm.ValueCount == 0 || pm.MaxD < lo || pm.MinD >= hi {
+			if pl := &st.pages[tile.FirstPage+pi]; pl.values == 0 || pl.maxD < lo || pl.minD >= hi {
 				continue
 			}
 			entries, err := r.readPage(tile, pi)
 			if err != nil {
 				return nil, err
 			}
-			for _, e := range entries {
-				if e.Key.Kind() == base.KindSet && e.DKey >= lo && e.DKey < hi {
+			for i := range entries {
+				e := &entries[i]
+				if e.Key.Kind() == base.KindSet && e.DKey >= lo && e.DKey < hi && !st.excludes(e) {
 					out = append(out, e.Clone())
 				}
 			}
@@ -442,8 +423,7 @@ type Iter struct {
 }
 
 // iterPrefetch is one asynchronous tile load: a goroutine reads and decodes
-// every live page of tile `tile` under the reader's read lock, merges them
-// into S order, and closes done. The goroutine touches only this struct and
+// every live page of tile `tile`, merges them into S order, and closes done. The goroutine touches only this struct and
 // the reader, so an abandoned prefetch (after a seek or reset) completes
 // harmlessly.
 type iterPrefetch struct {
@@ -508,16 +488,8 @@ func (it *Iter) startPrefetch(ti int) {
 	r := it.r
 	go func() {
 		defer close(pf.done)
-		r.mu.RLock()
-		defer r.mu.RUnlock()
-		tile := &r.Tiles[ti]
-		for pi := range tile.Pages {
-			entries, err := r.readPage(tile, pi)
-			if err != nil {
-				pf.err = err
-				return
-			}
-			pf.buf = append(pf.buf, entries...)
+		if pf.buf, pf.err = r.appendTile(pf.buf, ti); pf.err != nil {
+			return
 		}
 		s := tileSorter{buf: pf.buf}
 		sort.Sort(&s)
@@ -577,22 +549,40 @@ func (it *Iter) loadTile(ti int) bool {
 
 // loadTileSync is the synchronous tile load path.
 func (it *Iter) loadTileSync(ti int) bool {
-	it.r.mu.RLock()
-	defer it.r.mu.RUnlock()
-	tile := &it.r.Tiles[ti]
-	it.buf = it.buf[:0]
-	for pi := range tile.Pages {
-		entries, err := it.r.readPage(tile, pi)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.buf = append(it.buf, entries...)
+	if it.buf, it.err = it.r.appendTile(it.buf[:0], ti); it.err != nil {
+		return false
 	}
 	it.sorter.buf = it.buf
 	sort.Sort(&it.sorter)
 	it.bufPos = 0
 	return true
+}
+
+// appendTile appends what survives of tile ti's pages to dst, in page
+// order: dropped pages are skipped and excluded entries filtered out, under
+// one load of the drop generation.
+func (r *Reader) appendTile(dst []base.Entry, ti int) ([]base.Entry, error) {
+	st := r.state.Load()
+	tile := &r.Tiles[ti]
+	for pi := range tile.Pages {
+		if st.dropped(tile.FirstPage + pi) {
+			continue
+		}
+		entries, err := r.readPage(tile, pi)
+		if err != nil {
+			return dst, err
+		}
+		if len(st.Excluded) == 0 {
+			dst = append(dst, entries...)
+			continue
+		}
+		for i := range entries {
+			if !st.excludes(&entries[i]) {
+				dst = append(dst, entries[i])
+			}
+		}
+	}
+	return dst, nil
 }
 
 // Next returns the next entry in S order, or ok=false at the end (check
@@ -620,8 +610,7 @@ func (it *Iter) Next() (base.Entry, bool) {
 // SeekGE positions the iterator at the first entry with user key >= key.
 func (it *Iter) SeekGE(key []byte) {
 	it.err = nil
-	// First tile whose MaxS >= key. Tile fences are immutable, so this scan
-	// needs no lock; loadTile takes the read lock for the page descriptors.
+	// First tile whose MaxS >= key.
 	i := sort.Search(len(it.r.Tiles), func(i int) bool {
 		return base.CompareUserKeys(it.r.Tiles[i].MaxS, key) >= 0
 	})

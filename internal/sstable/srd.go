@@ -13,8 +13,9 @@ import (
 type SRDStats struct {
 	// FullDrops is the number of pages removed without any I/O.
 	FullDrops int
-	// PartialDrops is the number of edge pages read, filtered, and
-	// rewritten in place.
+	// PartialDrops is the number of edge pages read and filtered: their
+	// deleted entries are excluded from every later read, and their bytes
+	// stay in the file until a compaction rewrites it.
 	PartialDrops int
 	// EntriesDropped is the number of value entries deleted.
 	EntriesDropped int
@@ -23,244 +24,327 @@ type SRDStats struct {
 	PagesUntouched int
 }
 
+// Interval is the half-open delete-key range [Lo, Hi).
+type Interval struct{ Lo, Hi base.DeleteKey }
+
+// Drops is what secondary range deletes removed from a file. The file is
+// written once and never modified: a delete's effect is this value, which
+// the engine commits to its manifest and hands back through SetDrops when it
+// reopens the file.
+type Drops struct {
+	// Pages is a bitmap of the pages dropped whole, by page number in file
+	// order (tile.FirstPage + index): bit i%8 of byte i/8 is page i.
+	Pages []byte `json:",omitempty"`
+	// Excluded lists, ascending and disjoint, the delete-key intervals whose
+	// value entries are deleted from the pages that remain.
+	Excluded []Interval `json:",omitempty"`
+}
+
+// IsZero reports whether nothing has been dropped.
+func (d Drops) IsZero() bool { return len(d.Pages) == 0 && len(d.Excluded) == 0 }
+
+// pageLive is what is left of one page: its entry and value counts and the
+// delete fence over its remaining values (a dropped page has nothing). A
+// page a delete filtered also carries a Bloom filter over its remaining
+// keys, so lookups of the keys it lost skip its read; the filter lives in
+// memory only, and nil means the page's written one.
+type pageLive struct {
+	count, values int
+	minD, maxD    base.DeleteKey
+	filter        bloom.Filter
+}
+
+// dropState is one immutable generation of a file's drops together with
+// what they leave: per-page survivors and the file's aggregates over them. A
+// secondary range delete builds the next generation and publishes it with
+// one atomic store, so a read sees a whole generation, before or after.
+type dropState struct {
+	Drops
+	pages []pageLive // by page number
+	// meta is the file's metadata with NumEntries, MinD and MaxD taken over
+	// what survives.
+	meta Meta
+	// freed is the block bytes the drops made reclaimable by a compaction,
+	// an edge page's counted in proportion to the entries it lost.
+	freed int64
+}
+
+// dropped reports whether page p was dropped whole.
+func (st *dropState) dropped(p int) bool { return bit(st.Pages, p) }
+
+// bit reports whether bit p of bitmap b is set.
+func bit(b []byte, p int) bool { return p/8 < len(b) && b[p/8]&(1<<(p%8)) != 0 }
+
+// excludes reports whether a delete removed e from a page that remains: a
+// value entry whose delete key lies in an excluded interval.
+func (st *dropState) excludes(e *base.Entry) bool {
+	if len(st.Excluded) == 0 || e.Key.Kind() != base.KindSet {
+		return false
+	}
+	for _, iv := range st.Excluded {
+		if e.DKey < iv.Lo {
+			return false
+		}
+		if e.DKey < iv.Hi {
+			return true
+		}
+	}
+	return false
+}
+
+// found is a point lookup's result for e, the entry a page holds for the
+// key: not found when a delete excluded it.
+func (st *dropState) found(e base.Entry) (base.Entry, bool, error) {
+	if st.excludes(&e) {
+		return base.Entry{}, false, nil
+	}
+	return e, true, nil
+}
+
+// mayContain probes page p's Bloom filter (pm is its descriptor) for key —
+// the one rebuilt over what a delete left of the page, if any. A dropped
+// page holds nothing.
+func (st *dropState) mayContain(p int, pm *PageMeta, key []byte) bool {
+	switch f := st.pages[p].filter; {
+	case st.dropped(p):
+		return false
+	case f != nil:
+		return f.MayContain(key)
+	}
+	return pm.Filter.MayContain(key)
+}
+
+// drop removes page p whole.
+func (st *dropState) drop(p int) {
+	if st.Pages == nil {
+		st.Pages = make([]byte, (len(st.pages)+7)/8)
+	}
+	st.Pages[p/8] |= 1 << (p % 8)
+	st.pages[p] = pageLive{}
+}
+
+// newState builds the generation d describes over the file as written. Pages
+// the file's own metadata marks dropped — files whose metadata an older build
+// rewrote in place — join d's. A page d leaves is counted whole, as written:
+// which of its entries d's intervals exclude is only learned by reading it.
+func (r *Reader) newState(d Drops) *dropState {
+	st := &dropState{Drops: Drops{Excluded: d.Excluded}, pages: make([]pageLive, r.Meta.NumPages)}
+	for ti := range r.Tiles {
+		tile := &r.Tiles[ti]
+		for pi := range tile.Pages {
+			p, pm := tile.FirstPage+pi, &tile.Pages[pi]
+			if pm.Dropped || bit(d.Pages, p) {
+				st.drop(p)
+			} else {
+				st.pages[p] = pageLive{count: pm.Count, values: pm.ValueCount, minD: pm.MinD, maxD: pm.MaxD}
+			}
+		}
+	}
+	st.summarize(r)
+	return st
+}
+
+// summarize recomputes the file aggregates over what the pages have left.
+// Point tombstones are never dropped, so their count stays as written.
+func (st *dropState) summarize(r *Reader) {
+	st.meta = *r.Meta
+	m := &st.meta
+	m.NumEntries, m.MinD, m.MaxD, st.freed = 0, 0, 0, 0
+	first := true
+	for ti := range r.Tiles {
+		tile := &r.Tiles[ti]
+		for pi := range tile.Pages {
+			pl, pm := &st.pages[tile.FirstPage+pi], &tile.Pages[pi]
+			st.freed += int64(pm.Bytes - pl.bytes(pm))
+			m.NumEntries += pl.count
+			if pl.values == 0 {
+				continue
+			}
+			if first || pl.minD < m.MinD {
+				m.MinD = pl.minD
+			}
+			if first || pl.maxD > m.MaxD {
+				m.MaxD = pl.maxD
+			}
+			first = false
+		}
+	}
+}
+
+// bytes attributes to what is left of the page (descriptor pm) its share of
+// the block's bytes.
+func (pl *pageLive) bytes(pm *PageMeta) int {
+	if pm.Count == 0 {
+		return 0
+	}
+	return pm.Bytes * pl.count / pm.Count
+}
+
+// Drops returns what secondary range deletes removed from the file, in the
+// form the engine persists.
+func (r *Reader) Drops() Drops { return r.state.Load().Drops }
+
+// SetDrops installs drops the engine persisted for this file at open. Drops
+// that do not fit the file (a page bitmap longer than its pages, intervals
+// out of order) are rejected with ErrCorruption.
+func (r *Reader) SetDrops(d Drops) error {
+	if len(d.Pages) > (r.Meta.NumPages+7)/8 {
+		return fmt.Errorf("sstable: drops name %d bitmap bytes for %d pages: %w", len(d.Pages), r.Meta.NumPages, ErrCorruption)
+	}
+	for i, iv := range d.Excluded {
+		if iv.Hi <= iv.Lo || (i > 0 && iv.Lo <= d.Excluded[i-1].Hi) {
+			return fmt.Errorf("sstable: excluded delete-key intervals out of order: %w", ErrCorruption)
+		}
+	}
+	r.state.Store(r.newState(d))
+	return nil
+}
+
+// InheritDrops makes r, a reader over a byte-for-byte copy of src's file
+// (a tier migration's), carry src's drops.
+func (r *Reader) InheritDrops(src *Reader) { r.state.Store(src.state.Load()) }
+
 // ApplySecondaryRangeDelete removes every value entry with lo <= D < hi from
-// the file, per §4.2.2: pages fully covered by the range (as proven by their
-// delete fences) are dropped without being read; edge pages — at most the
-// boundary pages of each tile's D order — are read, filtered, and rewritten
-// in place. The updated Meta is returned.
+// the file, per §4.2.2, without writing a byte of it: pages fully covered by
+// the range (as proven by their delete fences) are dropped without being
+// read; edge pages — at most the boundary pages of each tile's D order — are
+// read and filtered in memory, and the range joins the file's excluded
+// intervals so every later read filters the same entries out. An edge page
+// left with nothing is dropped whole; one left with something gets a Bloom
+// filter of bitsPerKey over what it kept. The result is published as the
+// file's next drop generation (see Drops), and its metadata over what
+// survives is returned.
 //
 // The file is the top of the drop hierarchy. When the file-level delete
 // fences lie inside [lo, hi) and the file carries no tombstone, every live
-// page is a full drop by the file fence alone: the page fences are not
-// consulted, and the only work left is flagging the in-memory descriptors,
-// so a reader that pinned the file before the delete sees it empty. A file
-// the delete leaves Empty — by this route or page by page — is not
-// rewritten: the engine retires it (drops it from the version and unlinks
-// it), so re-encoding and syncing its metadata block would be I/O spent on a
-// file about to be removed. Any other touched file gets its metadata block
-// rewritten so it stays self-describing.
+// page is a full drop by the file fence alone, without consulting the page
+// fences; the engine then retires the file.
+//
+// On an edge-page read error the pages settled before it stay settled: they
+// are published, counted, and returned with the error.
 func (r *Reader) ApplySecondaryRangeDelete(lo, hi base.DeleteKey, bitsPerKey int) (SRDStats, *Meta, error) {
 	var stats SRDStats
+	cur := r.state.Load()
 	if hi <= lo {
-		return stats, r.Meta, nil
+		return stats, &cur.meta, nil
 	}
-	// Exclude concurrent lookups/scans on this file: pages and their
-	// descriptors are rewritten in place.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	wholeFile := r.Meta.NumEntries > 0 && !r.Meta.HasTombstones() &&
-		r.Meta.MinD >= lo && r.Meta.MaxD < hi
+	next := *cur
+	next.pages = append([]pageLive(nil), cur.pages...)
+	next.Pages = append([]byte(nil), cur.Pages...)
+	m := &cur.meta
+	wholeFile := m.NumEntries > 0 && !m.HasTombstones() && m.MinD >= lo && m.MaxD < hi
+	filtered := false // some edge page kept entries the range excludes
 	var err error
 scan:
 	for ti := range r.Tiles {
 		tile := &r.Tiles[ti]
 		for pi := range tile.Pages {
-			pm := &tile.Pages[pi]
-			switch {
-			case pm.Dropped || pm.ValueCount == 0:
+			p := tile.FirstPage + pi
+			switch pl := next.pages[p]; {
+			case pl.values == 0:
 				continue
-			case wholeFile || (pm.MinD >= lo && pm.MaxD < hi && pm.ValueCount == pm.Count):
+			case wholeFile || (pl.minD >= lo && pl.maxD < hi && pl.values == pl.count):
 				// Fully covered pure-value page — proven by the file fence
 				// for the whole file at once, or by the page's own: full
 				// page drop, zero I/O.
-				stats.EntriesDropped += pm.ValueCount
-				r.dropPage(tile, pi)
+				stats.EntriesDropped += pl.values
+				next.drop(p)
+				r.cache.invalidate(r.Meta.FileNum, p)
 				stats.FullDrops++
-			case pm.MaxD < lo || pm.MinD >= hi:
+			case pl.maxD < lo || pl.minD >= hi:
 				// Delete fences prove no overlap.
 				stats.PagesUntouched++
 			default:
-				// Edge page (or page mixing tombstones with values): read,
-				// filter, rewrite in place.
-				var dropped int
-				if dropped, err = r.partialDrop(tile, pi, lo, hi, bitsPerKey); err != nil {
+				// Edge page (or page mixing tombstones with values): read and
+				// filter in memory.
+				var removed int
+				if removed, err = r.filterPage(cur, &next, tile, pi, lo, hi, bitsPerKey); err != nil {
 					break scan
 				}
-				stats.EntriesDropped += dropped
-				if dropped > 0 {
-					stats.PartialDrops++
-				} else {
+				stats.EntriesDropped += removed
+				if removed == 0 {
 					stats.PagesUntouched++
+					continue
 				}
+				stats.PartialDrops++
+				filtered = filtered || !next.dropped(p)
 			}
 		}
 	}
-	if stats.FullDrops+stats.PartialDrops > 0 {
-		// Refresh the aggregates even when an edge page failed: the pages
-		// dropped before it are gone from this reader either way.
-		r.recomputeFileMeta()
-		if err == nil && !r.Meta.Empty() {
-			err = r.rewriteMetaBlock()
-		}
+	if stats.FullDrops+stats.PartialDrops == 0 {
+		return stats, &cur.meta, err
 	}
-	return stats, r.Meta, err
+	if filtered {
+		next.Excluded = exclude(cur.Excluded, Interval{lo, hi})
+	}
+	next.summarize(r)
+	r.state.Store(&next)
+	return stats, &next.meta, err
 }
 
-// dropPage marks one page dropped: its descriptor is zeroed, its cached copy
-// released, and its bytes counted dead. No I/O.
-func (r *Reader) dropPage(tile *TileMeta, pi int) {
-	pm := &tile.Pages[pi]
-	r.cache.invalidate(r.Meta.FileNum, tile.FirstPage+pi)
-	r.Meta.DeadBytes += int64(pm.Bytes)
-	pm.Dropped = true
-	pm.Count = 0
-	pm.ValueCount = 0
-	pm.Bytes = 0
-	pm.KeyBytes = 0
-	pm.Filter = nil
-}
-
-// partialDrop filters one page in place, returning how many entries it
-// removed.
-func (r *Reader) partialDrop(tile *TileMeta, pi int, lo, hi base.DeleteKey, bitsPerKey int) (int, error) {
+// filterPage reads edge page pi of tile and records in next what survives
+// both the delete [lo, hi) and the exclusions of cur, returning how many
+// entries the delete removed. A page left empty is dropped whole.
+func (r *Reader) filterPage(cur, next *dropState, tile *TileMeta, pi int, lo, hi base.DeleteKey, bitsPerKey int) (int, error) {
 	entries, err := r.readPage(tile, pi)
 	if err != nil {
 		return 0, err
 	}
-	kept := entries[:0]
+	left := pageLive{minD: ^base.DeleteKey(0)}
 	removed := 0
-	for _, e := range entries {
-		if e.Key.Kind() == base.KindSet && e.DKey >= lo && e.DKey < hi {
+	var keys [][]byte
+	for i := range entries {
+		switch e := &entries[i]; {
+		case cur.excludes(e):
+		case e.Key.Kind() == base.KindSet && e.DKey >= lo && e.DKey < hi:
 			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if removed == 0 {
-		return 0, nil
-	}
-	pm := &tile.Pages[pi]
-	if len(kept) == 0 {
-		// The page emptied out: it becomes a drop (but it already cost a
-		// read; it is still counted as a partial drop by the caller).
-		r.dropPage(tile, pi)
-		return removed, nil
-	}
-
-	// Re-encode the surviving entries (already in S order since we preserved
-	// their order).
-	newPM := PageMeta{
-		Count:  len(kept),
-		Offset: pm.Offset,
-		MinS:   append([]byte(nil), kept[0].Key.UserKey...),
-		MaxS:   append([]byte(nil), kept[len(kept)-1].Key.UserKey...),
-		MinD:   ^base.DeleteKey(0),
-	}
-	keys := make([][]byte, 0, len(kept))
-	for _, e := range kept {
-		newPM.KeyBytes += len(e.Key.UserKey)
-		keys = append(keys, e.Key.UserKey)
-		switch e.Key.Kind() {
-		case base.KindDelete:
-			newPM.HasTombstone = true
-		case base.KindSet:
-			newPM.ValueCount++
-			if e.DKey < newPM.MinD {
-				newPM.MinD = e.DKey
-			}
-			if e.DKey > newPM.MaxD {
-				newPM.MaxD = e.DKey
+		default:
+			keys = append(keys, e.Key.UserKey)
+			left.count++
+			if e.Key.Kind() == base.KindSet {
+				left.values++
+				left.minD, left.maxD = min(left.minD, e.DKey), max(left.maxD, e.DKey)
 			}
 		}
 	}
-	if newPM.ValueCount == 0 {
-		newPM.MinD, newPM.MaxD = 0, 0
+	switch p := tile.FirstPage + pi; {
+	case removed == 0:
+	case left.count == 0:
+		next.drop(p)
+		r.cache.invalidate(r.Meta.FileNum, p)
+	default:
+		if left.values == 0 {
+			left.minD, left.maxD = 0, 0
+		}
+		left.filter = bloom.New(keys, bitsPerKey)
+		next.pages[p] = left
 	}
-	newPM.Filter = bloom.New(keys, bitsPerKey)
-
-	// Dropping an entry can lengthen its successor's unshared suffix, so a
-	// shrunken entry set does not guarantee a shorter block. Overwrite in
-	// place when the new block fits the old footprint; otherwise relocate it
-	// to the end of the data region (the old bytes become dead space either
-	// way).
-	sealed := encodeBlock(kept)
-	newPM.Bytes = len(sealed)
-	if len(sealed) <= pm.Bytes {
-		r.Meta.DeadBytes += int64(pm.Bytes - len(sealed))
-	} else {
-		newPM.Offset = r.Meta.DataEnd
-		r.Meta.DataEnd += int64(len(sealed))
-		r.Meta.DeadBytes += int64(pm.Bytes)
-	}
-	if _, err := r.f.WriteAt(sealed, newPM.Offset); err != nil {
-		return 0, fmt.Errorf("sstable: rewrite block: %w", err)
-	}
-	r.cache.invalidate(r.Meta.FileNum, tile.FirstPage+pi)
-	tile.Pages[pi] = newPM
 	return removed, nil
 }
 
-// recomputeFileMeta refreshes the file-level aggregates from the surviving
-// page metadata after drops.
-func (r *Reader) recomputeFileMeta() {
-	m := r.Meta
-	m.NumEntries = 0
-	m.NumPointTombstones = 0
-	first := true
-	for ti := range r.Tiles {
-		for pi := range r.Tiles[ti].Pages {
-			pm := &r.Tiles[ti].Pages[pi]
-			if pm.Dropped {
-				continue
-			}
-			m.NumEntries += pm.Count
-			m.NumPointTombstones += pm.Count - pm.ValueCount
-			if pm.ValueCount > 0 {
-				if first || pm.MinD < m.MinD {
-					m.MinD = pm.MinD
-				}
-				if first || pm.MaxD > m.MaxD {
-					m.MaxD = pm.MaxD
-				}
-				first = false
-			}
+// exclude returns ivs with iv merged in, as a new slice: ascending, with
+// overlapping and adjacent intervals coalesced.
+func exclude(ivs []Interval, iv Interval) []Interval {
+	out := make([]Interval, 0, len(ivs)+1)
+	for _, x := range ivs {
+		switch {
+		case x.Hi < iv.Lo:
+			out = append(out, x)
+		case iv.Hi < x.Lo:
+			out, iv = append(out, iv), x
+		default:
+			iv = Interval{min(iv.Lo, x.Lo), max(iv.Hi, x.Hi)}
 		}
 	}
-	if first {
-		m.MinD, m.MaxD = 0, 0
-	}
+	return append(out, iv)
 }
 
-// rewriteMetaBlock re-serializes the metadata block at the current end of the
-// data region (relocated blocks may have extended it) and truncates the file
-// behind the new footer.
-func (r *Reader) rewriteMetaBlock() error {
-	metaOff := r.Meta.DataEnd
-	metaBlock := encodeMetaBlock(r.Meta, r.Tiles, r.RangeTombstones)
-	footer := appendFooter(nil, metaOff, metaBlock)
-	if _, err := r.f.WriteAt(append(metaBlock, footer...), metaOff); err != nil {
-		return fmt.Errorf("sstable: rewrite meta block: %w", err)
-	}
-	newSize := metaOff + int64(len(metaBlock)) + int64(len(footer))
-	if err := r.f.Truncate(newSize); err != nil {
-		return fmt.Errorf("sstable: truncate after meta rewrite: %w", err)
-	}
-	if err := r.f.Sync(); err != nil {
-		return fmt.Errorf("sstable: sync after meta rewrite: %w", err)
-	}
-	r.Meta.Size = newSize
-	return nil
-}
+// LiveBytesOf returns the file's live byte count: its size minus the block
+// bytes its drops made reclaimable. The space-amplification accounting and
+// the level-capacity trigger use it.
+func (r *Reader) LiveBytesOf() int64 { return r.Meta.Size - r.state.Load().freed }
 
-// LiveBytesOf returns the file's live byte count: its size minus the
-// abandoned block space. The space-amplification accounting uses it.
-func (r *Reader) LiveBytesOf() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.Meta.Size - r.Meta.DeadBytes
-}
-
-// CountDropped returns how many pages of the file have been dropped.
-func (r *Reader) CountDropped() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for ti := range r.Tiles {
-		for pi := range r.Tiles[ti].Pages {
-			if r.Tiles[ti].Pages[pi].Dropped {
-				n++
-			}
-		}
-	}
-	return n
-}
+// Live returns the file's metadata with its entry count and delete-key
+// bounds taken over what secondary range deletes left. The result is
+// shared and must not be modified.
+func (r *Reader) Live() *Meta { return &r.state.Load().meta }

@@ -1,7 +1,10 @@
 package sstable
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -9,9 +12,9 @@ import (
 	"lethe/internal/vfs"
 )
 
-// reopen re-opens the file from fs to verify the rewritten metadata block is
-// durable and self-describing.
-func reopen(t *testing.T, fs *vfs.MemFS) *Reader {
+// reopen re-opens the file from fs with the drops a delete produced, the way
+// the engine does from its manifest.
+func reopen(t *testing.T, fs vfs.FS, d Drops) *Reader {
 	t.Helper()
 	f, err := fs.Open("000001.sst")
 	if err != nil {
@@ -21,48 +24,45 @@ func reopen(t *testing.T, fs *vfs.MemFS) *Reader {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := r.SetDrops(d); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
-func TestSRDFullAndPartialDrops(t *testing.T) {
-	// Entries with D == i: delete D in [100, 300) from 1000 entries.
-	entries := seqEntries(1000, func(i int) base.DeleteKey { return base.DeleteKey(i) })
-	r, fs := buildFile(t, testOpts(8), entries, nil)
-
-	stats, meta, err := r.ApplySecondaryRangeDelete(100, 300, 10)
+// fileBytes returns the file's current contents.
+func fileBytes(t *testing.T, fs vfs.FS) []byte {
+	t.Helper()
+	f, err := fs.Open("000001.sst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.EntriesDropped != 200 {
-		t.Fatalf("dropped %d entries, want 200", stats.EntriesDropped)
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.FullDrops == 0 {
-		t.Fatal("expected some full page drops")
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
 	}
-	if meta.NumEntries != 800 {
-		t.Fatalf("NumEntries = %d", meta.NumEntries)
-	}
-	r.Close()
+	return buf
+}
 
-	// Reopen from disk: drops must have persisted.
-	r2 := reopen(t, fs)
-	defer r2.Close()
-	if r2.Meta.NumEntries != 800 {
-		t.Fatalf("reopened NumEntries = %d", r2.Meta.NumEntries)
+// droppedPages counts the pages d drops whole.
+func droppedPages(d Drops) int {
+	n := 0
+	for _, b := range d.Pages {
+		n += bits.OnesCount8(b)
 	}
-	for i := 0; i < 1000; i++ {
-		key := []byte(fmt.Sprintf("key-%05d", i))
-		_, ok, err := r2.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantOK := i < 100 || i >= 300
-		if ok != wantOK {
-			t.Fatalf("key %d: found=%v want %v", i, ok, wantOK)
-		}
-	}
-	// Iteration skips dropped entries and stays sorted.
-	it := r2.NewIter()
+	return n
+}
+
+// scanCount iterates r and returns how many entries it yields, failing on
+// disorder.
+func scanCount(t *testing.T, r *Reader) int {
+	t.Helper()
+	it := r.NewIter()
 	count := 0
 	var prev []byte
 	for {
@@ -76,8 +76,97 @@ func TestSRDFullAndPartialDrops(t *testing.T) {
 		prev = append(prev[:0], e.Key.UserKey...)
 		count++
 	}
-	if count != 800 {
-		t.Fatalf("iterated %d entries", count)
+	if err := it.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return count
+}
+
+func TestSRDFullAndPartialDrops(t *testing.T) {
+	// Entries with D == i: delete D in [100, 300) from 1000 entries.
+	entries := seqEntries(1000, func(i int) base.DeleteKey { return base.DeleteKey(i) })
+	r, fs := buildFile(t, testOpts(8), entries, nil)
+	written := fileBytes(t, fs)
+
+	stats, meta, err := r.ApplySecondaryRangeDelete(100, 300, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.EntriesDropped != 200 {
+		t.Fatalf("dropped %d entries, want 200", stats.EntriesDropped)
+	}
+	if stats.FullDrops == 0 || stats.PartialDrops == 0 {
+		t.Fatalf("expected full and partial page drops, got %+v", stats)
+	}
+	if meta.NumEntries != 800 || r.Live().NumEntries != 800 {
+		t.Fatalf("NumEntries = %d, live %d", meta.NumEntries, r.Live().NumEntries)
+	}
+	if r.Meta.NumEntries != 1000 {
+		t.Fatalf("the written metadata moved: %d entries", r.Meta.NumEntries)
+	}
+	if !bytes.Equal(fileBytes(t, fs), written) {
+		t.Fatal("the delete changed the file's bytes")
+	}
+	d := r.Drops()
+	if len(d.Excluded) != 1 || d.Excluded[0] != (Interval{100, 300}) {
+		t.Fatalf("excluded intervals %v", d.Excluded)
+	}
+	r.Close()
+
+	// Reopened with the drops the engine would persist: the delete holds.
+	r2 := reopen(t, fs, d)
+	defer r2.Close()
+	for i := 0; i < 1000; i++ {
+		key := []byte(fmt.Sprintf("key-%05d", i))
+		_, ok, err := r2.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOK := i < 100 || i >= 300
+		if ok != wantOK {
+			t.Fatalf("key %d: found=%v want %v", i, ok, wantOK)
+		}
+	}
+	if got := scanCount(t, r2); got != 800 {
+		t.Fatalf("iterated %d entries", got)
+	}
+}
+
+// TestSRDWritesNothing: a delete that drops pages whole and filters edge
+// pages issues no write, sync or truncate — the file is write-once.
+func TestSRDWritesNothing(t *testing.T) {
+	counting := vfs.NewCounting(vfs.NewMem(), 256)
+	f, _ := counting.Create("000001.sst")
+	w := NewWriter(f, testOpts(4))
+	for _, e := range seqEntries(600, func(i int) base.DeleteKey { return base.DeleteKey(i % 200) }) {
+		if err := w.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	before := counting.Stats.Snapshot()
+	stats, _, err := r.ApplySecondaryRangeDelete(0, 77, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := counting.Stats.Snapshot().Sub(before)
+	if stats.FullDrops == 0 || stats.PartialDrops == 0 {
+		t.Fatalf("want full and partial drops, got %+v", stats)
+	}
+	if delta.WriteOps != 0 || delta.Syncs != 0 {
+		t.Fatalf("delete wrote to the file: %d writes, %d syncs", delta.WriteOps, delta.Syncs)
+	}
+	// Only edge pages are read, each once.
+	if delta.ReadOps < int64(stats.PartialDrops) || delta.ReadOps > int64(stats.PartialDrops+stats.PagesUntouched) {
+		t.Fatalf("%d reads for %+v", delta.ReadOps, stats)
 	}
 }
 
@@ -91,19 +180,28 @@ func TestSRDLiveBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := r.LiveBytesOf()
-	// A drop frees the block's actual (compressed) footprint, tracked in
-	// DeadBytes.
-	wantFreed := r.Meta.DeadBytes
-	if wantFreed <= 0 {
-		t.Fatal("drops must accumulate DeadBytes")
+	// A drop frees the block's actual (compressed) footprint.
+	d := r.Drops()
+	var dropped int64
+	for ti := range r.Tiles {
+		for pi, pm := range r.Tiles[ti].Pages {
+			if bit(d.Pages, r.Tiles[ti].FirstPage+pi) {
+				dropped += int64(pm.Bytes)
+			}
+		}
 	}
-	// The meta block also shrank, so at least the page space must be freed.
-	if before-after < wantFreed {
-		t.Fatalf("freed %d bytes, want >= %d", before-after, wantFreed)
+	if dropped <= 0 {
+		t.Fatal("drops must free block bytes")
+	}
+	if before-after < dropped {
+		t.Fatalf("freed %d bytes, want >= %d", before-after, dropped)
+	}
+	if r.Meta.Size != before {
+		t.Fatalf("the file's size moved: %d -> %d", before, r.Meta.Size)
 	}
 	// Every full drop is a dropped page; partial drops may also empty pages.
-	if r.CountDropped() < stats.FullDrops {
-		t.Fatalf("CountDropped %d < FullDrops %d", r.CountDropped(), stats.FullDrops)
+	if droppedPages(d) < stats.FullDrops {
+		t.Fatalf("%d pages dropped < FullDrops %d", droppedPages(d), stats.FullDrops)
 	}
 }
 
@@ -142,23 +240,21 @@ func TestSRDFullDropsRequireNoIO(t *testing.T) {
 	if stats.EntriesDropped != 500 {
 		t.Fatalf("dropped %d", stats.EntriesDropped)
 	}
-	if delta.ReadOps != 0 {
-		t.Fatalf("full drops performed %d reads", delta.ReadOps)
+	if delta.ReadOps != 0 || delta.WriteOps != 0 || delta.Syncs != 0 {
+		t.Fatalf("full drops performed I/O: %+v", delta)
 	}
-	// The delete emptied the file, which the engine now retires: rewriting
-	// its metadata block first would be I/O on a file about to be unlinked.
-	if delta.WriteOps != 0 || delta.Syncs != 0 {
-		t.Fatalf("emptied file was rewritten: %d writes, %d syncs", delta.WriteOps, delta.Syncs)
-	}
-	if !r.Meta.Empty() || r.CountDropped() != r.Meta.NumPages {
+	if !r.Live().Empty() || droppedPages(r.Drops()) != r.Meta.NumPages {
 		t.Fatalf("reader not emptied: %d entries, %d of %d pages dropped",
-			r.Meta.NumEntries, r.CountDropped(), r.Meta.NumPages)
+			r.Live().NumEntries, droppedPages(r.Drops()), r.Meta.NumPages)
+	}
+	if len(r.Drops().Excluded) != 0 {
+		t.Fatal("a delete that only drops whole pages needs no excluded interval")
 	}
 }
 
 // TestSRDWholeFileDropNeedsNoTombstones: the file-fence fast path applies
-// only to files without tombstones; a point or range tombstone keeps the file
-// (and its metadata rewrite), since a tombstone still shadows older data.
+// only to files without tombstones; a point or range tombstone keeps the
+// file, since a tombstone still shadows older data.
 func TestSRDWholeFileDropNeedsNoTombstones(t *testing.T) {
 	values := seqEntries(200, func(int) base.DeleteKey { return 50 })
 	withPoint := append(append([]base.Entry(nil), values...),
@@ -169,20 +265,24 @@ func TestSRDWholeFileDropNeedsNoTombstones(t *testing.T) {
 		rts     []base.RangeTombstone
 	}{"point": {withPoint, nil}, "range": {values, rt}} {
 		r, fs := buildFile(t, testOpts(8), tc.entries, tc.rts)
-		stats, _, err := r.ApplySecondaryRangeDelete(0, 1000, 10)
+		stats, meta, err := r.ApplySecondaryRangeDelete(0, 1000, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.EntriesDropped != 200 {
 			t.Fatalf("%s: dropped %d of 200 values", name, stats.EntriesDropped)
 		}
-		if r.Meta.Empty() {
+		if meta.Empty() {
 			t.Fatalf("%s: file with a tombstone reported empty", name)
 		}
+		if got := meta.NumEntries; got != len(tc.entries)-200 {
+			t.Fatalf("%s: %d entries left, want %d", name, got, len(tc.entries)-200)
+		}
+		d := r.Drops()
 		r.Close()
-		r2 := reopen(t, fs)
-		if got := r2.Meta.NumEntries; got != len(tc.entries)-200 {
-			t.Fatalf("%s: %d entries persisted, want %d", name, got, len(tc.entries)-200)
+		r2 := reopen(t, fs, d)
+		if got := scanCount(t, r2); got != len(tc.entries)-200 {
+			t.Fatalf("%s: %d entries after reopen, want %d", name, got, len(tc.entries)-200)
 		}
 		if len(r2.RangeTombstones) != len(tc.rts) {
 			t.Fatalf("%s: range tombstones lost", name)
@@ -215,17 +315,17 @@ func TestSRDEdgePagesOnly(t *testing.T) {
 		t.Fatalf("expected partial drop, got %+v", stats)
 	}
 	// Remaining entries still readable.
-	got := 0
-	it := r.NewIter()
-	for {
-		_, ok := it.Next()
-		if !ok {
-			break
-		}
-		got++
-	}
-	if got != 400-stats.EntriesDropped {
+	if got := scanCount(t, r); got != 400-stats.EntriesDropped {
 		t.Fatalf("scan found %d, want %d", got, 400-stats.EntriesDropped)
+	}
+	// The filtered page's fence now covers only what it kept: a second
+	// delete of the rest of its range drops it whole, without a read.
+	stats2, _, err := r.ApplySecondaryRangeDelete(pm.MinD, pm.MaxD+1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats2.FullDrops == 0 {
+		t.Fatalf("second wave: %+v", stats2)
 	}
 }
 
@@ -256,15 +356,22 @@ func TestSRDProtectsTombstonePages(t *testing.T) {
 	if meta.NumPointTombstones != 10 {
 		t.Fatalf("tombstones after SRD = %d, want 10 preserved", meta.NumPointTombstones)
 	}
+	d := r.Drops()
 	r.Close()
 
-	// Every tombstone survives on disk.
-	r2 := reopen(t, fs)
+	// Every tombstone survives a reopen.
+	r2 := reopen(t, fs, d)
 	defer r2.Close()
-	for i := 0; i < 100; i += 10 {
+	for i := 0; i < 100; i++ {
 		e, ok, err := r2.Get([]byte(fmt.Sprintf("key-%05d", i)))
-		if err != nil || !ok || e.Key.Kind() != base.KindDelete {
-			t.Fatalf("tombstone %d lost: %v ok=%v err=%v", i, e, ok, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 && (!ok || e.Key.Kind() != base.KindDelete) {
+			t.Fatalf("tombstone %d lost: %v ok=%v", i, e, ok)
+		}
+		if i%10 != 0 && ok {
+			t.Fatalf("deleted value %d visible after reopen", i)
 		}
 	}
 }
@@ -290,12 +397,15 @@ func TestSRDEmptyRangeAndMiss(t *testing.T) {
 	if stats.PagesUntouched == 0 {
 		t.Fatal("fences should have been consulted")
 	}
+	if !r.Drops().IsZero() {
+		t.Fatalf("a delete that removed nothing recorded drops: %+v", r.Drops())
+	}
 }
 
 func TestSRDRepeatedApplication(t *testing.T) {
 	// Deleting in several waves (the rolling 1/30-per-day pattern from the
 	// paper's introduction) must compose.
-	entries := seqEntries(900, func(i int) base.DeleteKey { return base.DeleteKey(i) })
+	entries := seqEntries(900, func(i int) base.DeleteKey { return base.DeleteKey((i * 7) % 900) })
 	r, fs := buildFile(t, testOpts(8), entries, nil)
 	total := 0
 	for day := 0; day < 3; day++ {
@@ -306,25 +416,32 @@ func TestSRDRepeatedApplication(t *testing.T) {
 			t.Fatal(err)
 		}
 		total += stats.EntriesDropped
+		if day == 1 {
+			// Adjacent waves coalesce into one excluded interval.
+			if ex := r.Drops().Excluded; len(ex) != 1 || ex[0] != (Interval{0, 600}) {
+				t.Fatalf("after two waves: excluded %v", ex)
+			}
+		}
 	}
 	if total != 900 {
 		t.Fatalf("dropped %d total", total)
 	}
-	if !r.Meta.Empty() {
-		t.Fatalf("%d entries survive", r.Meta.NumEntries)
+	if !r.Live().Empty() {
+		t.Fatalf("%d entries survive", r.Live().NumEntries)
 	}
-	it := r.NewIter()
-	if _, ok := it.Next(); ok {
-		t.Fatal("fully deleted file iterates entries")
+	if got := scanCount(t, r); got != 0 {
+		t.Fatalf("fully deleted file iterates %d entries", got)
 	}
+	d := r.Drops()
 	r.Close()
-	// The first two waves are on disk; the wave that emptied the file is
-	// not, because the engine unlinks an emptied file instead of rewriting
-	// it (lsm's manifest commit is what makes that wave durable).
-	r2 := reopen(t, fs)
-	defer r2.Close()
-	if r2.Meta.NumEntries != 300 {
-		t.Fatalf("%d entries persisted, want the last wave's 300", r2.Meta.NumEntries)
+	// The file itself never changed: without its drops it holds everything,
+	// with them nothing.
+	if got := scanCount(t, reopen(t, fs, Drops{})); got != 900 {
+		t.Fatalf("the file lost entries on disk: %d", got)
+	}
+	r2 := reopen(t, fs, d)
+	if !r2.Live().Empty() || scanCount(t, r2) != 0 {
+		t.Fatal("persisted drops do not empty the reopened file")
 	}
 }
 
@@ -366,5 +483,79 @@ func TestSRDTombstoneTimestampsNotDeleted(t *testing.T) {
 	}
 	if stats.EntriesDropped != 0 || meta.NumPointTombstones != 1 {
 		t.Fatalf("tombstone deleted by SRD: %+v", stats)
+	}
+}
+
+// TestSetDropsRejectsMisfit: persisted drops that cannot describe the file
+// are corruption, not silently applied.
+func TestSetDropsRejectsMisfit(t *testing.T) {
+	r, _ := buildFile(t, testOpts(4), seqEntries(100, func(i int) base.DeleteKey { return base.DeleteKey(i) }), nil)
+	defer r.Close()
+	for name, d := range map[string]Drops{
+		"bitmap past the last page": {Pages: make([]byte, r.Meta.NumPages/8+2)},
+		"inverted interval":         {Excluded: []Interval{{5, 5}}},
+		"intervals out of order":    {Excluded: []Interval{{10, 20}, {0, 5}}},
+	} {
+		if err := r.SetDrops(d); !errors.Is(err, ErrCorruption) {
+			t.Fatalf("%s: want ErrCorruption, got %v", name, err)
+		}
+	}
+}
+
+func TestExcludeMergesIntervals(t *testing.T) {
+	ivs := []Interval{{10, 20}, {30, 40}}
+	for _, tc := range []struct {
+		add  Interval
+		want []Interval
+	}{
+		{Interval{0, 5}, []Interval{{0, 5}, {10, 20}, {30, 40}}},
+		{Interval{20, 30}, []Interval{{10, 40}}},
+		{Interval{15, 35}, []Interval{{10, 40}}},
+		{Interval{22, 25}, []Interval{{10, 20}, {22, 25}, {30, 40}}},
+		{Interval{50, 60}, []Interval{{10, 20}, {30, 40}, {50, 60}}},
+		{Interval{0, 100}, []Interval{{0, 100}}},
+	} {
+		got := exclude(ivs, tc.add)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("exclude(%v, %v) = %v, want %v", ivs, tc.add, got, tc.want)
+		}
+	}
+	if fmt.Sprint(ivs) != "[{10 20} {30 40}]" {
+		t.Fatalf("exclude modified its input: %v", ivs)
+	}
+}
+
+// TestLegacyDroppedPagesStayDropped: a file whose metadata an older build
+// rewrote in place to drop a page still reads that page as dropped, and its
+// drops say so, so the engine keeps them across the next commit.
+func TestLegacyDroppedPagesStayDropped(t *testing.T) {
+	r, fs := buildFile(t, testOpts(4), seqEntries(200, func(i int) base.DeleteKey { return base.DeleteKey(i) }), nil)
+	defer r.Close()
+	// Drop page 0 the way the in-place delete did: zero its descriptor, flag
+	// it, and rewrite the file's aggregates and metadata block behind the
+	// data region.
+	meta, tiles := *r.Meta, append([]TileMeta(nil), r.Tiles...)
+	tiles[0].Pages = append([]PageMeta(nil), tiles[0].Pages...)
+	pm := &tiles[0].Pages[0]
+	gone := pm.Count
+	meta.NumEntries -= gone
+	*pm = PageMeta{Offset: pm.Offset, MinS: pm.MinS, MaxS: pm.MaxS, Dropped: true}
+	data := fileBytes(t, fs)[:meta.DataEnd]
+	metaBlock := encodeMetaBlock(&meta, tiles, r.RangeTombstones)
+	f, err := fs.Create("000001.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(append(append(data, metaBlock...), appendFooter(nil, meta.DataEnd, metaBlock)...))
+	r2 := reopen(t, fs, Drops{})
+	defer r2.Close()
+	if got := scanCount(t, r2); got != 200-gone {
+		t.Fatalf("iterated %d entries, want %d", got, 200-gone)
+	}
+	if r2.Live().NumEntries != 200-gone || !bit(r2.Drops().Pages, 0) {
+		t.Fatalf("live entries %d, drops %+v", r2.Live().NumEntries, r2.Drops())
+	}
+	if _, err := r2.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }

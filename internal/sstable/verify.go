@@ -9,10 +9,11 @@ import (
 
 // VerifyStats summarizes one file's integrity walk.
 type VerifyStats struct {
-	// Blocks is the number of live data blocks/pages checked.
+	// Blocks is the number of data blocks/pages checked.
 	Blocks int
-	// DroppedBlocks is the number of blocks skipped because a secondary
-	// range delete removed them.
+	// DroppedBlocks is the number of blocks a secondary range delete has
+	// dropped. Files are written once, so their bytes are still there (and
+	// still checked) until a compaction rewrites the file.
 	DroppedBlocks int
 	// Entries is the total number of entries decoded across live blocks.
 	Entries int
@@ -30,9 +31,8 @@ type VerifyStats struct {
 // It deliberately does not trust the state loaded at open time: `lethe
 // verify` runs it against files that may have been damaged since.
 func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var vs VerifyStats
+	st := r.state.Load()
 
 	// Footer and meta block, re-read and re-checked from disk.
 	meta, tiles, _, err := readMeta(r.f)
@@ -41,8 +41,9 @@ func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
 	}
 
 	// Index ordering: tiles disjoint and ascending on S, block fences inside
-	// their tile, offsets inside the data region. (Block offsets are not
-	// monotone — partial drops relocate — but must stay in bounds.)
+	// their tile, offsets inside the data region. (Block offsets need not be
+	// monotone — an older build relocated rewritten blocks — but must stay in
+	// bounds.)
 	for ti := range tiles {
 		t := &tiles[ti]
 		if base.CompareUserKeys(t.MinS, t.MaxS) > 0 {
@@ -53,9 +54,11 @@ func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
 		}
 		for pi := range t.Pages {
 			pm := &t.Pages[pi]
-			if pm.Dropped {
+			if st.dropped(t.FirstPage + pi) {
 				vs.DroppedBlocks++
-				continue
+			}
+			if pm.Dropped {
+				continue // rewritten away in place by an older build
 			}
 			if base.CompareUserKeys(pm.MinS, t.MinS) < 0 || base.CompareUserKeys(pm.MaxS, t.MaxS) > 0 {
 				return vs, fmt.Errorf("sstable: verify: block %d.%d fences escape tile: %w", ti, pi, ErrCorruption)

@@ -70,6 +70,27 @@ func (fs *RemoteFS) Stats() RemoteStats {
 // Bandwidth returns the configured byte bandwidth cap (0 = unlimited).
 func (fs *RemoteFS) Bandwidth() int64 { return fs.cfg.BandwidthBytesPerSec }
 
+// LinkStats is the modeled link's accounting, kept on its virtual clock:
+// Busy is the link time payload operations reserved (latency plus bytes
+// over bandwidth) and Idle the time it sat with nothing reserved, beyond the
+// burst window that absorbs timer overshoot. Both advance only with the
+// model, so deltas over a stretch of work say how fully that work kept the
+// link busy, whatever else loads the host.
+type LinkStats struct {
+	Busy, Idle time.Duration
+}
+
+// Link returns the link accounting (zero without a bandwidth cap).
+func (fs *RemoteFS) Link() LinkStats {
+	p := fs.link
+	if p == nil {
+		return LinkStats{}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return LinkStats{Busy: p.busy, Idle: p.idle}
+}
+
 func (fs *RemoteFS) check(op Op, name string) error {
 	if fs.cfg.Hook == nil {
 		return nil
@@ -215,6 +236,7 @@ type linkPacer struct {
 	mu          sync.Mutex
 	nanosPerByt float64
 	virt        time.Time // modeled completion time of the last reservation
+	busy, idle  time.Duration
 }
 
 // linkBurst is the credit window absorbing sleep overshoot; it must exceed
@@ -243,10 +265,14 @@ func (p *linkPacer) wait(n int, latency time.Duration) {
 	now := time.Now()
 	start := p.virt
 	if floor := now.Add(-linkBurst); start.Before(floor) {
+		if !start.IsZero() {
+			p.idle += floor.Sub(start)
+		}
 		start = floor
 	}
 	end := start.Add(d)
 	p.virt = end
+	p.busy += d
 	p.mu.Unlock()
 	time.Sleep(time.Until(end))
 }

@@ -20,8 +20,11 @@ import (
 )
 
 // File is the handle type for engine files (WAL segments, sstables, the
-// manifest). WriteAt exists because KiWi's partial page drops edit one page
-// per delete tile in place (§4.2.2) without rewriting the file.
+// manifest). The engine only appends: every file is written once, front to
+// back, and synced — a secondary range delete edits manifest metadata, not
+// the sstable. WriteAt and Truncate complete the handle for tools and
+// wrappers; MemFS implements both with zero-fill semantics (bytes a file
+// never held read as zeros).
 type File interface {
 	io.ReaderAt
 	io.WriterAt
@@ -39,7 +42,7 @@ type File interface {
 type FS interface {
 	// Create makes (or truncates) the named file for writing.
 	Create(name string) (File, error)
-	// Open opens the named file for reading (and in-place page edits).
+	// Open opens the named file for reading.
 	Open(name string) (File, error)
 	// Remove deletes the named file, releasing its space.
 	Remove(name string) error

@@ -166,6 +166,125 @@ func TestMemFileWriteAtGap(t *testing.T) {
 	}
 }
 
+// TestMemFSZeroFill pins the MemFS file semantics a cheaper growth strategy
+// (spare capacity instead of a copy per append) must keep: bytes the file
+// never held read as zeros — in a WriteAt gap, and after a shrink, in
+// whatever an extension, a gap write or an append exposes again — and
+// ReadAt of a written prefix is safe and stable while another goroutine
+// appends.
+func TestMemFSZeroFill(t *testing.T) {
+	read := func(t *testing.T, f File, n int) []byte {
+		t.Helper()
+		buf := make([]byte, n)
+		if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	dirty := bytes.Repeat([]byte{0xAB}, 64)
+	fs := NewMem()
+
+	t.Run("write past EOF", func(t *testing.T) {
+		f, _ := fs.Create("gap")
+		f.Write([]byte("ab"))
+		if _, err := f.WriteAt([]byte("z"), 40); err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]byte("ab"), make([]byte, 38)...), 'z')
+		if got := read(t, f, 41); !bytes.Equal(got, want) {
+			t.Fatalf("gap reads %v", got)
+		}
+	})
+	t.Run("shrink then extend", func(t *testing.T) {
+		f, _ := fs.Create("shrink")
+		f.Write(dirty)
+		if err := f.Truncate(8); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(64); err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]byte(nil), dirty[:8]...), make([]byte, 56)...)
+		if got := read(t, f, 64); !bytes.Equal(got, want) {
+			t.Fatalf("extension after shrink reads %v", got)
+		}
+	})
+	t.Run("shrink then write past EOF", func(t *testing.T) {
+		f, _ := fs.Create("shrink-gap")
+		f.Write(dirty)
+		if err := f.Truncate(4); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte("z"), 32); err != nil {
+			t.Fatal(err)
+		}
+		want := append(append(append([]byte(nil), dirty[:4]...), make([]byte, 28)...), 'z')
+		if got := read(t, f, 33); !bytes.Equal(got, want) {
+			t.Fatalf("gap after shrink reads %v", got)
+		}
+	})
+	t.Run("shrink then append", func(t *testing.T) {
+		f, _ := fs.Create("shrink-append")
+		f.Write(dirty)
+		if err := f.Truncate(4); err != nil {
+			t.Fatal(err)
+		}
+		f.Write([]byte("xy"))
+		if sz, _ := f.Size(); sz != 6 {
+			t.Fatalf("size %d after shrink and append", sz)
+		}
+		want := append(append([]byte(nil), dirty[:4]...), 'x', 'y')
+		if got := read(t, f, 6); !bytes.Equal(got, want) {
+			t.Fatalf("append after shrink reads %v", got)
+		}
+		if err := f.Truncate(16); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, make([]byte, 10)...)
+		if got := read(t, f, 16); !bytes.Equal(got, want) {
+			t.Fatalf("extension past the append reads %v", got)
+		}
+	})
+	t.Run("read during appends", func(t *testing.T) {
+		f, _ := fs.Create("concurrent")
+		block := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 512) }
+		f.Write(block(0))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 1; i < 200; i++ {
+				f.Write(block(i))
+			}
+		}()
+		r, _ := fs.Open("concurrent")
+		buf := make([]byte, 512)
+		for {
+			select {
+			case <-done:
+				if sz, _ := r.Size(); sz != 200*512 {
+					t.Fatalf("size %d after the appends", sz)
+				}
+				for i := 0; i < 200; i++ {
+					if _, err := r.ReadAt(buf, int64(i)*512); err != nil && err != io.EOF {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(buf, block(i)) {
+						t.Fatalf("block %d reads %v", i, buf[:4])
+					}
+				}
+				return
+			default:
+			}
+			if _, err := r.ReadAt(buf, 0); err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, block(0)) {
+				t.Fatalf("first block changed under appends: %v", buf[:4])
+			}
+		}
+	})
+}
+
 func TestMemFSTotalBytes(t *testing.T) {
 	fs := NewMem()
 	a, _ := fs.Create("a")

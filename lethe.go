@@ -715,8 +715,17 @@ func (db *DB) RangeDelete(start, end []byte) error {
 // dropped from the manifest and unlinked from its tier once the last
 // iterator or snapshot pinning it is released — so a retention job gets its
 // bytes back at delete time (SRDStats.FilesRetired, Stats.SRDBytesReclaimed).
-// A file the delete only partly covers keeps its dead blocks until a
-// compaction rewrites it.
+// A file the delete only partly covers keeps its dropped blocks and the
+// deleted entries of its edge blocks on disk until a compaction rewrites it.
+//
+// Cost and durability: no sstable byte is written — sstables are
+// write-once. Each shard's portion is one WAL record (when its buffers hold
+// anything), replayed after a crash, plus one manifest commit of the pages
+// it dropped and the delete-key interval it excluded per touched file; both
+// precede the return. Background flushes and compactions are not paused: a
+// job in flight when the delete lands applies it to the files it writes.
+// Iterators and snapshots opened earlier see the delete too, from their
+// next page read on.
 //
 // Partial application: the delete key is orthogonal to the sort-key
 // partitioning, so the delete fans out to every shard, in shard order, and
@@ -774,7 +783,9 @@ restart:
 type SRDStats struct {
 	// FullPageDrops is the number of pages dropped without any I/O.
 	FullPageDrops int
-	// PartialPageDrops is the number of edge pages filtered in place.
+	// PartialPageDrops is the number of edge pages read and filtered: what
+	// they lost is excluded from every read, and their bytes stay on disk
+	// until a compaction rewrites the file.
 	PartialPageDrops int
 	// EntriesDropped is the number of entries removed.
 	EntriesDropped int

@@ -41,6 +41,7 @@ import (
 	"lethe/internal/lsm"
 	"lethe/internal/manifest"
 	"lethe/internal/runtime"
+	"lethe/internal/sstable"
 	"lethe/internal/vfs"
 )
 
@@ -118,14 +119,24 @@ type fileSlot struct {
 	num    uint64
 	remote bool
 	job    *rewriteJob
+	// drops is what secondary range deletes removed from a moved file; a
+	// rewrite output holds only what survived them.
+	drops sstable.Drops
 }
 
-// materializeLevels turns planned slots into manifest levels, dropping
-// empty rewrite outputs, empty runs, and trailing empty levels, and
-// collecting the remote-tier membership of the moved files (rewrite outputs
-// are always written locally).
-func materializeLevels(slots [][][]fileSlot) (levels [][][]uint64, remote []uint64) {
-	levels = make([][][]uint64, len(slots))
+// movedSlot is the slot of file f moved whole.
+func movedSlot(f lsm.HandoffFile) fileSlot {
+	return fileSlot{num: f.Num, remote: f.Remote, drops: f.Drops}
+}
+
+// materializeLevels turns planned slots into a child manifest's structure,
+// dropping empty rewrite outputs, empty runs, and trailing empty levels, and
+// collecting the remote-tier membership and the drops of the moved files
+// (rewrite outputs are always written locally, and hold no drops). The
+// caller fills in the sequence and file-number state.
+func materializeLevels(slots [][][]fileSlot) *manifest.State {
+	st := &manifest.State{Levels: make([][][]uint64, len(slots))}
+	drops := make(map[uint64]sstable.Drops)
 	for l, runs := range slots {
 		for _, run := range runs {
 			var files []uint64
@@ -135,18 +146,22 @@ func materializeLevels(slots [][][]fileSlot) (levels [][][]uint64, remote []uint
 				}
 				files = append(files, s.num)
 				if s.remote {
-					remote = append(remote, s.num)
+					st.Remote = append(st.Remote, s.num)
+				}
+				if !s.drops.IsZero() {
+					drops[s.num] = s.drops
 				}
 			}
 			if len(files) > 0 {
-				levels[l] = append(levels[l], files)
+				st.Levels[l] = append(st.Levels[l], files)
 			}
 		}
 	}
-	for len(levels) > 0 && len(levels[len(levels)-1]) == 0 {
-		levels = levels[:len(levels)-1]
+	for len(st.Levels) > 0 && len(st.Levels[len(st.Levels)-1]) == 0 {
+		st.Levels = st.Levels[:len(st.Levels)-1]
 	}
-	return levels, remote
+	st.SetDrops(drops)
+	return st
 }
 
 // reshardTxn tracks a reshard's applied effects so a failure before the
@@ -507,11 +522,11 @@ func (db *DB) SplitShard(shard int, boundary []byte) error {
 				case goLeft:
 					moves = append(moves, reshardMove{
 						From: h.prefix + lsm.FileName(f.Num), To: leftPrefix + lsm.FileName(f.Num), Remote: f.Remote})
-					lrun = append(lrun, fileSlot{num: f.Num, remote: f.Remote})
+					lrun = append(lrun, movedSlot(f))
 				case goRight:
 					moves = append(moves, reshardMove{
 						From: h.prefix + lsm.FileName(f.Num), To: rightPrefix + lsm.FileName(f.Num), Remote: f.Remote})
-					rrun = append(rrun, fileSlot{num: f.Num, remote: f.Remote})
+					rrun = append(rrun, movedSlot(f))
 				default:
 					// No live content on either side; dies with the donor.
 				}
@@ -547,16 +562,13 @@ func (db *DB) SplitShard(shard int, boundary []byte) error {
 	// a later merge mostly avoids renumbering. Committing the child
 	// MANIFESTs before the renames also creates the child directories —
 	// renames do not.
-	leftLv, leftRemote := materializeLevels(leftSlots)
-	rightLv, rightRemote := materializeLevels(rightSlots)
-	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, leftPrefix), "MANIFEST").Commit(&manifest.State{
-		NextFileNum: next, LastSeq: ho.LastSeq, Levels: leftLv, Remote: leftRemote,
-	}); err != nil {
+	leftSt, rightSt := materializeLevels(leftSlots), materializeLevels(rightSlots)
+	leftSt.NextFileNum, leftSt.LastSeq = next, ho.LastSeq
+	rightSt.NextFileNum, rightSt.LastSeq = next, ho.LastSeq
+	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, leftPrefix), "MANIFEST").Commit(leftSt); err != nil {
 		return unpause(tx.rollback(fmt.Errorf("lethe: split left manifest: %w", err)))
 	}
-	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, rightPrefix), "MANIFEST").Commit(&manifest.State{
-		NextFileNum: next, LastSeq: ho.LastSeq, Levels: rightLv, Remote: rightRemote,
-	}); err != nil {
+	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, rightPrefix), "MANIFEST").Commit(rightSt); err != nil {
 		return unpause(tx.rollback(fmt.Errorf("lethe: split right manifest: %w", err)))
 	}
 	if err := tx.moveAll(moves); err != nil {
@@ -715,7 +727,7 @@ func (db *DB) MergeShards(shard int) error {
 					} else {
 						moves = append(moves, reshardMove{
 							From: donor.prefix + lsm.FileName(f.Num), To: newPrefix + lsm.FileName(f.Num), Remote: f.Remote})
-						srun = append(srun, fileSlot{num: f.Num, remote: f.Remote})
+						srun = append(srun, movedSlot(f))
 						if keep != nil {
 							keep[f.Num] = true
 						}
@@ -747,10 +759,9 @@ func (db *DB) MergeShards(shard int) error {
 	if err != nil {
 		return unpause(tx.rollback(err))
 	}
-	lv, remote := materializeLevels(slots)
-	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, newPrefix), "MANIFEST").Commit(&manifest.State{
-		NextFileNum: next, LastSeq: lastSeq, Levels: lv, Remote: remote,
-	}); err != nil {
+	mergedSt := materializeLevels(slots)
+	mergedSt.NextFileNum, mergedSt.LastSeq = next, lastSeq
+	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, newPrefix), "MANIFEST").Commit(mergedSt); err != nil {
 		return unpause(tx.rollback(fmt.Errorf("lethe: merge manifest: %w", err)))
 	}
 	if err := tx.moveAll(moves); err != nil {

@@ -24,8 +24,8 @@ import (
 // pins on disk.
 //
 // One caveat carried over from the engine's delete design:
-// SecondaryRangeDelete is physical (it edits sealed buffers and sstable
-// pages in place, per the paper), so entries it removes from those
+// SecondaryRangeDelete is physical (it filters sealed buffers and drops
+// sstable pages, per the paper), so entries it removes from those
 // disappear from existing snapshots too. Only entries still in the mutable
 // buffer at snapshot time are immune — the snapshot holds a frozen copy of
 // that buffer, which the delete cannot reach.

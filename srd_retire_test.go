@@ -109,3 +109,65 @@ func TestReshardAfterSRDRetirement(t *testing.T) {
 	}
 	check("after merge")
 }
+
+// TestReshardCarriesSRDDrops: a file a secondary range delete only partly
+// covered keeps what it lost in its shard's manifest, not in its bytes, so a
+// split or merge that moves it whole into another shard's directory moves
+// its drops with it — the deleted entries stay deleted in the new shards and
+// after a reopen.
+func TestReshardCarriesSRDDrops(t *testing.T) {
+	fs := vfs.NewMem()
+	// Small files, so most of them sit on one side of the split's cut.
+	opts := Options{Storage: StorageOptions{FS: fs}, Shards: 2, BufferBytes: 16 << 10,
+		PageSize: 512, FilePages: 4, TilePages: 2}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut, n = 500, 1200
+	fillShards(t, db, n)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.SecondaryRangeDelete(0, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EntriesDropped != cut || st.PartialPageDrops == 0 {
+		t.Fatalf("setup: the delete must filter edge pages: %+v", st)
+	}
+	check := func(db *DB, what string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			_, err := db.Get(shardKey(i))
+			if i < cut && err != ErrNotFound {
+				t.Fatalf("%s: deleted key %d readable: %v", what, i, err)
+			}
+			if i >= cut && err != nil {
+				t.Fatalf("%s: key %d: %v", what, i, err)
+			}
+		}
+	}
+	if err := db.SplitShard(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if db.ReshardStats().FilesHandedOff == 0 {
+		t.Fatal("setup: the split moved no file whole")
+	}
+	check(db, "after split")
+	if err := db.MergeShards(0); err != nil {
+		t.Fatal(err)
+	}
+	check(db, "after merge")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check(db, "after reopen")
+}

@@ -214,25 +214,30 @@
 //
 // SecondaryRangeScan verifies candidates against the same pinned state it
 // collected them from and returns results sorted by (delete key, sort key)
-// deterministically. SecondaryRangeDelete remains physical: it edits
-// sealed buffers and sstable pages in place, so what it removes from those
-// vanishes from snapshots taken before it ran (only a snapshot's frozen
-// copy of the mutable buffer is immune) — order retention deletes after
-// reads that must not observe them.
+// deterministically. SecondaryRangeDelete remains physical: it filters
+// sealed buffers and drops sstable pages for every reader of the file, so
+// what it removes from those vanishes from snapshots taken before it ran
+// (only a snapshot's frozen copy of the mutable buffer is immune) — order
+// retention deletes after reads that must not observe them.
 //
 // Space after a SecondaryRangeDelete: the drop hierarchy is page → tile →
-// file. A file the delete empties is retired on the spot — out of the
-// manifest before the call returns, unlinked from its tier when the last
-// iterator or snapshot pinning it lets go — so a retention job over
-// time-ordered ingest, where whole flushed runs age out together, sees
+// file, and sstables are write-once — the delete writes no sstable byte;
+// its cost is one WAL record (when the buffers hold anything) and one
+// manifest commit that records each touched file's dropped pages and
+// excluded delete-key interval. A file the delete empties is retired on the
+// spot — out of the manifest before the call returns, unlinked from its tier
+// when the last iterator or snapshot pinning it lets go — so a retention job
+// over time-ordered ingest, where whole flushed runs age out together, sees
 // Stats().BytesOnDisk fall at delete time (SRDFilesRetired and
 // SRDBytesReclaimed count it). A file the delete only partly covers keeps
-// its dropped blocks as dead space until a compaction rewrites it; the gap
-// shows as Levels[i].BytesOnDisk − LiveBytes. To keep that gap small, let
-// deletes line up with files: delete in slices no finer than a flushed
-// buffer's worth of delete keys (BufferBytes of ingest), and prefer a
-// TilePages large enough that covered pages drop whole rather than as edge
-// rewrites. A long-lived snapshot defers the unlink, never the delete.
+// its dropped blocks, and the deleted entries of its edge blocks, on disk
+// until a compaction rewrites it (a merge leaves excluded entries behind);
+// the gap shows as Levels[i].BytesOnDisk − LiveBytes. To keep that gap
+// small, let deletes line up with files: delete in slices no finer than a
+// flushed buffer's worth of delete keys (BufferBytes of ingest), and prefer
+// a TilePages large enough that covered pages drop whole rather than as
+// filtered edges. A long-lived snapshot defers the unlink, never the
+// delete.
 //
 // # Block size: Storage.BlockSizeBytes
 //
@@ -260,9 +265,9 @@
 // Interaction with delete-tile granularity: a delete tile is TilePages
 // blocks, and KiWi's secondary range deletes drop whole blocks whose delete
 // fences fall inside the range. The block is therefore also the unit of
-// SRD precision — bigger blocks mean coarser drops (more partial-block
-// rewrites at range edges), smaller blocks mean more full drops but more
-// fence metadata. Workloads leaning on SecondaryRangeDelete should keep
+// SRD precision — bigger blocks mean coarser drops (more filtered edge
+// blocks, read and kept until compaction), smaller blocks mean more full
+// drops but more fence metadata. Workloads leaning on SecondaryRangeDelete should keep
 // blocks near the page size (a few KiB); scan-heavy, rarely-deleting
 // workloads can raise BlockSizeBytes toward 32-64KiB for the compression
 // win. The paper-experiment harness pins BlockSizeBytes to
