@@ -160,10 +160,10 @@ func (db *DB) OfferJob(flushOnly bool) (*runtime.Job, bool) {
 		Priority: job.prio,
 		Run:      func() { db.runPooled(job) },
 		Cancel: func() {
+			job.release()
 			db.mu.Lock()
 			db.finishJobLocked(job)
 			db.mu.Unlock()
-			job.release()
 		},
 	}, false
 }
@@ -171,6 +171,9 @@ func (db *DB) OfferJob(flushOnly bool) (*runtime.Job, bool) {
 // runPooled is the pool driver: it executes a claimed job on a runtime
 // worker outside db.mu and installs the result under it. A failure poisons
 // the engine.
+// The job's version pin, possibly the last reference to the inputs the
+// install made obsolete, drops before finishJobLocked wakes Maintain, and
+// outside db.mu: a remote unlink pays a modeled round trip.
 func (db *DB) runPooled(job *maintJob) {
 	err := db.executeJob(job)
 
@@ -178,6 +181,10 @@ func (db *DB) runPooled(job *maintJob) {
 	if err == nil {
 		err = db.installJobLocked(job)
 	}
+	db.mu.Unlock()
+	job.release()
+
+	db.mu.Lock()
 	if err == nil {
 		if job.kind == jobFlush {
 			db.m.bgFlushes.Add(1)
@@ -189,7 +196,6 @@ func (db *DB) runPooled(job *maintJob) {
 	db.setBackgroundErrLocked(err)
 	db.mu.Unlock()
 
-	job.release()
 	// The install may have freed budget, armed new triggers, or unblocked
 	// a conflicting pick.
 	db.kickMaintenance()
@@ -213,8 +219,8 @@ func (db *DB) runInlineLocked(flushOnly bool) error {
 			if err == nil {
 				err = db.installJobLocked(job)
 			}
-			db.finishJobLocked(job)
 			job.release()
+			db.finishJobLocked(job)
 			if err != nil {
 				return err
 			}

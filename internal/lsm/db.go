@@ -78,13 +78,16 @@ type DB struct {
 	imm []*flushable
 	// current is the installed version of the disk structure.
 	current *version
-	// rh is the cached point-lookup read handle (version.go): the prebuilt
-	// view stack Gets share between read-state transitions. Nil until the
-	// first Get after a transition; invalidated by sealMemtableLocked,
-	// installVersionLocked, and Close.
+	// rh is the cached read handle (version.go): the prebuilt view stack
+	// and version pin every read shares between read-state transitions.
+	// Nil until the first read after a transition; invalidated by
+	// sealMemtableLocked, installVersionLocked, and Close.
 	rh    *readHandle
 	wal   *wal.Manager
 	store *manifest.Store
+	// srdLog is the tail of the secondary-range-delete log snapshots erase
+	// by (snapshot.go), appended under db.mu.
+	srdLog atomic.Pointer[srdRecord]
 
 	// seq is the last assigned sequence number, guarded by cq.mu (assignment
 	// happens at commit enqueue). Open and recovery access it
@@ -243,6 +246,7 @@ func Open(opts Options) (db *DB, err error) {
 		busyLevels: make(map[int]int),
 		running:    make(map[*maintJob]struct{}),
 	}
+	db.srdLog.Store(new(srdRecord))
 	// Attach (or build) the runtime before any file opens: the page cache
 	// handle and the throttled maintenance filesystem come from it. A
 	// supplied runtime serves only the mode it was built for; synchronous

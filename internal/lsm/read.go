@@ -23,10 +23,8 @@ func (errNotFound) Error() string { return "lsm: key not found" }
 // per-page Bloom filters guard page reads. Range tombstones at any level
 // shadow older entries.
 //
-// Get rides the cached read handle (version.go): the probe stack is built
-// once per read-state transition and shared by every Get until the next
-// buffer seal or version install, so the steady-state lookup re-pins nothing
-// and allocates only the returned value copy. The lookup itself runs outside
+// Get rides the cached read handle (version.go), so the steady-state lookup
+// re-pins nothing and allocates only the returned value copy; it runs outside
 // db.mu and is never blocked by a flush or compaction in flight.
 func (db *DB) Get(key []byte) ([]byte, base.DeleteKey, error) {
 	rh, err := db.acquireReadHandle()
@@ -34,35 +32,41 @@ func (db *DB) Get(key []byte) ([]byte, base.DeleteKey, error) {
 		return nil, 0, err
 	}
 	defer rh.release()
-	e, ok, err := getEntry(rh.views, rh.v, key)
+	return userValue(rh.get(key))
+}
+
+// userValue turns a lookup's result into Get's: a miss or a tombstone is
+// ErrNotFound, and the value is copied out — e.Value may alias a decoded
+// sstable page or a memtable node; the caller gets bytes it owns.
+func userValue(e base.Entry, ok bool, err error) ([]byte, base.DeleteKey, error) {
 	if err != nil {
 		return nil, 0, err
 	}
 	if !ok || e.Key.Kind() != base.KindSet {
 		return nil, 0, ErrNotFound
 	}
-	// Copy-out boundary: e.Value may alias a decoded sstable page or a
-	// memtable node; the caller gets bytes it owns.
 	return append([]byte(nil), e.Value...), e.DKey, nil
 }
 
-// getEntry performs the versioned lookup over a set of memory views and a
+// get performs the versioned lookup over the handle's memory views and
 // pinned version, returning the newest entry for key (possibly a tombstone)
-// with range-tombstone shadowing applied. Both the live read path (views off
-// the cached read handle) and Snapshot.Get (frozen views) funnel here.
+// with range-tombstone shadowing applied. Both the live read path (the
+// cached handle) and Snapshot.Get (a handle with a frozen head view) funnel
+// here. An entry a secondary range delete erased after a snapshot was taken
+// reads as physically gone (srdRecord.erases), as it does on the live handle.
 //
 // The returned entry is a view: its bytes may alias a memtable node or a
-// decoded sstable page and stay valid only as long as the pinned state is
-// held. Callers that hand data across an API boundary copy there.
-func getEntry(views []memView, v *version, key []byte) (base.Entry, bool, error) {
+// decoded sstable page and stay valid only as long as the handle is held.
+// Callers that hand data across an API boundary copy there.
+func (rh *readHandle) get(key []byte) (base.Entry, bool, error) {
 	// maxRTSeq carries the newest covering range tombstone seen so far in
 	// the descent. Per-key versions are depth-ordered (shallower = newer),
 	// so a tombstone found at or above the entry's level decides.
 	var maxRTSeq base.SeqNum
 	// Each buffer resolves its own range tombstones; tombstones from newer
 	// buffers shadow entries found in older ones.
-	for _, mt := range views {
-		if e, ok := mt.Get(key); ok {
+	for _, mt := range rh.views {
+		if e, ok := mt.Get(key); ok && !rh.srds.erases(e) {
 			if e.Key.SeqNum() < maxRTSeq {
 				return base.MakeEntry(key, maxRTSeq, base.KindDelete, 0, nil), true, nil
 			}
@@ -74,7 +78,7 @@ func getEntry(views []memView, v *version, key []byte) (base.Entry, bool, error)
 			}
 		}
 	}
-	for _, runs := range v.levels {
+	for _, runs := range rh.v.levels {
 		for _, r := range runs {
 			for _, h := range r {
 				if !handleCoversKey(h, key) {
@@ -89,7 +93,7 @@ func getEntry(views []memView, v *version, key []byte) (base.Entry, bool, error)
 				if err != nil {
 					return base.Entry{}, false, err
 				}
-				if !ok {
+				if !ok || rh.srds.erases(e) {
 					continue
 				}
 				if e.Key.SeqNum() < maxRTSeq {
@@ -111,32 +115,34 @@ func getEntry(views []memView, v *version, key []byte) (base.Entry, bool, error)
 // end = unbounded), in ascending key order, until fn returns false. It
 // merges the buffers and every run, applying tombstones, exactly as the
 // paper's range lookup does ("sort-merging the qualifying key ranges across
-// all runs in the tree"). Like Get, it snapshots the read state under a
-// brief db.mu critical section and then streams outside the lock: the
-// version pins every file, so compactions finishing mid-scan cannot pull
-// pages out from under it.
+// all runs in the tree"). Like Get, it pins the cached read handle and then
+// streams outside db.mu: the handle's version pins every file, so
+// compactions finishing mid-scan cannot pull pages out from under it.
 func (db *DB) Scan(start, end []byte, fn func(key []byte, dkey base.DeleteKey, value []byte) bool) error {
 	it, err := db.NewScanIter(start, end)
 	if err != nil {
 		return err
 	}
-	defer it.Close()
+	return it.each(fn)
+}
+
+// each feeds fn the live entries in order until fn returns false, then
+// closes the iterator and returns Close's error. It is the iterator's one
+// Close: ScanIters are pooled, and closing a recycled iterator would tear
+// down whatever scan reused it.
+func (it *ScanIter) each(fn func(key []byte, dkey base.DeleteKey, value []byte) bool) error {
 	for {
 		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		if !fn(e.Key.UserKey, e.DKey, e.Value) {
-			break
+		if !ok || !fn(e.Key.UserKey, e.DKey, e.Value) {
+			return it.Close()
 		}
 	}
-	return it.Error()
 }
 
 // ScanIter is the pull-based form of Scan: a lazy, merged stream of the live
 // entries in [start, end), tombstones already applied, yielding only KindSet
-// entries in ascending key order. It pins a read state for its lifetime —
-// callers must Close it to release the snapshot. Memory stays bounded
+// entries in ascending key order. It holds a reference on a read handle for
+// its lifetime — callers must Close it to release the pin. Memory stays bounded
 // regardless of range size: the in-memory buffers contribute a bounded copy
 // of the scanned range, and each disk run streams through one open file at
 // a time (runIter), so iterating the first K entries of an unbounded scan
@@ -157,18 +163,15 @@ func (db *DB) Scan(start, end []byte, fn func(key []byte, dkey base.DeleteKey, v
 type ScanIter struct {
 	start, end []byte
 	merged     compaction.MergeIter
-	// pin is the version reference Close releases (nil for an empty
-	// iterator). The views need no separate pin: memtables are reachable
-	// until scanning ends, and frozen views belong to a Snapshot with its
-	// own lifetime.
-	pin    *version
+	// pin is the read handle reference Close releases (nil for an empty
+	// iterator).
+	pin    *readHandle
 	closed bool
 	err    error // result of Close, sticky for late Error calls
 
 	// Reusable construction state. Frames are index-addressed so the
 	// pointers handed to the merge stay stable; capacities survive
 	// recycling through scanIterPool.
-	views      []memView
 	inputs     []compaction.Iterator
 	rts        []base.RangeTombstone
 	sliceIters []compaction.SliceIter
@@ -178,12 +181,17 @@ type ScanIter struct {
 
 var scanIterPool = sync.Pool{New: func() interface{} { return new(ScanIter) }}
 
-// emptyScanIter returns an exhausted iterator pinning nothing.
+// emptyScanIter returns an exhausted iterator pinning nothing: it reads
+// emptyHandle, which is shared, so Close must not release it.
 func emptyScanIter() *ScanIter {
 	it := scanIterPool.Get().(*ScanIter)
-	it.init(nil, nil, nil, nil, nil)
+	it.init(&emptyHandle, nil, nil)
+	it.pin = nil
 	return it
 }
+
+// emptyHandle holds no views and no files.
+var emptyHandle = readHandle{v: &version{}}
 
 // NewScanIter opens a streaming scan over [start, end). A degenerate range
 // (start >= end, both bounds set) yields an empty, already-released iterator
@@ -192,28 +200,26 @@ func (db *DB) NewScanIter(start, end []byte) (*ScanIter, error) {
 	if start != nil && end != nil && base.CompareUserKeys(start, end) >= 0 {
 		return emptyScanIter(), nil
 	}
-	it := scanIterPool.Get().(*ScanIter)
-	views, v, err := db.acquireReadViews(it.views)
+	rh, err := db.acquireReadHandle()
 	if err != nil {
-		scanIterPool.Put(it)
 		return nil, err
 	}
-	it.views = views
-	it.init(views, v, start, end, v)
+	it := scanIterPool.Get().(*ScanIter)
+	it.init(rh, start, end)
 	return it, nil
 }
 
-// init (re)builds the merged stream in place: one bounded in-memory copy per
-// buffer view (newest sources first) and one lazy runIter per disk run. pin
-// is the version reference Close releases (exactly once). A nil v builds an
-// empty, exhausted iterator.
-func (it *ScanIter) init(views []memView, v *version, start, end []byte, pin *version) {
+// init (re)builds the merged stream in place over rh, whose reference Close
+// releases (exactly once): one bounded in-memory copy per buffer view
+// (newest sources first) and one lazy runIter per disk run.
+func (it *ScanIter) init(rh *readHandle, start, end []byte) {
 	it.start, it.end = start, end
-	it.pin = pin
+	it.pin = rh
 	it.closed = false
 	it.err = nil
 	it.inputs = it.inputs[:0]
 	it.rts = it.rts[:0]
+	views, srds := rh.views, rh.srds
 
 	nViews := len(views)
 	if cap(it.sliceIters) < nViews {
@@ -232,18 +238,18 @@ func (it *ScanIter) init(views []memView, v *version, start, end []byte, pin *ve
 	// The buffers go first (newest sources first). Copying just the scanned
 	// range keeps the cost proportional to the range, bounded above by the
 	// buffer capacity; a frozen view is already an immutable sorted slice,
-	// so it is sub-sliced in place rather than copied again.
+	// so it is sub-sliced in place rather than copied again — unless a
+	// secondary range delete since the snapshot erased entries from it.
 	for i, mt := range views {
 		si := &it.sliceIters[i]
-		if f, ok := mt.(*frozenMem); ok {
+		if f, ok := mt.(*frozenMem); ok && !srds.pending() {
 			si.Reset(f.slice(start, end))
-			it.rts = append(it.rts, f.rts...)
 		} else {
-			buf := mt.AppendRange(start, end, it.memScratch[i][:0])
+			buf := srds.filter(mt.AppendRange(start, end, it.memScratch[i][:0]))
 			it.memScratch[i] = buf
 			si.Reset(buf)
-			it.rts = append(it.rts, mt.RangeTombstones()...)
 		}
+		it.rts = append(it.rts, mt.RangeTombstones()...)
 		it.inputs = append(it.inputs, si)
 	}
 
@@ -254,28 +260,24 @@ func (it *ScanIter) init(views []memView, v *version, start, end []byte, pin *ve
 	// (metadata only; a tombstone anchored outside the scanned point-key
 	// range can still cover keys inside it).
 	nRuns := 0
-	if v != nil {
-		for _, runs := range v.levels {
-			nRuns += len(runs)
-		}
+	for _, runs := range rh.v.levels {
+		nRuns += len(runs)
 	}
 	if cap(it.runIters) < nRuns {
 		it.runIters = make([]runIter, nRuns)
 	} else {
 		it.runIters = it.runIters[:nRuns]
 	}
-	if v != nil {
-		ri := 0
-		for _, runs := range v.levels {
-			for _, r := range runs {
-				for _, h := range r {
-					it.rts = append(it.rts, h.r.RangeTombstones...)
-				}
-				f := &it.runIters[ri]
-				ri++
-				f.init(r, start, end)
-				it.inputs = append(it.inputs, f)
+	ri := 0
+	for _, runs := range rh.v.levels {
+		for _, r := range runs {
+			for _, h := range r {
+				it.rts = append(it.rts, h.r.RangeTombstones...)
 			}
+			f := &it.runIters[ri]
+			ri++
+			f.init(r, start, end, srds)
+			it.inputs = append(it.inputs, f)
 		}
 	}
 
@@ -334,7 +336,7 @@ func (it *ScanIter) Close() error {
 	it.closed = true
 	err := it.merged.Error()
 	if it.pin != nil {
-		if uerr := it.pin.unref(); uerr != nil && err == nil {
+		if uerr := it.pin.release(); uerr != nil && err == nil {
 			err = uerr
 		}
 		it.pin = nil
@@ -344,9 +346,9 @@ func (it *ScanIter) Close() error {
 	return err
 }
 
-// recycle drops every reference the scan accumulated — pinned entries,
-// frames, views — keeping the allocated capacity, and returns the iterator
-// to the pool.
+// recycle drops every reference the scan accumulated — pinned entries and
+// frames — keeping the allocated capacity, and returns the iterator to the
+// pool.
 func (it *ScanIter) recycle() {
 	it.merged.Reset()
 	for i := range it.inputs {
@@ -370,10 +372,6 @@ func (it *ScanIter) recycle() {
 		}
 		it.memScratch[i] = sc[:0]
 	}
-	for i := range it.views {
-		it.views[i] = nil
-	}
-	it.views = it.views[:0]
 	it.start, it.end = nil, nil
 	scanIterPool.Put(it)
 }
@@ -396,13 +394,17 @@ type runIter struct {
 	cur  *sstable.Iter
 	err  error
 	done bool
+	// srds erases entries a secondary range delete removed after the
+	// snapshot the scan reads was taken (nil on live scans).
+	srds *srdRecord
 	// frame is the reusable sstable iterator backing cur.
 	frame sstable.Iter
 }
 
 // init points the iterator at a run, retaining the frame's buffer capacity.
-func (r *runIter) init(files run, start, end []byte) {
+func (r *runIter) init(files run, start, end []byte, srds *srdRecord) {
 	r.files = files
+	r.srds = srds
 	r.start, r.end = start, end
 	r.low = start
 	r.idx = 0
@@ -420,6 +422,7 @@ func (r *runIter) release() {
 	r.cur = nil
 	r.err = nil
 	r.done = false
+	r.srds = nil
 	r.frame.Reset(nil)
 }
 
@@ -473,6 +476,9 @@ func (r *runIter) Next() (base.Entry, bool) {
 			r.cur = nil
 			return base.Entry{}, false
 		}
+		if r.srds.erases(e) {
+			continue
+		}
 		return e, true
 	}
 	return base.Entry{}, false
@@ -501,23 +507,24 @@ func (r *runIter) Error() error { return r.err }
 // overlaps the range are read (§4.2.5 "Secondary Range Lookups"), instead of
 // scanning the whole tree. Candidates are verified against the primary read
 // path of the same pinned state, so only versions current as of the scan's
-// snapshot are returned. Like Get and Scan, it runs outside db.mu. The
-// result order is unspecified at this layer; the public API sorts it.
+// snapshot are returned. Like Get and Scan, it pins the cached read handle
+// and runs outside db.mu. The result order is unspecified at this layer; the
+// public API sorts it.
 func (db *DB) SecondaryRangeScan(lo, hi base.DeleteKey) ([]base.Entry, error) {
-	rs, err := db.acquireReadState()
+	rh, err := db.acquireReadHandle()
 	if err != nil {
 		return nil, err
 	}
-	defer rs.release()
-	return secondaryRangeScanViews(rs.memtables(), rs.v, lo, hi)
+	defer rh.release()
+	return rh.secondaryRangeScan(lo, hi)
 }
 
-// secondaryRangeScanViews is the scan core shared by the live path and
+// secondaryRangeScan is the scan core shared by the live path and
 // Snapshot.SecondaryRangeScan: collect candidates from the views and the
-// pinned version's delete fences, then verify each against the same state.
-func secondaryRangeScanViews(views []memView, v *version, lo, hi base.DeleteKey) ([]base.Entry, error) {
+// pinned version's delete fences, then verify each against the same handle.
+func (rh *readHandle) secondaryRangeScan(lo, hi base.DeleteKey) ([]base.Entry, error) {
 	var candidates []base.Entry
-	for _, mt := range views {
+	for _, mt := range rh.views {
 		mt.Iter(func(e base.Entry) bool {
 			if e.Key.Kind() == base.KindSet && e.DKey >= lo && e.DKey < hi {
 				candidates = append(candidates, e)
@@ -525,7 +532,7 @@ func secondaryRangeScanViews(views []memView, v *version, lo, hi base.DeleteKey)
 			return true
 		})
 	}
-	for _, runs := range v.levels {
+	for _, runs := range rh.v.levels {
 		for _, r := range runs {
 			for _, h := range r {
 				if m := h.r.Live(); m.MaxD < lo || m.MinD >= hi {
@@ -550,7 +557,7 @@ func secondaryRangeScanViews(views []memView, v *version, lo, hi base.DeleteKey)
 			continue
 		}
 		seen[k] = true
-		e, ok, err := getEntry(views, v, c.Key.UserKey)
+		e, ok, err := rh.get(c.Key.UserKey)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"lethe/internal/base"
+	"lethe/internal/memtable"
 )
 
 // ErrSnapshotReleased is returned by reads on a released Snapshot.
@@ -69,9 +70,8 @@ func (f *frozenMem) Iter(fn func(base.Entry) bool) {
 	}
 }
 
-// AppendRange implements memView. (Scan construction prefers slice, which
-// shares the frozen entries without copying; this exists for interface
-// completeness and for callers that need their own buffer.)
+// AppendRange implements memView. Scan construction prefers slice, which
+// shares the frozen entries, unless it must filter them.
 func (f *frozenMem) AppendRange(start, end []byte, buf []base.Entry) []base.Entry {
 	return append(buf, f.slice(start, end)...)
 }
@@ -101,9 +101,55 @@ func (f *frozenMem) slice(start, end []byte) []base.Entry {
 	return f.entries[lo:hi]
 }
 
-// Snapshot is a pinned point-in-time view of the engine: the mutable
-// buffer's contents frozen by copy, the sealed flush-queue buffers (already
-// immutable), and the current version with a reference held so no file it
+// srdRecord is one secondary range delete in the engine's delete log, a
+// linked list appended under db.mu and read without a lock. A delete filters
+// in place only what the engine still holds; a snapshot may read a frozen
+// buffer copy, a flushed buffer or a compacted-away file. So a snapshot
+// keeps the log tail of its creation and erases from all it reads what each
+// later record removed: the values with a delete key in [lo, hi) and a
+// sequence number at or below seq, the last one admitted at the delete.
+type srdRecord struct {
+	lo, hi base.DeleteKey
+	seq    base.SeqNum
+	next   atomic.Pointer[srdRecord]
+}
+
+// erases reports whether a delete logged after r removed e. A nil r (the
+// live read handle) erases nothing.
+func (r *srdRecord) erases(e base.Entry) bool {
+	if r == nil || e.Key.Kind() != base.KindSet {
+		return false
+	}
+	for d := r.next.Load(); d != nil; d = d.next.Load() {
+		if e.DKey >= d.lo && e.DKey < d.hi && e.Key.SeqNum() <= d.seq {
+			return true
+		}
+	}
+	return false
+}
+
+// pending reports whether any delete was logged after r.
+func (r *srdRecord) pending() bool { return r != nil && r.next.Load() != nil }
+
+// filter removes, in place, the entries of buf a delete logged after r
+// erased, clearing the freed tail so it pins nothing.
+func (r *srdRecord) filter(buf []base.Entry) []base.Entry {
+	if !r.pending() {
+		return buf
+	}
+	kept := buf[:0]
+	for _, e := range buf {
+		if !r.erases(e) {
+			kept = append(kept, e)
+		}
+	}
+	clear(buf[len(kept):])
+	return kept
+}
+
+// Snapshot is a pinned point-in-time view of the engine: a read handle of
+// its own whose head view is the mutable buffer's contents frozen by copy,
+// then the sealed flush-queue buffers, over a pinned version, so no file it
 // names is deleted while the snapshot lives. Get, Scan, NewScanIter, and
 // SecondaryRangeScan on the snapshot observe exactly this state — later
 // writes, flushes, and compactions are invisible — until Release drops the
@@ -115,12 +161,10 @@ func (f *frozenMem) slice(start, end []byte) []base.Entry {
 // Two caveats, both documented on the operations themselves: a snapshot
 // taken mid-commit-group may see a batch the group has not fully published
 // yet (the same property every read path here has), and
-// SecondaryRangeDelete is a physical delete — it filters sealed buffers and
-// drops sstable pages (the files' drops, which every reader of a file
-// shares), so entries it removes disappear from existing snapshots too.
+// SecondaryRangeDelete is a physical delete, so entries it removes
+// disappear from existing snapshots too, on every tier (srdRecord).
 type Snapshot struct {
-	views []memView
-	v     *version
+	rh *readHandle
 	// start/end record the bounds a NewScanSnapshot froze; reads outside
 	// them are rejected. Both nil for a full NewSnapshot.
 	start, end []byte
@@ -141,23 +185,27 @@ func (db *DB) NewScanSnapshot(start, end []byte) (*Snapshot, error) {
 }
 
 func (db *DB) newSnapshot(start, end []byte) (*Snapshot, error) {
-	rs, err := db.acquireReadState()
+	// Read the log tail before freezing the buffer: a delete landing in
+	// between is then applied twice, harmlessly (its sequence bound spares
+	// later writes), rather than missed.
+	srds := db.srdLog.Load()
+	live, err := db.acquireReadHandle()
 	if err != nil {
 		return nil, err
 	}
-	mts := rs.memtables()
-	views := make([]memView, len(mts))
+	defer live.release()
+	rh := &readHandle{views: make([]memView, len(live.views)), v: live.v.ref(), srds: srds}
+	rh.refs.Store(1)
 	// The head view is the mutable buffer — the only one still receiving
 	// writes; freeze its entries and range tombstones atomically (one lock
 	// acquisition, so a concurrent range-delete-then-put can't tear the
 	// view). The sealed flush-queue buffers behind it are immutable and
-	// are referenced directly.
-	entries, rts := rs.mem.Capture(start, end)
-	views[0] = &frozenMem{entries: entries, rts: rts}
-	copy(views[1:], mts[1:])
+	// are shared.
+	entries, rts := live.views[0].(*memtable.Memtable).Capture(start, end)
+	rh.views[0] = &frozenMem{entries: entries, rts: rts}
+	copy(rh.views[1:], live.views[1:])
 	return &Snapshot{
-		views: views,
-		v:     rs.v, // transfer the readState's version reference
+		rh:    rh,
 		start: append([]byte(nil), start...),
 		end:   append([]byte(nil), end...),
 	}, nil
@@ -200,14 +248,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, base.DeleteKey, error) {
 	if err := s.checkKeyBounds(key); err != nil {
 		return nil, 0, err
 	}
-	e, ok, err := getEntry(s.views, s.v, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !ok || e.Key.Kind() != base.KindSet {
-		return nil, 0, ErrNotFound
-	}
-	return append([]byte(nil), e.Value...), e.DKey, nil
+	return userValue(s.rh.get(key))
 }
 
 // NewScanIter opens a streaming scan over [start, end) of the snapshot. The
@@ -223,9 +264,9 @@ func (s *Snapshot) NewScanIter(start, end []byte) (*ScanIter, error) {
 	if err := s.checkBounds(start, end); err != nil {
 		return nil, err
 	}
-	v := s.v.ref()
+	s.rh.refs.Add(1)
 	it := scanIterPool.Get().(*ScanIter)
-	it.init(s.views, v, start, end, v)
+	it.init(s.rh, start, end)
 	return it, nil
 }
 
@@ -236,18 +277,7 @@ func (s *Snapshot) Scan(start, end []byte, fn func(key []byte, dkey base.DeleteK
 	if err != nil {
 		return err
 	}
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		if !fn(e.Key.UserKey, e.DKey, e.Value) {
-			break
-		}
-	}
-	// Exactly one Close: ScanIters are pooled, and closing a recycled
-	// iterator would tear down whatever scan reused it.
-	return it.Close()
+	return it.each(fn)
 }
 
 // SecondaryRangeScan returns the snapshot's live entries whose delete key
@@ -260,7 +290,7 @@ func (s *Snapshot) SecondaryRangeScan(lo, hi base.DeleteKey) ([]base.Entry, erro
 	if len(s.start) > 0 || len(s.end) > 0 {
 		return nil, ErrSnapshotOutOfBounds // bounded snapshots serve their scan range only
 	}
-	return secondaryRangeScanViews(s.views, s.v, lo, hi)
+	return s.rh.secondaryRangeScan(lo, hi)
 }
 
 // Release drops the snapshot's pin, letting obsolete files it was holding
@@ -270,5 +300,5 @@ func (s *Snapshot) Release() error {
 	if s.released.Swap(true) {
 		return nil
 	}
-	return s.v.unref()
+	return s.rh.release()
 }

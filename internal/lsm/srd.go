@@ -46,9 +46,10 @@ type SRDStats struct {
 // its inputs before it, so the range is handed to the job, whose install
 // applies it to its outputs (all of which predate the delete). Reads are not
 // blocked: each file's drops are an immutable generation swapped atomically,
-// so a lookup sees a file before or after the delete, never torn; iterators
-// and snapshots pinned across the delete see it from their next tile on, as
-// they would any physical removal.
+// so a lookup sees a file before or after the delete, never torn. Snapshots
+// pinned across the delete see it on every read issued after it returns
+// (the delete log, snapshot.go); iterators see it from their next tile on,
+// except for the buffered entries they copied when they opened.
 //
 // Semantics: the deletion is physical, matching the paper's design. It
 // removes every stored version whose D qualifies; it does not write
@@ -91,6 +92,11 @@ func (db *DB) SecondaryRangeDelete(lo, hi base.DeleteKey) (SRDStats, error) {
 	for _, fl := range db.imm {
 		agg.EntriesDropped += fl.mem.DeleteSecondaryRange(lo, hi)
 	}
+	// Snapshots read buffer copies and retired buffers and files that the
+	// filtering here cannot reach; the log tells them what to erase.
+	rec := &srdRecord{lo: lo, hi: hi, seq: db.admittedSeq}
+	db.srdLog.Load().next.Store(rec)
+	db.srdLog.Store(rec)
 	for job := range db.running {
 		job.srds = append(job.srds, sstable.Interval{Lo: lo, Hi: hi})
 	}

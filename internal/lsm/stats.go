@@ -349,25 +349,20 @@ func (db *DB) SpaceAmp() (float64, error) {
 // — so a sharded database can sum them across shards before forming the
 // ratio (ratios of per-shard ratios would weight small shards incorrectly).
 func (db *DB) SpaceAmpParts() (totalBytes, uniqueBytes int64, err error) {
-	rs, err := db.acquireReadState()
+	rh, err := db.acquireReadHandle()
 	if err != nil {
 		return 0, 0, err
 	}
-	defer rs.release()
+	defer rh.release()
 
 	var iters []compaction.Iterator
 	var rts []base.RangeTombstone
-	for _, mt := range rs.memtables() {
-		var memEntries []base.Entry
-		mt.Iter(func(e base.Entry) bool {
-			memEntries = append(memEntries, e)
-			totalBytes += int64(e.Size())
-			return true
-		})
-		iters = append(iters, compaction.NewSliceIter(memEntries))
+	for _, mt := range rh.views {
+		mem := compaction.NewSliceIter(mt.AppendRange(nil, nil, nil))
+		iters = append(iters, &countingIter{it: mem, total: &totalBytes})
 		rts = append(rts, mt.RangeTombstones()...)
 	}
-	for _, runs := range rs.v.levels {
+	for _, runs := range rh.v.levels {
 		for _, r := range runs {
 			for _, h := range r {
 				it := h.r.NewIter()

@@ -32,15 +32,15 @@ type VerifyResult struct {
 // returned error joins one entry per corrupt file. Reads proceed concurrently
 // — verification takes no engine-wide lock.
 func (db *DB) VerifyTables() (VerifyResult, error) {
-	rs, err := db.acquireReadState()
+	rh, err := db.acquireReadHandle()
 	if err != nil {
 		return VerifyResult{}, err
 	}
-	defer rs.release()
+	defer rh.release()
 
 	var vr VerifyResult
 	var errs []error
-	for _, runs := range rs.v.levels {
+	for _, runs := range rh.v.levels {
 		for _, r := range runs {
 			for _, h := range r {
 				vr.Files++

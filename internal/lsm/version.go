@@ -61,10 +61,9 @@ func (h *fileHandle) unref() error {
 type run []*fileHandle
 
 // version is an immutable snapshot of the tree's disk structure: the runs of
-// every level plus the file handles backing them. Readers acquire the
-// current version under a brief db.mu critical section and then serve
-// lookups and scans entirely outside the lock; flushes and compactions
-// install new versions atomically.
+// every level plus the file handles backing them. Readers pin the current
+// version through a readHandle and then serve lookups and scans entirely
+// outside db.mu; flushes and compactions install new versions atomically.
 type version struct {
 	// levels[l] holds the runs of disk level l+1 (paper numbering), newest
 	// run first.
@@ -150,8 +149,8 @@ func (v *version) withoutFiles(drop map[uint64]bool) [][]run {
 // installVersionLocked makes v the current version, transferring handle
 // references: every handle in v is referenced, then the previous version is
 // released (so handles present in both keep a stable count). The cached
-// point-lookup read handle is retired — it pins the outgoing version — and
-// is rebuilt lazily by the next Get. Callers hold db.mu.
+// read handle is retired — it pins the outgoing version — and is rebuilt
+// lazily by the next read. Callers hold db.mu.
 func (db *DB) installVersionLocked(v *version) {
 	v.refs.Store(1)
 	v.forEach(func(h *fileHandle) { h.ref() })
@@ -165,34 +164,40 @@ func (db *DB) installVersionLocked(v *version) {
 	}
 }
 
-// readHandle is the cached lookup stack point Gets ride: the memory views in
-// probe order plus the pinned version, built once per read-state transition
-// instead of once per Get. The DB holds one reference for as long as the
-// handle is current; each in-flight Get holds one more, so a handle retired
-// mid-lookup stays valid until the lookup finishes.
+// readHandle is the one read pin: the memory views in probe order (mutable
+// buffer first, then sealed buffers newest first) plus a pinned version.
+// Every DB read references the cached handle (acquireReadHandle), built once
+// per read-state transition (buffer seal, version install); a Snapshot owns
+// one whose head view is a frozen buffer copy. The DB holds one reference
+// while the handle is current and each reader one more, so a retired handle
+// stays valid until its last read finishes. views is shared: never modified.
 type readHandle struct {
 	views []memView
 	v     *version
-	refs  atomic.Int32
+	// srds is a Snapshot's delete-log position (snapshot.go); nil on the
+	// cached handle, whose buffers and files deletes filter in place.
+	srds *srdRecord
+	refs atomic.Int32
 }
 
 // release drops one reference, unpinning the version when the count drains.
-func (rh *readHandle) release() {
+// The error is the version's unref error: an obsolete file that failed to
+// close or unlink.
+func (rh *readHandle) release() error {
 	n := rh.refs.Add(-1)
 	if n > 0 {
-		return
+		return nil
 	}
 	if n < 0 {
 		panic("lsm: readHandle refcount underflow")
 	}
-	_ = rh.v.unref()
+	return rh.v.unref()
 }
 
 // acquireReadHandle returns the cached read handle with a reference held,
 // building it under db.mu if no current one exists. The caller must release
-// it. Unlike acquireReadState, the steady state allocates nothing: every Get
-// between two read-state transitions (buffer seal, version install) shares
-// one handle.
+// it. The steady state allocates nothing: every read between two read-state
+// transitions shares one handle.
 func (db *DB) acquireReadHandle() (*readHandle, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -214,71 +219,13 @@ func (db *DB) acquireReadHandle() (*readHandle, error) {
 }
 
 // invalidateReadHandleLocked retires the cached read handle after a
-// read-state transition, dropping the DB's reference. In-flight Gets keep
-// theirs; the next Get rebuilds. Callers hold db.mu.
+// read-state transition, dropping the DB's reference. In-flight reads keep
+// theirs; the next read rebuilds. Callers hold db.mu.
 func (db *DB) invalidateReadHandleLocked() {
 	if rh := db.rh; rh != nil {
 		db.rh = nil
-		rh.release()
+		_ = rh.release()
 	}
-}
-
-// acquireReadViews appends the memory views in probe order (mutable buffer
-// first, then sealed buffers newest first) to buf and pins the current
-// version — the scan path's read-state capture, reusing the caller's scratch
-// so steady-state scans allocate nothing here.
-func (db *DB) acquireReadViews(buf []memView) ([]memView, *version, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, nil, ErrClosed
-	}
-	buf = append(buf[:0], db.mem)
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		buf = append(buf, db.imm[i].mem)
-	}
-	return buf, db.current.ref(), nil
-}
-
-// readState is a consistent snapshot of everything a read needs: the
-// mutable buffer, the immutable flush queue (oldest first), and the current
-// version with a reference held. Reads run entirely outside db.mu.
-type readState struct {
-	mem *memtable.Memtable
-	imm []*flushable
-	v   *version
-}
-
-// memtables returns the buffer plus queued immutable tables, newest first —
-// the order lookups must probe them in. The views are live: the mutable
-// buffer keeps moving under them. Snapshots freeze the head view instead
-// (snapshot.go).
-func (rs readState) memtables() []memView {
-	out := make([]memView, 0, len(rs.imm)+1)
-	out = append(out, rs.mem)
-	for i := len(rs.imm) - 1; i >= 0; i-- {
-		out = append(out, rs.imm[i].mem)
-	}
-	return out
-}
-
-func (rs readState) release() {
-	_ = rs.v.unref()
-}
-
-// acquireReadState snapshots the read view under a brief db.mu critical
-// section.
-func (db *DB) acquireReadState() (readState, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return readState{}, ErrClosed
-	}
-	return readState{
-		mem: db.mem,
-		imm: append([]*flushable(nil), db.imm...),
-		v:   db.current.ref(),
-	}, nil
 }
 
 // flushable is one sealed memtable waiting for a background flush, paired

@@ -85,27 +85,6 @@ func (db *DB) writableLocked() error {
 	return db.bgErr
 }
 
-// mayContain reports whether any of the given components may hold key: a
-// buffer, or any file of v whose tile filters answer positive — the
-// blind-delete probe.
-func mayContain(mems []memView, v *version, key []byte) bool {
-	for _, mt := range mems {
-		if _, ok := mt.Get(key); ok {
-			return true
-		}
-	}
-	for _, runs := range v.levels {
-		for _, r := range runs {
-			for _, h := range r {
-				if handleCoversKey(h, key) && h.r.MayContainKey(key) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 func handleCoversKey(h *fileHandle, key []byte) bool {
 	m := h.meta
 	if len(m.MinS) == 0 && len(m.MaxS) == 0 {
@@ -125,17 +104,33 @@ func (db *DB) writeErr() error {
 	return db.bgErr
 }
 
-// mayContainPinned runs the blind-delete probe over a pinned read state,
-// outside db.mu, so the probe never serializes against the commit pipeline.
-// A probe racing a concurrent insert of the same key may insert a redundant
-// tombstone (safe) — the suppression is an optimization, not a guarantee.
+// mayContainPinned is the blind-delete probe: it reports whether a buffer,
+// or any file whose tile filters answer positive, may hold key. It runs on
+// the cached read handle, outside db.mu, so the probe never serializes
+// against the commit pipeline. A probe racing a concurrent insert of the
+// same key may insert a redundant tombstone (safe) — the suppression is an
+// optimization, not a guarantee.
 func (db *DB) mayContainPinned(key []byte) bool {
-	rs, err := db.acquireReadState()
+	rh, err := db.acquireReadHandle()
 	if err != nil {
 		return true // fail open: keep the tombstone
 	}
-	defer rs.release()
-	return mayContain(rs.memtables(), rs.v, key)
+	defer rh.release()
+	for _, mt := range rh.views {
+		if _, ok := mt.Get(key); ok {
+			return true
+		}
+	}
+	for _, runs := range rh.v.levels {
+		for _, r := range runs {
+			for _, h := range r {
+				if handleCoversKey(h, key) && h.r.MayContainKey(key) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // maybeRotateBufferLocked turns over a full buffer — where the commit path

@@ -29,7 +29,7 @@ func flipByte(t *testing.T, fs *vfs.MemFS, name string, off int64) {
 	}
 }
 
-func tryReopen(t *testing.T, fs *vfs.MemFS) (*Reader, error) {
+func tryReopen(t testing.TB, fs *vfs.MemFS) (*Reader, error) {
 	t.Helper()
 	f, err := fs.Open("000001.sst")
 	if err != nil {
@@ -235,5 +235,102 @@ func TestFooterOffsetsBounded(t *testing.T) {
 		if _, err := r.VerifyIntegrity(); !errors.Is(err, ErrCorruption) {
 			t.Fatalf("metaLen=%d: VerifyIntegrity err=%v, want ErrCorruption", metaLen, err)
 		}
+	}
+}
+
+// fileParts builds a file of entries and returns its data region and its
+// meta block.
+func fileParts(t testing.TB, entries []base.Entry) (data, metaBlock []byte) {
+	t.Helper()
+	r, fs := buildFile(t, testOpts(4), entries, nil)
+	defer r.Close()
+	f, err := fs.Open("000001.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, r.Meta.Size)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf[:r.Meta.DataEnd], buf[r.Meta.DataEnd : r.Meta.Size-FooterSizeV2]
+}
+
+// withMetaBlock writes data followed by metaBlock and a footer computed for
+// it, checksum included, so whatever metaBlock holds reaches the decoder.
+func withMetaBlock(t testing.TB, data, metaBlock []byte) *vfs.MemFS {
+	t.Helper()
+	fs := vfs.NewMem()
+	f, err := fs.Create("000001.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := append(append([]byte(nil), data...), metaBlock...)
+	if _, err := f.Write(appendFooter(file, int64(len(data)), metaBlock)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestPageDescriptorsBounded: a meta block whose checksum and footer are
+// intact but whose page descriptors could not describe a block of the file
+// — a span outside the data region or shorter than its checksum, counts or
+// key bytes negative or beyond what the block can hold — is refused at open
+// with ErrCorruption, before any read sizes a buffer from it.
+func TestPageDescriptorsBounded(t *testing.T) {
+	entries := seqEntries(200, func(i int) base.DeleteKey { return base.DeleteKey(i) })
+	data, metaBlock := fileParts(t, entries)
+	dataEnd := int64(len(data))
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *PageMeta)
+	}{
+		{"bytes 1<<40", func(p *PageMeta) { p.Bytes = 1 << 40 }},
+		{"bytes negative", func(p *PageMeta) { p.Bytes = -5 }},
+		{"bytes below checksum", func(p *PageMeta) { p.Bytes = crcSize - 1 }},
+		{"block past data end", func(p *PageMeta) { p.Offset = dataEnd - int64(p.Bytes) + 1 }},
+		{"offset negative", func(p *PageMeta) { p.Offset = -1 }},
+		{"offset 1<<62", func(p *PageMeta) { p.Offset = 1 << 62 }},
+		{"key bytes negative", func(p *PageMeta) { p.KeyBytes = -1 }},
+		{"key bytes beyond block", func(p *PageMeta) { p.KeyBytes = p.Count*p.Bytes + 1 }},
+		{"count negative", func(p *PageMeta) { p.Count = -1 }},
+		{"count beyond block", func(p *PageMeta) { p.Count = p.Bytes + 1 }},
+		{"value count negative", func(p *PageMeta) { p.ValueCount = -1 }},
+		{"value count beyond count", func(p *PageMeta) { p.ValueCount = p.Count + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			meta, tiles, rts, err := decodeMetaBlock(metaBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := &tiles[len(tiles)-1]
+			tc.mutate(&last.Pages[len(last.Pages)-1])
+			r, err := tryReopen(t, withMetaBlock(t, data, encodeMetaBlock(meta, tiles, rts)))
+			if err == nil {
+				r.Close()
+				t.Fatal("file with an impossible page descriptor opened")
+			}
+			if !errors.Is(err, ErrCorruption) {
+				t.Fatalf("open: err=%v, want ErrCorruption", err)
+			}
+		})
+	}
+
+	// The control: the same round trip without a mutation opens and reads.
+	meta, tiles, rts, err := decodeMetaBlock(metaBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := tryReopen(t, withMetaBlock(t, data, encodeMetaBlock(meta, tiles, rts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	last := entries[len(entries)-1]
+	if e, ok, err := r.Get(last.Key.UserKey); err != nil || !ok || !bytes.Equal(e.Value, last.Value) {
+		t.Fatalf("control Get: ok=%v err=%v", ok, err)
 	}
 }

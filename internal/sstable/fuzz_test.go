@@ -110,3 +110,41 @@ func fuzzEntries(data []byte) []base.Entry {
 	}
 	return entries
 }
+
+// FuzzOpenReader mutates the meta block of a valid file and recomputes its
+// checksum and footer, so every mutation reaches the meta decoder and the
+// checks behind it. Opening must fail with ErrCorruption or succeed; a file
+// that opens must serve Get, a full iteration and VerifyIntegrity with a nil
+// error or an ErrCorruption — never a panic or an unbounded allocation.
+func FuzzOpenReader(f *testing.F) {
+	entries := seqEntries(60, func(i int) base.DeleteKey { return base.DeleteKey(i) })
+	data, metaBlock := fileParts(f, entries)
+	f.Add(metaBlock)
+	f.Fuzz(func(t *testing.T, metaBlock []byte) {
+		r, err := tryReopen(t, withMetaBlock(t, data, metaBlock))
+		if err != nil {
+			if !errors.Is(err, ErrCorruption) {
+				t.Fatalf("open: %v", err)
+			}
+			return
+		}
+		defer r.Close()
+		for i := 0; i < len(entries); i += 7 {
+			if _, _, err := r.Get(entries[i].Key.UserKey); err != nil && !errors.Is(err, ErrCorruption) {
+				t.Fatalf("Get: %v", err)
+			}
+		}
+		it := r.NewIter()
+		for n := 0; n <= len(entries); n++ {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+		}
+		if err := it.Error(); err != nil && !errors.Is(err, ErrCorruption) {
+			t.Fatalf("Iter: %v", err)
+		}
+		if _, err := r.VerifyIntegrity(); err != nil && !errors.Is(err, ErrCorruption) {
+			t.Fatalf("VerifyIntegrity: %v", err)
+		}
+	})
+}

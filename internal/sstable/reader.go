@@ -126,12 +126,38 @@ func readMeta(f vfs.File) (*Meta, []TileMeta, []base.RangeTombstone, error) {
 		if tiles[i].FirstPage != pages {
 			return fail(fmt.Errorf("sstable: tile %d starts at page %d, not %d: %w", i, tiles[i].FirstPage, pages, ErrCorruption))
 		}
+		for j := range tiles[i].Pages {
+			if err := tiles[i].Pages[j].check(meta.DataEnd); err != nil {
+				return fail(fmt.Errorf("sstable: page %d: %w", pages+j, err))
+			}
+		}
 		pages += len(tiles[i].Pages)
 	}
 	if pages != meta.NumPages {
 		return fail(fmt.Errorf("sstable: tiles hold %d pages, meta says %d: %w", pages, meta.NumPages, ErrCorruption))
 	}
 	return meta, tiles, rts, nil
+}
+
+// check bounds a page descriptor by the data region it indexes: reads size
+// their buffers from it, so a corrupt descriptor must fail the open rather
+// than an allocation. A page an older build dropped in place is never read.
+func (p *PageMeta) check(dataEnd int64) error {
+	if p.Dropped {
+		return nil
+	}
+	if p.Offset < 0 || p.Bytes < crcSize || int64(p.Bytes) > dataEnd-p.Offset {
+		return fmt.Errorf("block [%d, +%d) outside the data region [0, %d): %w",
+			p.Offset, p.Bytes, dataEnd, ErrCorruption)
+	}
+	// Every entry takes at least one byte of the block, and every key is at
+	// most the block long.
+	if p.Count < 0 || p.Count > p.Bytes || p.ValueCount < 0 || p.ValueCount > p.Count ||
+		p.KeyBytes < 0 || int64(p.KeyBytes) > int64(p.Count)*int64(p.Bytes) {
+		return fmt.Errorf("counts %d/%d/%d impossible in a %d-byte block: %w",
+			p.Count, p.ValueCount, p.KeyBytes, p.Bytes, ErrCorruption)
+	}
+	return nil
 }
 
 // Close releases the underlying file handle.

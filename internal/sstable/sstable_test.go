@@ -28,7 +28,7 @@ func testOpts(h int) WriterOptions {
 
 // buildFile writes entries (must be S-sorted) into a fresh MemFS file and
 // returns a reader over it.
-func buildFile(t *testing.T, opts WriterOptions, entries []base.Entry, rts []base.RangeTombstone) (*Reader, *vfs.MemFS) {
+func buildFile(t testing.TB, opts WriterOptions, entries []base.Entry, rts []base.RangeTombstone) (*Reader, *vfs.MemFS) {
 	t.Helper()
 	fs := vfs.NewMem()
 	f, err := fs.Create("000001.sst")

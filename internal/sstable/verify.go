@@ -41,9 +41,9 @@ func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
 	}
 
 	// Index ordering: tiles disjoint and ascending on S, block fences inside
-	// their tile, offsets inside the data region. (Block offsets need not be
-	// monotone — an older build relocated rewritten blocks — but must stay in
-	// bounds.)
+	// their tile. (readMeta has bounded every block inside the data region;
+	// offsets need not be monotone — an older build relocated rewritten
+	// blocks.)
 	for ti := range tiles {
 		t := &tiles[ti]
 		if base.CompareUserKeys(t.MinS, t.MaxS) > 0 {
@@ -62,10 +62,6 @@ func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
 			}
 			if base.CompareUserKeys(pm.MinS, t.MinS) < 0 || base.CompareUserKeys(pm.MaxS, t.MaxS) > 0 {
 				return vs, fmt.Errorf("sstable: verify: block %d.%d fences escape tile: %w", ti, pi, ErrCorruption)
-			}
-			if pm.Offset < 0 || pm.Offset+int64(pm.Bytes) > meta.DataEnd {
-				return vs, fmt.Errorf("sstable: verify: block %d.%d spans [%d,%d) outside data region [0,%d): %w",
-					ti, pi, pm.Offset, pm.Offset+int64(pm.Bytes), meta.DataEnd, ErrCorruption)
 			}
 
 			sealed := make([]byte, pm.Bytes)

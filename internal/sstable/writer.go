@@ -355,19 +355,22 @@ func appendFooter(dst []byte, metaOff int64, metaBlock []byte) []byte {
 // sealPage prefixes a page payload with its CRC32-Castagnoli checksum, so
 // readers detect torn or corrupted pages.
 func sealPage(payload []byte) []byte {
-	out := make([]byte, 4+len(payload))
+	out := make([]byte, crcSize+len(payload))
 	binary.LittleEndian.PutUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	copy(out[4:], payload)
+	copy(out[crcSize:], payload)
 	return out
 }
 
+// crcSize is the length of a sealed page's checksum prefix.
+const crcSize = 4
+
 // openPage verifies and strips a sealed page's checksum.
 func openPage(page []byte) ([]byte, error) {
-	if len(page) < 4 {
+	if len(page) < crcSize {
 		return nil, fmt.Errorf("sstable: page too short: %w", base.ErrCorrupt)
 	}
 	want := binary.LittleEndian.Uint32(page)
-	payload := page[4:]
+	payload := page[crcSize:]
 	if crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)) != want {
 		return nil, fmt.Errorf("sstable: page checksum mismatch: %w", base.ErrCorrupt)
 	}

@@ -724,8 +724,10 @@ func (db *DB) RangeDelete(start, end []byte) error {
 // it dropped and the delete-key interval it excluded per touched file; both
 // precede the return. Background flushes and compactions are not paused: a
 // job in flight when the delete lands applies it to the files it writes.
-// Iterators and snapshots opened earlier see the delete too, from their
-// next page read on.
+// Snapshots opened earlier see the delete too, on every read issued after
+// it returns, whichever tier the entry sat on; iterators opened earlier see
+// it from their next page read on, except for the buffered entries they
+// copied when they opened.
 //
 // Partial application: the delete key is orthogonal to the sort-key
 // partitioning, so the delete fans out to every shard, in shard order, and

@@ -24,11 +24,10 @@ import (
 // pins on disk.
 //
 // One caveat carried over from the engine's delete design:
-// SecondaryRangeDelete is physical (it filters sealed buffers and drops
-// sstable pages, per the paper), so entries it removes from those
-// disappear from existing snapshots too. Only entries still in the mutable
-// buffer at snapshot time are immune — the snapshot holds a frozen copy of
-// that buffer, which the delete cannot reach.
+// SecondaryRangeDelete is physical (it filters buffers and drops sstable
+// pages, per the paper), so entries it removes disappear from existing
+// snapshots too — on every tier, the snapshot's frozen copy of the mutable
+// buffer included — for every read issued after the delete returns.
 //
 // A Snapshot is safe for concurrent reads; Release must not race other
 // method calls.
