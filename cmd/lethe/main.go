@@ -207,7 +207,8 @@ func main() {
 }
 
 // runReshard executes "reshard split <shard> [boundary]" or
-// "reshard merge <shard>" and prints the resulting layout.
+// "reshard merge <shard>" and prints the resulting layout and the work this
+// operation did.
 func runReshard(db *lethe.DB, args []string) error {
 	usage := fmt.Errorf("usage: reshard split <shard> [boundary] | reshard merge <shard>")
 	if len(args) < 2 {
@@ -217,6 +218,9 @@ func runReshard(db *lethe.DB, args []string) error {
 	if err != nil {
 		return fmt.Errorf("shard %q: %w", args[1], err)
 	}
+	// ReshardStats counts since Open; sample around the operation so a shell
+	// session's second reshard reports only its own work.
+	before := db.ReshardStats()
 	switch args[0] {
 	case "split":
 		var boundary []byte
@@ -235,8 +239,9 @@ func runReshard(db *lethe.DB, args []string) error {
 	}
 	rs := db.ReshardStats()
 	fmt.Printf("layout: %d shards at epoch %d (handed off %d files, rewrote %d straddlers / %dB, %d manifest ops)\n",
-		db.ShardCount(), rs.Epoch, rs.FilesHandedOff, rs.StraddlerRewrites,
-		rs.StraddlerRewriteBytes, rs.ManifestOps)
+		db.ShardCount(), rs.Epoch, rs.FilesHandedOff-before.FilesHandedOff,
+		rs.StraddlerRewrites-before.StraddlerRewrites,
+		rs.StraddlerRewriteBytes-before.StraddlerRewriteBytes, rs.ManifestOps-before.ManifestOps)
 	return nil
 }
 

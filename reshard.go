@@ -2,16 +2,20 @@
 // design (see shard.go for the persistent layout and lethe.go for the
 // routing table the operations swap).
 //
-// A split hands a frozen shard's sstables off at file granularity: the cut
-// is chosen at an existing delete-tile boundary (or supplied by the caller),
-// files that lie entirely on one side are renamed into the child's
-// directory untouched, and only files straddling the cut are rewritten —
-// one bounded clip per side. A merge is the inverse, folding two adjacent
-// shards' trees into one directory; files whose range tombstones cross the
-// old boundary, or whose numbers collide between the two donors (an
-// sstable's footer number is its identity within an instance, so a merged
-// tree cannot hold two files with one number), are re-clipped, everything
-// else is renamed.
+// One plan, one executor. A plan names contiguous donor shards and the
+// children replacing them — a split cuts one donor in two, a merge removes
+// the boundary between two — and SplitShard and MergeShards only validate
+// their arguments and build one for reshard to run. The plan's fences (new
+// cuts plus removed boundaries) divide the donors' key span into clip
+// windows, each owned by one donor and landing in one child. A donor file
+// whose content (entries and range tombstone spans) lies in one window its
+// donor owns moves into that window's child by rename, unless its number
+// collides with a file the child already kept (a footer number is an
+// sstable's identity within an instance). Every other file is rewritten,
+// clipped once per owned window it touches: a split's straddler is cut in
+// two, and a merge clips range tombstones crossing the removed boundary to
+// their donor's side, so a delete from one donor cannot outrank the other
+// donor's newer entries (donors number sequences independently).
 //
 // Durability follows a write-ahead intent protocol. The RESHARD record
 // (shard.go) is written before the first cross-directory effect and lists
@@ -19,22 +23,24 @@
 // rename is the commit point. Order of operations:
 //
 //	freeze writes -> drain -> flush -> pause maintenance -> export handoff
-//	-> write RESHARD intent -> clip straddlers into child dirs
+//	-> plan moves and clips -> write RESHARD intent -> clip into child dirs
 //	-> commit child MANIFESTs (creates the child dirs) -> rename files
 //	-> open children (maintenance held) -> commit SHARDS   <- commit point
-//	-> swap routing table -> resume children -> retire donors
+//	-> swap routing table -> resume children -> close donors
 //	-> delete donor dirs -> delete intent
 //
-// A crash before the SHARDS commit rolls back at the next Open (renames
-// reversed, child output deleted); a crash after rolls forward (donor
-// leftovers deleted). Reads are served throughout — only writes to the
-// shard being reshaped wait, and only for the duration of the protocol.
+// A failure before the SHARDS commit rolls back (renames reversed, child
+// output deleted) and the cleanup after it rolls forward (donor leftovers
+// deleted) through the undo and redo that crash recovery runs at Open.
+// Reads are served throughout — only writes to the shards being reshaped
+// wait, and only for the duration of the protocol.
 package lethe
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"lethe/internal/base"
 	"lethe/internal/compaction"
@@ -99,7 +105,7 @@ func errSyncReshard() error {
 	return fmt.Errorf("%w: resharding requires background maintenance (synchronous mode keeps its layout)", ErrShardLayout)
 }
 
-// rewriteJob is one planned straddler clip: copy the live content of srcNum
+// rewriteJob is one planned clip: copy the live content of srcNum
 // restricted to [lo, hi) into dstPrefix under a fresh file number.
 type rewriteJob struct {
 	src       *lsm.DB
@@ -164,18 +170,15 @@ func materializeLevels(slots [][][]fileSlot) *manifest.State {
 	return st
 }
 
-// reshardTxn tracks a reshard's applied effects so a failure before the
-// SHARDS commit can undo exactly what happened. The on-disk RESHARD intent
-// is the crash-safe twin of this struct; rollback here is the fast path for
-// in-process failures.
+// reshardTxn tracks the children a reshard opened, so a failure before the
+// SHARDS commit can close them before undoing the on-disk effects.
 type reshardTxn struct {
-	db        *DB
-	in        *reshardIntent
-	performed []reshardMove
-	children  []*lsm.DB
+	db       *DB
+	in       *reshardIntent
+	children []*lsm.DB
 }
 
-// runRewrites executes the straddler clips, returning the bytes written.
+// runRewrites executes the planned clips, returning the bytes written.
 func (tx *reshardTxn) runRewrites(jobs []*rewriteJob) (int64, error) {
 	var bytes int64
 	for _, j := range jobs {
@@ -190,7 +193,7 @@ func (tx *reshardTxn) runRewrites(jobs []*rewriteJob) (int64, error) {
 	return bytes, nil
 }
 
-// moveAll performs the planned renames, recording each success for rollback.
+// moveAll performs the planned renames in intent order.
 func (tx *reshardTxn) moveAll(moves []reshardMove) error {
 	for _, mv := range moves {
 		mfs := tx.db.rootFS
@@ -200,130 +203,40 @@ func (tx *reshardTxn) moveAll(moves []reshardMove) error {
 		if err := mfs.Rename(mv.From, mv.To); err != nil {
 			return fmt.Errorf("lethe: reshard move %s: %w", mv.From, err)
 		}
-		tx.performed = append(tx.performed, mv)
 	}
 	return nil
 }
 
-// open opens the shard-<id>/ child instance with maintenance held; the
-// caller resumes it after the routing epoch commits, so a freshly installed
-// shard cannot start compacting before it is reachable.
-func (tx *reshardTxn) open(id int) (*lsm.DB, error) {
-	c, err := tx.db.openShardInstance(id)
-	if err != nil {
-		return nil, fmt.Errorf("lethe: open shard %d: %w", id, err)
+// open opens child c's instance with maintenance held; the caller resumes
+// it after the routing epoch commits, so a freshly installed shard cannot
+// start compacting before it is reachable.
+func (tx *reshardTxn) open(c *reshardChild) (*lsm.DB, error) {
+	var rfs vfs.FS
+	if tx.db.remoteFS != nil {
+		rfs = vfs.NewPrefix(tx.db.remoteFS, c.prefix)
 	}
-	tx.children = append(tx.children, c)
-	return c, nil
+	io := tx.db.makeInner(vfs.NewPrefix(tx.db.rootFS, c.prefix), rfs)
+	io.HoldMaintenance = true
+	cdb, err := lsm.Open(io)
+	if err != nil {
+		return nil, fmt.Errorf("lethe: open shard %d: %w", c.id, err)
+	}
+	tx.children = append(tx.children, cdb)
+	return cdb, nil
 }
 
-// rollback undoes every effect applied so far — children closed, renames
-// reversed, child-directory output deleted — and removes the intent only if
-// the cleanup fully succeeded (otherwise the next Open finishes it).
+// rollback closes the children and runs the crash-recovery undo on the
+// intent. The undo removes the intent only if it fully succeeded; otherwise
+// the next Open finishes it.
 func (tx *reshardTxn) rollback(cause error) error {
 	errs := []error{cause}
-	clean := true
 	for _, c := range tx.children {
 		if err := c.Close(); err != nil && !errors.Is(err, ErrClosed) {
 			errs = append(errs, err)
 		}
 	}
-	for i := len(tx.performed) - 1; i >= 0; i-- {
-		mv := tx.performed[i]
-		mfs := tx.db.rootFS
-		if mv.Remote {
-			mfs = tx.db.remoteFS
-		}
-		if fileExists(mfs, mv.To) && !fileExists(mfs, mv.From) {
-			if err := mfs.Rename(mv.To, mv.From); err != nil {
-				errs = append(errs, err)
-				clean = false
-			}
-		}
-	}
-	for _, dir := range tx.in.NewDirs {
-		if err := removeEngineFiles(tx.db.rootFS, dir); err != nil {
-			errs = append(errs, err)
-			clean = false
-		}
-		if tx.db.remoteFS != nil {
-			if err := removeEngineFiles(tx.db.remoteFS, dir); err != nil {
-				errs = append(errs, err)
-				clean = false
-			}
-		}
-	}
-	if clean {
-		if err := tx.db.rootFS.Remove(reshardIntentName); err != nil && !errors.Is(err, vfs.ErrNotExist) {
-			errs = append(errs, err)
-		}
-	}
+	errs = append(errs, undoReshard(tx.db.rootFS, tx.db.remoteFS, tx.in))
 	return errors.Join(errs...)
-}
-
-// openShardInstance opens the shard-<id>/ engine instance with maintenance
-// held.
-func (db *DB) openShardInstance(id int) (*lsm.DB, error) {
-	prefix := shardDirPrefix(id)
-	var rfs vfs.FS
-	if db.remoteFS != nil {
-		rfs = vfs.NewPrefix(db.remoteFS, prefix)
-	}
-	io := db.makeInner(vfs.NewPrefix(db.rootFS, prefix), rfs)
-	io.HoldMaintenance = true
-	return lsm.Open(io)
-}
-
-// retireDonors closes the handed-off instances, deletes their directories,
-// and removes the intent record. It runs after the SHARDS commit, so a
-// failure here leaves the intent in place and the next Open rolls the
-// cleanup forward; the reshard itself has already succeeded.
-func (db *DB) retireDonors(in *reshardIntent, donors ...*shardHandle) {
-	clean := true
-	for _, h := range donors {
-		if err := h.db.Close(); err != nil && !errors.Is(err, ErrClosed) {
-			clean = false
-		}
-	}
-	for _, dir := range in.OldDirs {
-		if err := removeEngineFiles(db.rootFS, dir); err != nil {
-			clean = false
-		}
-		if db.remoteFS != nil {
-			if err := removeEngineFiles(db.remoteFS, dir); err != nil {
-				clean = false
-			}
-		}
-	}
-	if clean {
-		if err := db.rootFS.Remove(reshardIntentName); err != nil && !errors.Is(err, vfs.ErrNotExist) {
-			// Harmless: recovery re-runs an idempotent roll-forward.
-			_ = err
-		}
-	}
-}
-
-// splitSides reports which sides of cut hold any of f's content — entries
-// (by the [MinS, MaxS] bounds) or range tombstone spans. A file on exactly
-// one side moves whole; a file on both is a straddler and is clipped.
-func splitSides(f lsm.HandoffFile, cut []byte) (left, right bool) {
-	if f.NumEntries > 0 {
-		if base.CompareUserKeys(f.MinS, cut) < 0 {
-			left = true
-		}
-		if base.CompareUserKeys(f.MaxS, cut) >= 0 {
-			right = true
-		}
-	}
-	for _, rt := range f.RangeTombstones {
-		if base.CompareUserKeys(rt.Start, cut) < 0 {
-			left = true
-		}
-		if rt.End == nil || base.CompareUserKeys(rt.End, cut) > 0 {
-			right = true
-		}
-	}
-	return left, right
 }
 
 // pickSplitCut chooses a split boundary at an existing delete-tile fence,
@@ -391,7 +304,7 @@ func pickSplitCut(ho lsm.Handoff, lower, upper []byte) []byte {
 	// The byte-balanced cut fell on or outside the shard's own bounds (skew
 	// piles the bytes at one end); fall back to the median qualifying tile
 	// key.
-	sort.Slice(cand, func(i, j int) bool { return base.CompareUserKeys(cand[i], cand[j]) < 0 })
+	slices.SortFunc(cand, base.CompareUserKeys)
 	return append([]byte(nil), cand[len(cand)/2]...)
 }
 
@@ -433,182 +346,24 @@ func (db *DB) SplitShard(shard int, boundary []byte) error {
 	if shard < len(t.boundaries) {
 		upper = t.boundaries[shard]
 	}
+	p := &reshardPlan{kind: "split", count: &db.reshardStats.splits, pos: shard,
+		donors: t.shards[shard : shard+1]}
 	if boundary != nil {
 		if len(boundary) == 0 ||
 			(lower != nil && base.CompareUserKeys(boundary, lower) <= 0) ||
 			(upper != nil && base.CompareUserKeys(boundary, upper) >= 0) {
 			return fmt.Errorf("%w: split boundary %q outside shard %d's key range", ErrShardLayout, boundary, shard)
 		}
-		boundary = append([]byte(nil), boundary...)
-	}
-	h := t.shards[shard]
-
-	// Freeze: new writes to this shard wait for the next epoch; admitted
-	// ones drain. Reads are untouched.
-	h.setState(shardFrozen)
-	h.waitWriters()
-	unfreeze := func(err error) error {
-		h.setState(shardActive)
-		return err
-	}
-	if err := h.db.Flush(); err != nil {
-		return unfreeze(fmt.Errorf("lethe: split flush: %w", err))
-	}
-	h.db.PauseMaintenance()
-	unpause := func(err error) error {
-		h.db.ResumeMaintenance()
-		return unfreeze(err)
-	}
-	ho, err := h.db.ExportHandoff()
-	if err != nil {
-		return unpause(fmt.Errorf("lethe: split handoff: %w", err))
-	}
-	cut := boundary
-	if cut == nil {
-		if cut = pickSplitCut(ho, lower, upper); cut == nil {
-			return unpause(fmt.Errorf("%w: shard %d has no tile boundary strictly inside its key range to split at", ErrShardLayout, shard))
-		}
-	}
-
-	// Build the successor layout. Splitting the rooted single instance
-	// allocates the very first persistent IDs; otherwise the children take
-	// fresh IDs spliced in at the donor's position.
-	old := db.layout
-	var nl *shardLayout
-	var leftID, rightID int
-	if old == nil {
-		leftID, rightID = 0, 1
-		nl = &shardLayout{epoch: 1, nextShardID: 2, ids: []int{0, 1}, boundaries: [][]byte{cut}}
+		p.cuts = [][]byte{append([]byte(nil), boundary...)}
 	} else {
-		leftID, rightID = old.nextShardID, old.nextShardID+1
-		ids := make([]int, 0, len(old.ids)+1)
-		ids = append(ids, old.ids[:shard]...)
-		ids = append(ids, leftID, rightID)
-		ids = append(ids, old.ids[shard+1:]...)
-		bs := make([][]byte, 0, len(old.boundaries)+1)
-		bs = append(bs, old.boundaries[:shard]...)
-		bs = append(bs, cut)
-		bs = append(bs, old.boundaries[shard:]...)
-		nl = &shardLayout{epoch: old.epoch + 1, nextShardID: old.nextShardID + 2, ids: ids, boundaries: bs}
-	}
-	leftPrefix, rightPrefix := shardDirPrefix(leftID), shardDirPrefix(rightID)
-
-	// Classify every file against the cut and plan the handoff. Within a
-	// run files are disjoint and S-ordered, so at most one file per run
-	// straddles; substituting its clips in place preserves run order.
-	next := ho.NextFileNum
-	var moves []reshardMove
-	var jobs []*rewriteJob
-	straddlers := 0
-	leftSlots := make([][][]fileSlot, len(ho.Levels))
-	rightSlots := make([][][]fileSlot, len(ho.Levels))
-	for l, runs := range ho.Levels {
-		for _, run := range runs {
-			var lrun, rrun []fileSlot
-			for _, f := range run {
-				goLeft, goRight := splitSides(f, cut)
-				switch {
-				case goLeft && goRight:
-					straddlers++
-					lj := &rewriteJob{src: h.db, srcNum: f.Num, hi: cut, dstPrefix: leftPrefix, dstNum: next}
-					next++
-					rj := &rewriteJob{src: h.db, srcNum: f.Num, lo: cut, dstPrefix: rightPrefix, dstNum: next}
-					next++
-					jobs = append(jobs, lj, rj)
-					lrun = append(lrun, fileSlot{num: lj.dstNum, job: lj})
-					rrun = append(rrun, fileSlot{num: rj.dstNum, job: rj})
-					// The straddling source stays behind and is deleted with
-					// the donor directory after commit.
-				case goLeft:
-					moves = append(moves, reshardMove{
-						From: h.prefix + lsm.FileName(f.Num), To: leftPrefix + lsm.FileName(f.Num), Remote: f.Remote})
-					lrun = append(lrun, movedSlot(f))
-				case goRight:
-					moves = append(moves, reshardMove{
-						From: h.prefix + lsm.FileName(f.Num), To: rightPrefix + lsm.FileName(f.Num), Remote: f.Remote})
-					rrun = append(rrun, movedSlot(f))
-				default:
-					// No live content on either side; dies with the donor.
-				}
+		p.pickCut = func(ho lsm.Handoff) ([]byte, error) {
+			if cut := pickSplitCut(ho, lower, upper); cut != nil {
+				return cut, nil
 			}
-			if len(lrun) > 0 {
-				leftSlots[l] = append(leftSlots[l], lrun)
-			}
-			if len(rrun) > 0 {
-				rightSlots[l] = append(rightSlots[l], rrun)
-			}
+			return nil, fmt.Errorf("%w: shard %d has no tile boundary strictly inside its key range to split at", ErrShardLayout, shard)
 		}
 	}
-
-	in := &reshardIntent{
-		Version:  1,
-		Kind:     "split",
-		NewEpoch: nl.epoch,
-		Moves:    moves,
-		NewDirs:  []string{leftPrefix, rightPrefix},
-		OldDirs:  []string{h.prefix},
-	}
-	if err := saveReshardIntent(db.rootFS, in); err != nil {
-		return unpause(fmt.Errorf("lethe: split intent: %w", err))
-	}
-	tx := &reshardTxn{db: db, in: in}
-
-	rewriteBytes, err := tx.runRewrites(jobs)
-	if err != nil {
-		return unpause(tx.rollback(err))
-	}
-	// Children inherit the donor's sequence frontier, so handed-off entries
-	// stay below every post-split write, and share one file-number space so
-	// a later merge mostly avoids renumbering. Committing the child
-	// MANIFESTs before the renames also creates the child directories —
-	// renames do not.
-	leftSt, rightSt := materializeLevels(leftSlots), materializeLevels(rightSlots)
-	leftSt.NextFileNum, leftSt.LastSeq = next, ho.LastSeq
-	rightSt.NextFileNum, rightSt.LastSeq = next, ho.LastSeq
-	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, leftPrefix), "MANIFEST").Commit(leftSt); err != nil {
-		return unpause(tx.rollback(fmt.Errorf("lethe: split left manifest: %w", err)))
-	}
-	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, rightPrefix), "MANIFEST").Commit(rightSt); err != nil {
-		return unpause(tx.rollback(fmt.Errorf("lethe: split right manifest: %w", err)))
-	}
-	if err := tx.moveAll(moves); err != nil {
-		return unpause(tx.rollback(err))
-	}
-	leftDB, err := tx.open(leftID)
-	if err != nil {
-		return unpause(tx.rollback(err))
-	}
-	rightDB, err := tx.open(rightID)
-	if err != nil {
-		return unpause(tx.rollback(err))
-	}
-	if err := saveShardManifest(db.rootFS, nl); err != nil {
-		return unpause(tx.rollback(fmt.Errorf("lethe: split commit: %w", err)))
-	}
-
-	// Committed. Swap the routing table; everything after this is cleanup
-	// that crash recovery can redo.
-	leftH := &shardHandle{id: leftID, prefix: leftPrefix, db: leftDB}
-	rightH := &shardHandle{id: rightID, prefix: rightPrefix, db: rightDB}
-	shards := make([]*shardHandle, 0, len(t.shards)+1)
-	shards = append(shards, t.shards[:shard]...)
-	shards = append(shards, leftH, rightH)
-	shards = append(shards, t.shards[shard+1:]...)
-	db.layout = nl
-	db.table.Store(&routingTable{epoch: nl.epoch, boundaries: nl.boundaries, shards: shards})
-
-	leftDB.ResumeMaintenance()
-	rightDB.ResumeMaintenance()
-	h.setState(shardRetired)
-
-	db.reshardStats.splits.Add(1)
-	db.reshardStats.filesHandedOff.Add(int64(len(moves)))
-	db.reshardStats.straddlerRewrites.Add(int64(straddlers))
-	db.reshardStats.straddlerRewriteBytes.Add(rewriteBytes)
-	db.reshardStats.manifestOps.Add(3)
-
-	db.retireDonors(in, h)
-	return nil
+	return db.reshard(p)
 }
 
 // MergeShards merges the shards at routing positions shard and shard+1 into
@@ -636,163 +391,277 @@ func (db *DB) MergeShards(shard int) error {
 	if shard < 0 || shard+1 >= len(t.shards) {
 		return fmt.Errorf("%w: merge shards %d+%d of %d", ErrShardLayout, shard, shard+1, len(t.shards))
 	}
-	old := db.layout // non-nil: two routable shards imply a layout
-	L, R := t.shards[shard], t.shards[shard+1]
-	m := t.boundaries[shard]
+	return db.reshard(&reshardPlan{kind: "merge", count: &db.reshardStats.merges, pos: shard,
+		donors: t.shards[shard : shard+2], removed: t.boundaries[shard : shard+1]})
+}
 
-	L.setState(shardFrozen)
-	R.setState(shardFrozen)
-	L.waitWriters()
-	R.waitWriters()
+// reshardPlan is one layout change: the contiguous donors starting at
+// routing position pos are replaced by len(cuts)+1 children.
+type reshardPlan struct {
+	kind   string        // "split" or "merge", for errors and the intent
+	count  *atomic.Int64 // the ReshardStats counter of kind
+	pos    int
+	donors []*shardHandle
+	// cuts are the boundaries between the children; removed are the
+	// boundaries between the donors that the new layout drops.
+	cuts, removed [][]byte
+	// pickCut, when set, chooses the single cut from the quiescent donor's
+	// handoff: a split without a caller-supplied boundary.
+	pickCut func(lsm.Handoff) ([]byte, error)
+}
+
+// clipWindow is the key span [lo, hi) between adjacent fences of a plan
+// (nil = unbounded), owned by one donor and landing in one child.
+type clipWindow struct {
+	lo, hi       []byte
+	donor, child int
+}
+
+// windows divides the donors' key span at the plan's fences — its cuts plus
+// its removed boundaries.
+func (p *reshardPlan) windows() []clipWindow {
+	fences := slices.Concat(p.cuts, p.removed)
+	slices.SortFunc(fences, base.CompareUserKeys)
+	ws := make([]clipWindow, len(fences)+1)
+	for i := range ws {
+		if i > 0 {
+			ws[i].lo = fences[i-1]
+		}
+		if i < len(fences) {
+			ws[i].hi = fences[i]
+		}
+		// shardIndex counts the boundaries at or below a key; a nil lower
+		// bound sorts below them all.
+		ws[i].donor = shardIndex(p.removed, ws[i].lo)
+		ws[i].child = shardIndex(p.cuts, ws[i].lo)
+	}
+	return ws
+}
+
+// holds reports whether any of f's content — entries by their [MinS, MaxS]
+// bounds, or range tombstone spans — lies in w.
+func (w clipWindow) holds(f lsm.HandoffFile) bool {
+	belowHi := func(k []byte) bool { return w.hi == nil || base.CompareUserKeys(k, w.hi) < 0 }
+	if f.NumEntries > 0 && belowHi(f.MinS) && (w.lo == nil || base.CompareUserKeys(f.MaxS, w.lo) >= 0) {
+		return true
+	}
+	for _, rt := range f.RangeTombstones {
+		if belowHi(rt.Start) && (w.lo == nil || rt.End == nil || base.CompareUserKeys(rt.End, w.lo) > 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// reshardChild is one child of a plan being assembled.
+type reshardChild struct {
+	id     int
+	prefix string
+	slots  [][][]fileSlot  // per level, the planned runs
+	kept   map[uint64]bool // numbers of the files moved in whole
+}
+
+// reshard executes p: it quiesces the donors, plans every donor file's
+// move or clips, and runs the intent protocol described at the top of this
+// file. The caller holds reshardMu.
+func (db *DB) reshard(p *reshardPlan) error {
+	// Freeze: new writes to the donors wait for the next epoch; admitted
+	// ones drain. Reads are untouched.
+	for _, h := range p.donors {
+		h.setState(shardFrozen)
+	}
+	for _, h := range p.donors {
+		h.waitWriters()
+	}
 	unfreeze := func(err error) error {
-		L.setState(shardActive)
-		R.setState(shardActive)
+		for _, h := range p.donors {
+			h.setState(shardActive)
+		}
 		return err
 	}
-	if err := L.db.Flush(); err != nil {
-		return unfreeze(fmt.Errorf("lethe: merge flush: %w", err))
+	for _, h := range p.donors {
+		if err := h.db.Flush(); err != nil {
+			return unfreeze(fmt.Errorf("lethe: %s flush: %w", p.kind, err))
+		}
 	}
-	if err := R.db.Flush(); err != nil {
-		return unfreeze(fmt.Errorf("lethe: merge flush: %w", err))
+	for _, h := range p.donors {
+		h.db.PauseMaintenance()
 	}
-	L.db.PauseMaintenance()
-	R.db.PauseMaintenance()
 	unpause := func(err error) error {
-		L.db.ResumeMaintenance()
-		R.db.ResumeMaintenance()
+		for _, h := range p.donors {
+			h.db.ResumeMaintenance()
+		}
 		return unfreeze(err)
 	}
-	hoL, err := L.db.ExportHandoff()
-	if err != nil {
-		return unpause(fmt.Errorf("lethe: merge handoff: %w", err))
+	hos := make([]lsm.Handoff, len(p.donors))
+	for i, h := range p.donors {
+		var err error
+		if hos[i], err = h.db.ExportHandoff(); err != nil {
+			return unpause(fmt.Errorf("lethe: %s handoff: %w", p.kind, err))
+		}
 	}
-	hoR, err := R.db.ExportHandoff()
-	if err != nil {
-		return unpause(fmt.Errorf("lethe: merge handoff: %w", err))
-	}
-
-	newID := old.nextShardID
-	newPrefix := shardDirPrefix(newID)
-	ids := make([]int, 0, len(old.ids)-1)
-	ids = append(ids, old.ids[:shard]...)
-	ids = append(ids, newID)
-	ids = append(ids, old.ids[shard+2:]...)
-	bs := make([][]byte, 0, len(old.boundaries)-1)
-	bs = append(bs, old.boundaries[:shard]...)
-	bs = append(bs, old.boundaries[shard+1:]...)
-	nl := &shardLayout{epoch: old.epoch + 1, nextShardID: old.nextShardID + 1, ids: ids, boundaries: bs}
-
-	next := hoL.NextFileNum
-	if hoR.NextFileNum > next {
-		next = hoR.NextFileNum
-	}
-	lastSeq := hoL.LastSeq
-	if hoR.LastSeq > lastSeq {
-		lastSeq = hoR.LastSeq
+	if p.pickCut != nil {
+		cut, err := p.pickCut(hos[0])
+		if err != nil {
+			return unpause(err)
+		}
+		p.cuts = [][]byte{cut}
 	}
 
-	nLevels := len(hoL.Levels)
-	if len(hoR.Levels) > nLevels {
-		nLevels = len(hoR.Levels)
+	// The successor layout splices fresh child IDs and the cuts in at the
+	// donors' position. Splitting the rooted single instance, which has no
+	// layout yet, allocates the very first persistent IDs.
+	old := db.layout
+	if old == nil {
+		old = &shardLayout{ids: []int{-1}}
 	}
-	slots := make([][][]fileSlot, nLevels)
+	children := make([]*reshardChild, len(p.cuts)+1)
+	ids := make([]int, len(children))
+	// Children inherit the donors' sequence frontier, so handed-off entries
+	// stay below every later write, and share one file-number space so a
+	// later merge mostly avoids renumbering.
+	var next, lastSeq uint64
+	levels := 0
+	for _, ho := range hos {
+		next, lastSeq, levels = max(next, ho.NextFileNum), max(lastSeq, ho.LastSeq), max(levels, len(ho.Levels))
+	}
+	for i := range children {
+		ids[i] = old.nextShardID + i
+		children[i] = &reshardChild{id: ids[i], prefix: shardDirPrefix(ids[i]),
+			slots: make([][][]fileSlot, levels), kept: map[uint64]bool{}}
+	}
+	nd := len(p.donors)
+	nl := &shardLayout{
+		epoch:       old.epoch + 1,
+		nextShardID: old.nextShardID + len(children),
+		ids:         slices.Concat(old.ids[:p.pos], ids, old.ids[p.pos+nd:]),
+		boundaries:  slices.Concat(old.boundaries[:p.pos], p.cuts, old.boundaries[p.pos+nd-1:]),
+	}
+
+	// Plan every donor file. Within a run files are disjoint and S-ordered,
+	// so substituting a file's clips in place preserves run order; each
+	// donor run becomes at most one run per child.
+	ws := p.windows()
 	var moves []reshardMove
 	var jobs []*rewriteJob
-	rewrites := 0
-	leftNums := map[uint64]bool{}
-	// addSide plans one donor's files: [lo, hi) is the donor's own key range
-	// relative to the merge boundary, so the clip both detects and repairs
-	// boundary-crossing tombstones. collide is the set of numbers the other
-	// (already planned) side kept.
-	addSide := func(ho lsm.Handoff, donor *shardHandle, lo, hi []byte, collide, keep map[uint64]bool) {
+	clipped := 0
+	for d, ho := range hos {
+		donor := p.donors[d]
 		for l, runs := range ho.Levels {
 			for _, run := range runs {
-				var srun []fileSlot
+				cruns := make([][]fileSlot, len(children))
 				for _, f := range run {
-					needsClip := false
-					for _, rt := range f.RangeTombstones {
-						if lo != nil && base.CompareUserKeys(rt.Start, lo) < 0 {
-							needsClip = true
-						}
-						if hi != nil && (rt.End == nil || base.CompareUserKeys(rt.End, hi) > 0) {
-							needsClip = true
+					var hit []clipWindow
+					for _, w := range ws {
+						if w.holds(f) {
+							hit = append(hit, w)
 						}
 					}
-					if needsClip || (collide != nil && collide[f.Num]) {
-						rewrites++
-						j := &rewriteJob{src: donor.db, srcNum: f.Num, lo: lo, hi: hi, dstPrefix: newPrefix, dstNum: next}
+					if len(hit) == 1 && hit[0].donor == d && !children[hit[0].child].kept[f.Num] {
+						c := hit[0].child
+						children[c].kept[f.Num] = true
+						moves = append(moves, reshardMove{From: donor.prefix + lsm.FileName(f.Num),
+							To: children[c].prefix + lsm.FileName(f.Num), Remote: f.Remote})
+						cruns[c] = append(cruns[c], movedSlot(f))
+						continue
+					}
+					// Clip once per window of its own donor's that it touches.
+					// The source stays behind and is deleted with the donor
+					// directory after commit.
+					clips := len(jobs)
+					for _, w := range hit {
+						if w.donor != d {
+							continue
+						}
+						j := &rewriteJob{src: donor.db, srcNum: f.Num, lo: w.lo, hi: w.hi,
+							dstPrefix: children[w.child].prefix, dstNum: next}
 						next++
 						jobs = append(jobs, j)
-						srun = append(srun, fileSlot{num: j.dstNum, job: j})
-					} else {
-						moves = append(moves, reshardMove{
-							From: donor.prefix + lsm.FileName(f.Num), To: newPrefix + lsm.FileName(f.Num), Remote: f.Remote})
-						srun = append(srun, movedSlot(f))
-						if keep != nil {
-							keep[f.Num] = true
-						}
+						cruns[w.child] = append(cruns[w.child], fileSlot{num: j.dstNum, job: j})
+					}
+					if len(jobs) > clips {
+						clipped++
 					}
 				}
-				if len(srun) > 0 {
-					slots[l] = append(slots[l], srun)
+				for c, crun := range cruns {
+					if len(crun) > 0 {
+						children[c].slots[l] = append(children[c].slots[l], crun)
+					}
 				}
 			}
 		}
 	}
-	addSide(hoL, L, nil, m, nil, leftNums)
-	addSide(hoR, R, m, nil, leftNums, nil)
 
-	in := &reshardIntent{
-		Version:  1,
-		Kind:     "merge",
-		NewEpoch: nl.epoch,
-		Moves:    moves,
-		NewDirs:  []string{newPrefix},
-		OldDirs:  []string{L.prefix, R.prefix},
+	in := &reshardIntent{Version: 1, Kind: p.kind, NewEpoch: nl.epoch, Moves: moves}
+	for _, c := range children {
+		in.NewDirs = append(in.NewDirs, c.prefix)
+	}
+	for _, h := range p.donors {
+		in.OldDirs = append(in.OldDirs, h.prefix)
 	}
 	if err := saveReshardIntent(db.rootFS, in); err != nil {
-		return unpause(fmt.Errorf("lethe: merge intent: %w", err))
+		return unpause(fmt.Errorf("lethe: %s intent: %w", p.kind, err))
 	}
 	tx := &reshardTxn{db: db, in: in}
+	fail := func(err error) error { return unpause(tx.rollback(err)) }
 
 	rewriteBytes, err := tx.runRewrites(jobs)
 	if err != nil {
-		return unpause(tx.rollback(err))
+		return fail(err)
 	}
-	mergedSt := materializeLevels(slots)
-	mergedSt.NextFileNum, mergedSt.LastSeq = next, lastSeq
-	if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, newPrefix), "MANIFEST").Commit(mergedSt); err != nil {
-		return unpause(tx.rollback(fmt.Errorf("lethe: merge manifest: %w", err)))
+	// Committing the child MANIFESTs before the renames also creates the
+	// child directories — renames do not.
+	for _, c := range children {
+		st := materializeLevels(c.slots)
+		st.NextFileNum, st.LastSeq = next, lastSeq
+		if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, c.prefix), "MANIFEST").Commit(st); err != nil {
+			return fail(fmt.Errorf("lethe: %s manifest %s: %w", p.kind, c.prefix, err))
+		}
 	}
 	if err := tx.moveAll(moves); err != nil {
-		return unpause(tx.rollback(err))
+		return fail(err)
 	}
-	merged, err := tx.open(newID)
-	if err != nil {
-		return unpause(tx.rollback(err))
+	handles := make([]*shardHandle, len(children))
+	for i, c := range children {
+		cdb, err := tx.open(c)
+		if err != nil {
+			return fail(err)
+		}
+		handles[i] = &shardHandle{id: c.id, prefix: c.prefix, db: cdb}
 	}
 	if err := saveShardManifest(db.rootFS, nl); err != nil {
-		return unpause(tx.rollback(fmt.Errorf("lethe: merge commit: %w", err)))
+		return fail(fmt.Errorf("lethe: %s commit: %w", p.kind, err))
 	}
 
-	nh := &shardHandle{id: newID, prefix: newPrefix, db: merged}
-	shards := make([]*shardHandle, 0, len(t.shards)-1)
-	shards = append(shards, t.shards[:shard]...)
-	shards = append(shards, nh)
-	shards = append(shards, t.shards[shard+2:]...)
+	// Committed. Swap the routing table; everything after this is cleanup
+	// that crash recovery can redo.
+	t := db.table.Load()
 	db.layout = nl
-	db.table.Store(&routingTable{epoch: nl.epoch, boundaries: nl.boundaries, shards: shards})
+	db.table.Store(&routingTable{epoch: nl.epoch, boundaries: nl.boundaries,
+		shards: slices.Concat(t.shards[:p.pos], handles, t.shards[p.pos+nd:])})
+	for _, h := range handles {
+		h.db.ResumeMaintenance()
+	}
+	for _, h := range p.donors {
+		h.setState(shardRetired)
+	}
 
-	merged.ResumeMaintenance()
-	L.setState(shardRetired)
-	R.setState(shardRetired)
-
-	db.reshardStats.merges.Add(1)
+	p.count.Add(1)
 	db.reshardStats.filesHandedOff.Add(int64(len(moves)))
-	db.reshardStats.straddlerRewrites.Add(int64(rewrites))
+	db.reshardStats.straddlerRewrites.Add(int64(clipped))
 	db.reshardStats.straddlerRewriteBytes.Add(rewriteBytes)
-	db.reshardStats.manifestOps.Add(2)
+	db.reshardStats.manifestOps.Add(int64(len(children) + 1))
 
-	db.retireDonors(in, L, R)
+	// Retire the donors. A failure leaves the intent in place, and the next
+	// Open rolls the cleanup forward; the reshard itself has succeeded.
+	closed := true
+	for _, h := range p.donors {
+		if err := h.db.Close(); err != nil && !errors.Is(err, ErrClosed) {
+			closed = false
+		}
+	}
+	if closed {
+		_ = redoReshard(db.rootFS, db.remoteFS, in)
+	}
 	return nil
 }

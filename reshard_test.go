@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lethe/internal/manifest"
 	"lethe/internal/vfs"
 )
 
@@ -418,153 +419,281 @@ func TestBatchAcrossEpochChange(t *testing.T) {
 	wg.Wait()
 }
 
+// reshardSweepCase is one reshard the fault sweeps drive on a fresh
+// two-shard database: setup runs before the fault is armed, op is the
+// reshard under test, and deleted names the keys setup range-deleted.
+type reshardSweepCase struct {
+	name          string
+	setup         func(t *testing.T, db *DB)
+	op            func(db *DB) error
+	before, after int // shard counts of the old and the new layout
+	deleted       func(i int) bool
+}
+
+func reshardSweepCases() []reshardSweepCase {
+	return []reshardSweepCase{{
+		name:    "split",
+		op:      func(db *DB) error { return db.SplitShard(0, nil) },
+		before:  2,
+		after:   3,
+		deleted: func(int) bool { return false },
+	}, {
+		// A flushed primary range delete across the boundary the merge
+		// removes: both donors hold a tombstone the merge must clip.
+		name: "merge",
+		setup: func(t *testing.T, db *DB) {
+			if err := db.RangeDelete([]byte{0x70}, []byte{0x90}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		op:      func(db *DB) error { return db.MergeShards(0) },
+		before:  2,
+		after:   1,
+		deleted: func(i int) bool { b := byte(i * 37); return b >= 0x70 && b < 0x90 },
+	}}
+}
+
+// open opens a two-shard database on fs and loads n keys plus c's setup.
+func (c reshardSweepCase) open(t *testing.T, fs vfs.FS, n int) *DB {
+	t.Helper()
+	db, err := Open(Options{Storage: StorageOptions{FS: fs}, Shards: 2, BufferBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillShards(t, db, n)
+	if c.setup != nil {
+		c.setup(t, db)
+	}
+	return db
+}
+
+// check asserts that the first n keys read back, except the range-deleted
+// ones, which must stay deleted.
+func (c reshardSweepCase) check(t *testing.T, db *DB, n int, fault int64) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		v, err := db.Get(shardKey(i))
+		if c.deleted(i) {
+			if err != ErrNotFound {
+				t.Fatalf("fault=%d: key %d should be range-deleted: %q %v", fault, i, v, err)
+			}
+		} else if err != nil || !bytes.Equal(v, shardVal(i)) {
+			t.Fatalf("fault=%d: key %d: %q %v", fault, i, v, err)
+		}
+	}
+}
+
 // TestReshardCrashSafety sweeps a fault point across every filesystem
-// operation of a shard split: after the "crash" (all subsequent I/O fails,
-// the handle is abandoned), reopening the underlying store must land on
-// exactly the old or the new layout — never between — with every key
-// readable.
+// operation of a shard split and of a shard merge: after the "crash" (all
+// subsequent I/O fails, the handle is abandoned), reopening the underlying
+// store must land on exactly the old or the new layout — never between —
+// with every key readable and every range-deleted key still deleted.
 func TestReshardCrashSafety(t *testing.T) {
 	errInjected := errors.New("injected reshard fault")
 	const n = 600
-	for fault := int64(1); fault < 3000; fault++ {
-		mem := vfs.NewMem()
-		var armed atomic.Bool
-		var ops atomic.Int64
-		inj := vfs.NewInject(mem, func(op vfs.Op, name string) error {
-			if !armed.Load() {
-				return nil
+	for _, c := range reshardSweepCases() {
+		t.Run(c.name, func(t *testing.T) {
+			for fault := int64(1); fault < 3000; fault++ {
+				mem := vfs.NewMem()
+				var armed atomic.Bool
+				var ops atomic.Int64
+				inj := vfs.NewInject(mem, func(op vfs.Op, name string) error {
+					if !armed.Load() {
+						return nil
+					}
+					if ops.Add(1) > fault {
+						return errInjected
+					}
+					return nil
+				})
+				db := c.open(t, inj, n)
+				oldEpoch := db.ShardEpoch()
+				armed.Store(true)
+				opErr := c.op(db)
+				fired := ops.Load() > fault
+				// Crash: abandon the handle with the disk dead (armed stays
+				// true, so the zombie instance can never touch mem again),
+				// reopen the store.
+				db2, err := Open(Options{Storage: StorageOptions{FS: mem}, BufferBytes: 16 << 10})
+				if err != nil {
+					t.Fatalf("fault=%d: reopen after crash: %v (%s err: %v)", fault, err, c.name, opErr)
+				}
+				epoch, count := db2.ShardEpoch(), db2.ShardCount()
+				switch {
+				case epoch == oldEpoch && count == c.before: // rolled back
+				case epoch == oldEpoch+1 && count == c.after: // rolled forward
+				default:
+					t.Fatalf("fault=%d: recovered to epoch %d with %d shards (old epoch %d); %s err: %v",
+						fault, epoch, count, oldEpoch, c.name, opErr)
+				}
+				if fileExists(mem, reshardIntentName) {
+					t.Fatalf("fault=%d: RESHARD intent survived recovery", fault)
+				}
+				c.check(t, db2, n, fault)
+				if err := db2.Close(); err != nil {
+					t.Fatalf("fault=%d: close: %v", fault, err)
+				}
+				if opErr == nil && !fired {
+					// The whole reshard ran fault-free: the sweep has covered
+					// every operation the protocol performs.
+					return
+				}
 			}
-			if ops.Add(1) > fault {
-				return errInjected
-			}
-			return nil
+			t.Fatalf("fault sweep never reached a fault-free %s", c.name)
 		})
-		db, err := Open(Options{Storage: StorageOptions{FS: inj}, Shards: 2, BufferBytes: 4 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillShards(t, db, n)
-		oldEpoch := db.ShardEpoch()
-		armed.Store(true)
-		splitErr := db.SplitShard(0, nil)
-		fired := ops.Load() > fault
-		// Crash: abandon the handle with the disk dead (armed stays true, so
-		// the zombie instance can never touch mem again), reopen the store.
-		db2, err := Open(Options{Storage: StorageOptions{FS: mem}, BufferBytes: 16 << 10})
-		if err != nil {
-			t.Fatalf("fault=%d: reopen after crash: %v (split err: %v)", fault, err, splitErr)
-		}
-		epoch, count := db2.ShardEpoch(), db2.ShardCount()
-		switch {
-		case epoch == oldEpoch && count == 2: // rolled back
-		case epoch == oldEpoch+1 && count == 3: // rolled forward
-		default:
-			t.Fatalf("fault=%d: recovered to epoch %d with %d shards (old epoch %d); split err: %v",
-				fault, epoch, count, oldEpoch, splitErr)
-		}
-		if fileExists(mem, reshardIntentName) {
-			t.Fatalf("fault=%d: RESHARD intent survived recovery", fault)
-		}
-		for i := 0; i < n; i++ {
-			v, err := db2.Get(shardKey(i))
-			if err != nil || !bytes.Equal(v, shardVal(i)) {
-				t.Fatalf("fault=%d: key %d after recovery: %q %v", fault, i, v, err)
-			}
-		}
-		if err := db2.Close(); err != nil {
-			t.Fatalf("fault=%d: close: %v", fault, err)
-		}
-		if splitErr == nil && !fired {
-			// The whole split ran fault-free: the sweep has covered every
-			// operation the protocol performs.
-			return
-		}
 	}
-	t.Fatal("fault sweep never reached a fault-free split")
 }
 
 // TestReshardTransientFaultRollback sweeps a one-shot fault (the disk heals
-// immediately after) across the split protocol's cross-directory effects:
-// the in-process rollback must undo the partial split, leave the handle on
-// the old epoch with every key readable and writable, and a retry must then
-// succeed.
+// immediately after) across the cross-directory effects of a split and of a
+// merge: the in-process rollback must undo the partial reshard, leave the
+// handle on the old epoch with every key readable and writable, and a retry
+// must then succeed.
 func TestReshardTransientFaultRollback(t *testing.T) {
 	errInjected := errors.New("injected transient fault")
 	const n = 600
-	for fault := int64(1); fault < 500; fault++ {
-		mem := vfs.NewMem()
-		var armed atomic.Bool
-		var ops atomic.Int64
-		// Count only the split's own cross-directory effects: the intent and
-		// SHARDS records, anything in the (deterministically numbered) child
-		// directories shard-2/ and shard-3/, and file moves out of the
-		// donors. Donor-internal maintenance is left alone so the fault
-		// cannot poison the donor engine itself.
-		inj := vfs.NewInject(mem, func(op vfs.Op, name string) error {
-			if !armed.Load() {
-				return nil
+	for _, c := range reshardSweepCases() {
+		t.Run(c.name, func(t *testing.T) {
+			for fault := int64(1); fault < 500; fault++ {
+				mem := vfs.NewMem()
+				var armed atomic.Bool
+				var ops atomic.Int64
+				// Count only the reshard's own cross-directory effects: the
+				// intent and SHARDS records, anything in the
+				// (deterministically numbered) child directories shard-2/
+				// and shard-3/, and file moves out of the donors.
+				// Donor-internal maintenance is left alone so the fault
+				// cannot poison the donor engine itself.
+				inj := vfs.NewInject(mem, func(op vfs.Op, name string) error {
+					if !armed.Load() {
+						return nil
+					}
+					interesting := strings.HasPrefix(name, "shard-2/") || strings.HasPrefix(name, "shard-3/") ||
+						strings.HasPrefix(name, "SHARDS") || strings.HasPrefix(name, "RESHARD") ||
+						(op == vfs.OpRename && strings.HasSuffix(name, ".sst"))
+					if !interesting {
+						return nil
+					}
+					if ops.Add(1) == fault {
+						return errInjected
+					}
+					return nil
+				})
+				db := c.open(t, inj, n)
+				oldEpoch := db.ShardEpoch()
+				armed.Store(true)
+				opErr := c.op(db)
+				armed.Store(false)
+				if opErr == nil {
+					// Either the fault landed in the post-commit cleanup
+					// phase, where failures are tolerated (the intent stays
+					// and the next Open finishes the cleanup), or it never
+					// fired at all — in which case the sweep has covered
+					// every operation.
+					fired := ops.Load() >= fault
+					if got := db.ShardCount(); got != c.after {
+						t.Fatalf("fault=%d: %s succeeded with ShardCount %d", fault, c.name, got)
+					}
+					c.check(t, db, n, fault)
+					if err := db.Close(); err != nil {
+						t.Fatalf("fault=%d: close: %v", fault, err)
+					}
+					if !fired {
+						return
+					}
+					continue
+				}
+				if !errors.Is(opErr, errInjected) {
+					t.Fatalf("fault=%d: %s failed with %v, want the injected fault", fault, c.name, opErr)
+				}
+				if epoch, count := db.ShardEpoch(), db.ShardCount(); epoch != oldEpoch || count != c.before {
+					t.Fatalf("fault=%d: rollback left epoch %d with %d shards", fault, epoch, count)
+				}
+				c.check(t, db, n, fault)
+				if err := db.Put(shardKey(0), 0, shardVal(0)); err != nil {
+					t.Fatalf("fault=%d: write after rollback: %v", fault, err)
+				}
+				// The disk is healthy again (one-shot fault): a retry must
+				// succeed.
+				if err := c.op(db); err != nil {
+					t.Fatalf("fault=%d: retry %s: %v", fault, c.name, err)
+				}
+				if got := db.ShardCount(); got != c.after {
+					t.Fatalf("fault=%d: retry ShardCount = %d", fault, got)
+				}
+				c.check(t, db, n, fault)
+				if err := db.Close(); err != nil {
+					t.Fatalf("fault=%d: close: %v", fault, err)
+				}
 			}
-			interesting := strings.HasPrefix(name, "shard-2/") || strings.HasPrefix(name, "shard-3/") ||
-				strings.HasPrefix(name, "SHARDS") || strings.HasPrefix(name, "RESHARD") ||
-				(op == vfs.OpRename && strings.HasSuffix(name, ".sst"))
-			if !interesting {
-				return nil
-			}
-			if ops.Add(1) == fault {
-				return errInjected
-			}
-			return nil
+			t.Fatalf("fault sweep never reached a fault-free %s", c.name)
 		})
-		db, err := Open(Options{Storage: StorageOptions{FS: inj}, Shards: 2, BufferBytes: 4 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillShards(t, db, n)
-		oldEpoch := db.ShardEpoch()
-		armed.Store(true)
-		splitErr := db.SplitShard(0, nil)
-		armed.Store(false)
-		if splitErr == nil {
-			// Either the fault landed in the post-commit cleanup phase, where
-			// failures are tolerated (the intent stays and the next Open
-			// finishes the cleanup), or it never fired at all — in which case
-			// the sweep has covered every operation.
-			fired := ops.Load() >= fault
-			if got := db.ShardCount(); got != 3 {
-				t.Fatalf("fault=%d: split succeeded with ShardCount %d", fault, got)
-			}
-			checkShards(t, db, n)
-			if err := db.Close(); err != nil {
-				t.Fatalf("fault=%d: close: %v", fault, err)
-			}
-			if !fired {
-				return
-			}
-			continue
-		}
-		if !errors.Is(splitErr, errInjected) {
-			t.Fatalf("fault=%d: split failed with %v, want the injected fault", fault, splitErr)
-		}
-		if epoch, count := db.ShardEpoch(), db.ShardCount(); epoch != oldEpoch || count != 2 {
-			t.Fatalf("fault=%d: rollback left epoch %d with %d shards", fault, epoch, count)
-		}
-		checkShards(t, db, n)
-		if err := db.Put(shardKey(0), 0, shardVal(0)); err != nil {
-			t.Fatalf("fault=%d: write after rollback: %v", fault, err)
-		}
-		// The disk is healthy again (one-shot fault): a retry must succeed.
-		if err := db.SplitShard(0, nil); err != nil {
-			t.Fatalf("fault=%d: retry split: %v", fault, err)
-		}
-		if got := db.ShardCount(); got != 3 {
-			t.Fatalf("fault=%d: retry ShardCount = %d", fault, got)
-		}
-		checkShards(t, db, n)
-		if err := db.Close(); err != nil {
-			t.Fatalf("fault=%d: close: %v", fault, err)
-		}
 	}
-	t.Fatal("fault sweep never reached a fault-free split")
+}
+
+// TestReshardRollbackKeepsUnreturnedFiles: when the rollback of a failed
+// split cannot rename a handed-off file back to its donor, the child's copy
+// is the only one, so the rollback must leave it (and the intent) for the
+// next Open to finish the undo instead of deleting the child directory.
+func TestReshardRollbackKeepsUnreturnedFiles(t *testing.T) {
+	errInjected := errors.New("injected fault")
+	mem := vfs.NewMem()
+	var armed atomic.Bool
+	inj := vfs.NewInject(mem, func(op vfs.Op, name string) error {
+		if !armed.Load() {
+			return nil
+		}
+		commit := op == vfs.OpCreate && name == shardManifestName+".tmp"
+		renameBack := op == vfs.OpRename && strings.HasPrefix(name, "shard-2/") && strings.HasSuffix(name, ".sst")
+		if commit || renameBack {
+			return errInjected
+		}
+		return nil
+	})
+	db, err := Open(Options{Storage: StorageOptions{FS: inj}, Shards: 2, BufferBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 600
+	fillShards(t, db, n)
+	// One key flushed alone below the cut: a file the split hands off to
+	// shard-2/ whole.
+	low := []byte{0x00}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(low, 0, low); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	if err := db.SplitShard(0, []byte{0x00, 0x00}); !errors.Is(err, errInjected) {
+		t.Fatalf("split: %v, want the injected fault", err)
+	}
+	if !fileExists(mem, reshardIntentName) {
+		t.Fatal("a rollback that could not return every file removed the intent")
+	}
+	armed.Store(false)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(Options{Storage: StorageOptions{FS: mem}, BufferBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := db2.ShardCount(); got != 2 {
+		t.Fatalf("ShardCount = %d, want 2", got)
+	}
+	checkShards(t, db2, n)
+	if v, err := db2.Get(low); err != nil || !bytes.Equal(v, low) {
+		t.Fatalf("handed-off key: %q %v", v, err)
+	}
 }
 
 // TestReshardStress: concurrent puts, gets, and scans race repeated splits
@@ -789,5 +918,122 @@ func BenchmarkReshardConvergence(b *testing.B) {
 		b.ReportMetric(float64(rs.Splits), "splits")
 		b.ReportMetric(float64(rs.StraddlerRewriteBytes), "straddle-rewrite-B")
 		b.ReportMetric(float64(rs.ManifestOps), "manifest-ops")
+	}
+}
+
+// TestReshardPlanCounts pins what the reshard planner decides on a fixed
+// history: per step, the ReshardStats deltas (files moved by rename, files
+// clipped, clip bytes, manifest commits) and the level/run/file shape of
+// every shard manifest afterwards. The steps are a split with a straddler,
+// a merge of two children that allocated the same file numbers after the
+// split (number-collision rewrites), and a merge across a range tombstone
+// that crosses the removed boundary.
+func TestReshardPlanCounts(t *testing.T) {
+	fs := vfs.NewMem()
+	// A buffer far larger than the test's data: only the explicit Flush
+	// calls write sstables, and no level ever saturates.
+	db, err := Open(Options{Storage: StorageOptions{FS: fs}, Shards: 2, BufferBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	put := func(hi byte, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			k := []byte{hi, byte(i)}
+			if err := db.Put(k, DeleteKey(i), k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// shape renders every shard manifest in routing order: per level, the
+	// file count of each run.
+	shape := func() string {
+		t.Helper()
+		var parts []string
+		for _, h := range db.table.Load().shards {
+			st, ok, err := manifest.NewStore(vfs.NewPrefix(fs, h.prefix), "MANIFEST").Load()
+			if err != nil || !ok {
+				t.Fatalf("manifest of %q: ok=%v err=%v", h.prefix, ok, err)
+			}
+			var levels []string
+			for _, runs := range st.Levels {
+				var counts []string
+				for _, run := range runs {
+					counts = append(counts, fmt.Sprint(len(run)))
+				}
+				levels = append(levels, strings.Join(counts, ","))
+			}
+			parts = append(parts, h.prefix+"["+strings.Join(levels, "|")+"]")
+		}
+		return strings.Join(parts, " ")
+	}
+	type delta struct{ moved, clipped, clipBytes, manifestOps int64 }
+	step := func(name string, op func() error, want delta, wantShape string) {
+		t.Helper()
+		before := db.ReshardStats()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		after := db.ReshardStats()
+		got := delta{
+			after.FilesHandedOff - before.FilesHandedOff,
+			after.StraddlerRewrites - before.StraddlerRewrites,
+			after.StraddlerRewriteBytes - before.StraddlerRewriteBytes,
+			after.ManifestOps - before.ManifestOps,
+		}
+		if got != want {
+			t.Errorf("%s: stats delta %+v, want %+v", name, got, want)
+		}
+		if s := shape(); s != wantShape {
+			t.Errorf("%s: manifests %s, want %s", name, s, wantShape)
+		}
+	}
+
+	// Shard 0 gets a file below the cut, a file straddling it and a file
+	// above it; shard 1 gets one file.
+	put(0x10, 20)
+	flush()
+	put(0x30, 20)
+	put(0x50, 20)
+	flush()
+	put(0x60, 20)
+	put(0x90, 20)
+	flush()
+	step("split", func() error { return db.SplitShard(0, []byte{0x40}) },
+		delta{moved: 2, clipped: 1, clipBytes: 658, manifestOps: 3}, "shard-2/[1,1] shard-3/[1,1] shard-1/[1]")
+
+	// Both children flush after the split from the one file-number space
+	// they inherited, so their new files carry equal numbers.
+	put(0x20, 20)
+	put(0x70, 20)
+	flush()
+	step("merge colliding children", func() error { return db.MergeShards(0) },
+		delta{moved: 5, clipped: 1, clipBytes: 349, manifestOps: 2}, "shard-4/[1,1,1,1,1,1] shard-1/[1]")
+
+	// A range tombstone across the boundary between the merged shard and
+	// shard 1: each donor's copy is clipped to its own side.
+	if err := db.RangeDelete([]byte{0x70}, []byte{0x90}); err != nil {
+		t.Fatal(err)
+	}
+	flush()
+	step("merge across range tombstone", func() error { return db.MergeShards(0) },
+		delta{moved: 6, clipped: 3, clipBytes: 517, manifestOps: 2}, "shard-5/[1,1,1,1,1,1,1,1,1]")
+
+	for i := 0; i < 20; i++ {
+		for _, hi := range []byte{0x10, 0x20, 0x30, 0x50, 0x60, 0x70, 0x90} {
+			k := []byte{hi, byte(i)}
+			v, err := db.Get(k)
+			deleted := hi >= 0x70 && hi < 0x90
+			if deleted && err != ErrNotFound || !deleted && (err != nil || !bytes.Equal(v, k)) {
+				t.Fatalf("key %x: %q %v", k, v, err)
+			}
+		}
 	}
 }

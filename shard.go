@@ -20,7 +20,8 @@
 // writes a RESHARD intent record before moving any file and deletes it after
 // the new SHARDS manifest commits; recoverReshard below rolls an interrupted
 // reshard forward or back at Open, so a crash anywhere in the protocol
-// reopens as exactly the old or exactly the new epoch.
+// reopens as exactly the old or exactly the new epoch. A reshard that fails
+// or finishes in process runs the same undo or redo on its intent.
 //
 // The initial boundaries come from Options.ShardBoundaries (or
 // DefaultShardBoundaries); afterwards the layout evolves online via
@@ -621,9 +622,8 @@ func removeEngineFiles(fs vfs.FS, dirPrefix string) error {
 // recoverReshard completes or undoes a reshard interrupted by a crash. The
 // SHARDS manifest is the commit point: if its epoch has reached the
 // intent's NewEpoch the reshard happened and only donor-side cleanup can be
-// missing (roll forward); otherwise the new layout never committed, so any
-// renames are reversed and child-directory output deleted (roll back).
-// Every step is idempotent — a crash during recovery just recovers again.
+// missing (roll forward); otherwise the new layout never committed (roll
+// back).
 func recoverReshard(fs, remoteFS vfs.FS) error {
 	in, ok, err := loadReshardIntent(fs)
 	if err != nil || !ok {
@@ -636,44 +636,52 @@ func recoverReshard(fs, remoteFS vfs.FS) error {
 		curEpoch = l.epoch
 	}
 	if curEpoch >= in.NewEpoch {
-		// Roll forward: the new layout is live; finish deleting the donors'
-		// leftovers (straddler sources, old MANIFEST and WAL).
-		for _, dir := range in.OldDirs {
-			if err := removeEngineFiles(fs, dir); err != nil {
-				return err
+		return redoReshard(fs, remoteFS, in)
+	}
+	return undoReshard(fs, remoteFS, in)
+}
+
+// undoReshard rolls back a reshard whose SHARDS commit never happened:
+// whichever planned renames took effect are reversed, latest first, and the
+// children's partial output is deleted. A failed reshard runs it in process
+// and Open runs it after a crash. Every step is idempotent — a crash during
+// the undo just undoes again.
+func undoReshard(fs, remoteFS vfs.FS, in *reshardIntent) error {
+	for i := len(in.Moves) - 1; i >= 0; i-- {
+		mv := in.Moves[i]
+		mfs := fs
+		if mv.Remote {
+			if remoteFS == nil {
+				return fmt.Errorf("%w: reshard intent moves remote files but no remote filesystem is configured", ErrShardLayout)
 			}
-			if remoteFS != nil {
-				if err := removeEngineFiles(remoteFS, dir); err != nil {
-					return err
-				}
+			mfs = remoteFS
+		}
+		if fileExists(mfs, mv.To) && !fileExists(mfs, mv.From) {
+			if err := mfs.Rename(mv.To, mv.From); err != nil {
+				return fmt.Errorf("lethe: reshard rollback rename %s: %w", mv.To, err)
 			}
 		}
-	} else {
-		// Roll back: reverse whichever renames happened, then delete the
-		// partial child output.
-		for i := len(in.Moves) - 1; i >= 0; i-- {
-			mv := in.Moves[i]
-			mfs := fs
-			if mv.Remote {
-				if remoteFS == nil {
-					return fmt.Errorf("%w: reshard intent moves remote files but no remote filesystem is configured", ErrShardLayout)
-				}
-				mfs = remoteFS
-			}
-			if fileExists(mfs, mv.To) && !fileExists(mfs, mv.From) {
-				if err := mfs.Rename(mv.To, mv.From); err != nil {
-					return fmt.Errorf("lethe: reshard rollback rename %s: %w", mv.To, err)
-				}
-			}
+	}
+	return dropReshardDirs(fs, remoteFS, in.NewDirs)
+}
+
+// redoReshard rolls a committed reshard forward: it deletes the donors'
+// leftovers (clipped sources, old MANIFESTs and WALs). A reshard runs it
+// after closing its donors and Open runs it after a crash.
+func redoReshard(fs, remoteFS vfs.FS, in *reshardIntent) error {
+	return dropReshardDirs(fs, remoteFS, in.OldDirs)
+}
+
+// dropReshardDirs deletes the engine files under dirs on both tiers and
+// then the intent, which therefore outlives any step that failed.
+func dropReshardDirs(fs, remoteFS vfs.FS, dirs []string) error {
+	for _, dir := range dirs {
+		if err := removeEngineFiles(fs, dir); err != nil {
+			return err
 		}
-		for _, dir := range in.NewDirs {
-			if err := removeEngineFiles(fs, dir); err != nil {
+		if remoteFS != nil {
+			if err := removeEngineFiles(remoteFS, dir); err != nil {
 				return err
-			}
-			if remoteFS != nil {
-				if err := removeEngineFiles(remoteFS, dir); err != nil {
-					return err
-				}
 			}
 		}
 	}

@@ -100,11 +100,13 @@
 //
 // The shard layout is a versioned object, not a creation-time constant. A
 // split freezes one shard, flushes it, and partitions its key range at a
-// delete-tile fence; a merge is the inverse. Both commit through an
-// epoch-stamped routing table swapped atomically under readers: in-flight
-// iterators and snapshots finish on the epoch they pinned, new operations
-// route by the new one, and a crash at any point recovers to exactly the
-// old or the new layout (reshard_test.go sweeps every fault offset).
+// delete-tile fence; a merge freezes two neighbours and removes the
+// boundary between them. Both are plans run by one executor, and both
+// commit through an epoch-stamped routing table swapped atomically under
+// readers: in-flight iterators and snapshots finish on the epoch they
+// pinned, new operations route by the new one, and a crash at any point
+// recovers to exactly the old or the new layout (reshard_test.go sweeps
+// every fault offset of a split and of a merge across a range delete).
 //
 // The cost model is what makes resharding cheap enough to do online.
 // Sstables whose key range lies entirely on one side of the cut are handed
