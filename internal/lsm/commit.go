@@ -218,9 +218,7 @@ func (db *DB) commitGroup(group []*commitBatch, self *commitBatch) error {
 		n += int64(len(b.entries))
 	}
 	db.m.commitEntries.Add(n)
-	if g := int64(len(group)); g > db.m.maxCommitGroup.Load() {
-		db.m.maxCommitGroup.Set(g) // single leader at a time: no lost update
-	}
+	storeMax(&db.m.maxCommitGroup, int64(len(group)))
 
 	var wg sync.WaitGroup
 	wg.Add(len(group))

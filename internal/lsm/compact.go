@@ -850,9 +850,7 @@ func (db *DB) mergeFiles(upper, lower run, lastLevel bool, trigger compaction.Tr
 	if width > 1 {
 		db.rt.CountSubcompactions(width)
 		db.m.subcompactions.Add(int64(width))
-		if w := int64(width); w > db.m.maxMergeWidth.Load() {
-			db.m.maxMergeWidth.Set(w)
-		}
+		storeMax(&db.m.maxMergeWidth, int64(width))
 	}
 	for i := range results {
 		if err := results[i].err; err != nil {
@@ -876,9 +874,7 @@ func (db *DB) mergeFiles(upper, lower run, lastLevel bool, trigger compaction.Tr
 		db.m.tombstonesDropped.Add(int64(r.st.TombstonesDropped))
 		db.m.rangeCovered.Add(int64(r.st.RangeCovered))
 	}
-	if eventBytes > db.m.maxCompactionBytes.Load() {
-		db.m.maxCompactionBytes.Set(eventBytes)
-	}
+	storeMax(&db.m.maxCompactionBytes, eventBytes)
 	db.countCompaction(trigger)
 	db.m.compactionBytesIn.Add(bytesIn)
 	db.m.compactionNanos.Add(time.Since(began).Nanoseconds())

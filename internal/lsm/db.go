@@ -13,7 +13,6 @@ import (
 	"lethe/internal/compaction"
 	"lethe/internal/manifest"
 	"lethe/internal/memtable"
-	"lethe/internal/metrics"
 	"lethe/internal/runtime"
 	"lethe/internal/sstable"
 	"lethe/internal/vfs"
@@ -171,57 +170,59 @@ type DB struct {
 	m internalMetrics
 }
 
-// internalMetrics aggregates the engine's counters.
+// internalMetrics holds the engine's counters, which Stats reads into its
+// fields. The max* peaks are raised only through storeMax: concurrent
+// compaction jobs of one shard may report at once.
 type internalMetrics struct {
-	compactions            metrics.Counter
-	compactionsTTL         metrics.Counter
-	compactionsSaturation  metrics.Counter
-	flushes                metrics.Counter
-	bytesFlushed           metrics.Counter
-	compactionBytesIn      metrics.Counter
-	compactionBytesOut     metrics.Counter
-	userBytesWritten       metrics.Counter
-	entriesDroppedObsolete metrics.Counter
-	tombstonesDropped      metrics.Counter
-	rangeCovered           metrics.Counter
-	blindDeletesSuppressed metrics.Counter
-	fullPageDrops          metrics.Counter
-	partialPageDrops       metrics.Counter
-	srdEntriesDropped      metrics.Counter
-	srdFilesRetired        metrics.Counter
-	srdBytesReclaimed      metrics.Counter
-	fullTreeCompactions    metrics.Counter
-	trivialMoves           metrics.Counter
-	maxCompactionBytes     metrics.Gauge
+	compactions            atomic.Int64
+	compactionsTTL         atomic.Int64
+	compactionsSaturation  atomic.Int64
+	flushes                atomic.Int64
+	bytesFlushed           atomic.Int64
+	compactionBytesIn      atomic.Int64
+	compactionBytesOut     atomic.Int64
+	userBytesWritten       atomic.Int64
+	entriesDroppedObsolete atomic.Int64
+	tombstonesDropped      atomic.Int64
+	rangeCovered           atomic.Int64
+	blindDeletesSuppressed atomic.Int64
+	fullPageDrops          atomic.Int64
+	partialPageDrops       atomic.Int64
+	srdEntriesDropped      atomic.Int64
+	srdFilesRetired        atomic.Int64
+	srdBytesReclaimed      atomic.Int64
+	fullTreeCompactions    atomic.Int64
+	trivialMoves           atomic.Int64
+	maxCompactionBytes     atomic.Int64
 
 	// Subcompaction fan-out: key-range pipelines run by split jobs, the
 	// widest single-job fan-out, and cumulative wall time inside mergeFiles
 	// (the compaction-throughput denominator).
-	subcompactions  metrics.Counter
-	maxMergeWidth   metrics.Gauge
-	compactionNanos metrics.Counter
+	subcompactions  atomic.Int64
+	maxMergeWidth   atomic.Int64
+	compactionNanos atomic.Int64
 
 	// Tiered-placement metrics: completed cross-tier migrations, the bytes
 	// they copied to the remote device, and cumulative wall time inside
 	// executeMigration (the migration-bandwidth denominator).
-	tierMigrations    metrics.Counter
-	tierMigratedBytes metrics.Counter
-	tierMigrateNanos  metrics.Counter
+	tierMigrations    atomic.Int64
+	tierMigratedBytes atomic.Int64
+	tierMigrateNanos  atomic.Int64
 
 	// Pipeline metrics (background mode).
-	writeStalls     metrics.Counter
-	writeStallNanos metrics.Counter
-	bgFlushes       metrics.Counter
-	bgCompactions   metrics.Counter
+	writeStalls     atomic.Int64
+	writeStallNanos atomic.Int64
+	bgFlushes       atomic.Int64
+	bgCompactions   atomic.Int64
 
 	// Commit-pipeline metrics: groups committed, member batches and entries
 	// (batches/group is the grouping factor), the largest group seen, and
 	// commit-path WAL syncs (≪ batches when group commit is working).
-	commitGroups   metrics.Counter
-	commitBatches  metrics.Counter
-	commitEntries  metrics.Counter
-	maxCommitGroup metrics.Gauge
-	walSyncs       metrics.Counter
+	commitGroups   atomic.Int64
+	commitBatches  atomic.Int64
+	commitEntries  atomic.Int64
+	maxCommitGroup atomic.Int64
+	walSyncs       atomic.Int64
 }
 
 // Open creates or re-opens a database on opts.FS, replaying any WAL segments

@@ -8,6 +8,7 @@ import (
 // SRDStats is what one secondary range delete did to this instance: the
 // per-file page statistics summed over every file visited (buffer entries
 // count in EntriesDropped), plus the files the delete emptied and retired.
+// The database-wide total and each shard's portion embed it.
 type SRDStats struct {
 	sstable.SRDStats
 	// FilesRetired is the number of emptied files removed from the tree.
@@ -19,7 +20,7 @@ type SRDStats struct {
 // entries older than D days", §4.2.2). With KiWi it touches only what the
 // delete fences implicate, along the drop hierarchy page → tile → file:
 // fully covered pages are dropped without I/O, edge pages are read and
-// filtered in memory (PartialDrops counts them), and a file the delete
+// filtered in memory (PartialPageDrops counts them), and a file the delete
 // leaves empty is retired before the call returns. The buffers (mutable and
 // queued) are filtered in memory. No full-tree compaction occurs, and no
 // sstable byte is written: sstables are write-once.
@@ -114,14 +115,11 @@ func (db *DB) SecondaryRangeDelete(lo, hi base.DeleteKey) (SRDStats, error) {
 		// error.
 		st, _, err := h.r.ApplySecondaryRangeDelete(lo, hi, db.opts.BloomBitsPerKey)
 		firstErr = err
-		touched = touched || st.FullDrops+st.PartialDrops > 0
-		agg.FullDrops += st.FullDrops
-		agg.PartialDrops += st.PartialDrops
-		agg.EntriesDropped += st.EntriesDropped
-		agg.PagesUntouched += st.PagesUntouched
+		touched = touched || st.FullPageDrops+st.PartialPageDrops > 0
+		Accumulate(&agg.SRDStats, st)
 	})
-	db.m.fullPageDrops.Add(int64(agg.FullDrops))
-	db.m.partialPageDrops.Add(int64(agg.PartialDrops))
+	db.m.fullPageDrops.Add(int64(agg.FullPageDrops))
+	db.m.partialPageDrops.Add(int64(agg.PartialPageDrops))
 	db.m.srdEntriesDropped.Add(int64(agg.EntriesDropped))
 
 	var err error

@@ -191,7 +191,7 @@ func TestSRDCrashSweepEveryOp(t *testing.T) {
 			if offset == 0 {
 				t.Fatal("delete issued no filesystem operation")
 			}
-			if st.FilesRetired == 0 || st.FullDrops == 0 || st.PartialDrops == 0 || st.EntriesDropped <= int(cut) {
+			if st.FilesRetired == 0 || st.FullPageDrops == 0 || st.PartialPageDrops == 0 || st.EntriesDropped <= int(cut) {
 				t.Fatalf("the delete did not empty files, drop pages, filter edge pages and the buffer: %+v", st)
 			}
 			t.Logf("swept %d crash points", offset)
@@ -397,7 +397,7 @@ func TestSRDDropsFollowTierMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PartialDrops == 0 || st.EntriesDropped != hi {
+	if st.PartialPageDrops == 0 || st.EntriesDropped != hi {
 		t.Fatalf("setup: the delete must filter edge pages: %+v", st)
 	}
 	if err := db.Close(); err != nil {

@@ -459,11 +459,11 @@ func TestSRDErrorStillCountsAndRetires(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("want the injected error, got %v", err)
 	}
-	if st.FullDrops == 0 || st.EntriesDropped == 0 || st.FilesRetired == 0 {
+	if st.FullPageDrops == 0 || st.EntriesDropped == 0 || st.FilesRetired == 0 {
 		t.Fatalf("work before the error not reported: %+v", st)
 	}
 	got := db.Stats()
-	if got.FullPageDrops != int64(st.FullDrops) || got.SRDEntriesDropped != int64(st.EntriesDropped) ||
+	if got.FullPageDrops != int64(st.FullPageDrops) || got.SRDEntriesDropped != int64(st.EntriesDropped) ||
 		got.SRDFilesRetired != int64(st.FilesRetired) {
 		t.Fatalf("Stats %d/%d/%d disagree with the call's %+v",
 			got.FullPageDrops, got.SRDEntriesDropped, got.SRDFilesRetired, st)

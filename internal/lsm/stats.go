@@ -1,6 +1,9 @@
 package lsm
 
 import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
 	"time"
 
 	"lethe/internal/base"
@@ -30,6 +33,12 @@ type LevelStats struct {
 // Stats is a snapshot of the engine's state and lifetime counters — the
 // measurements §5 takes after each experiment, plus the background
 // pipeline's health indicators.
+//
+// Each field declares how per-shard snapshots fold into one (Accumulate):
+// an untagged integer or duration sums, a field tagged agg:"max" — a peak,
+// or a view of the page cache every shard shares — takes the maximum, and a
+// float64 rate is recomputed from the folded operands by derive. A new
+// counter needs only its declaration and its increments.
 type Stats struct {
 	// Levels describes each disk level, shallowest first.
 	Levels []LevelStats
@@ -57,7 +66,7 @@ type Stats struct {
 	Flushes int64
 	// MaxCompactionBytes is the largest single compaction event (inputs +
 	// outputs) — the latency-spike proxy of Fig. 1B.
-	MaxCompactionBytes int64
+	MaxCompactionBytes int64 `agg:"max"`
 
 	// BytesFlushed, CompactionBytesRead and CompactionBytesWritten feed the
 	// write-amplification metrics: TotalBytesWritten = flushed + compaction
@@ -110,7 +119,7 @@ type Stats struct {
 	// compaction jobs (only jobs that actually split; serial jobs add
 	// nothing). MaxMergeWidth is the widest fan-out one job achieved.
 	Subcompactions int64
-	MaxMergeWidth  int64
+	MaxMergeWidth  int64 `agg:"max"`
 	// CompactionTime is the cumulative wall time spent inside mergeFiles;
 	// CompactionThroughputMBps is (bytes read + bytes written) over that
 	// time — the merge bandwidth the subcompaction fan-out is meant to
@@ -128,7 +137,7 @@ type Stats struct {
 	CommitEntries int64
 	// MaxCommitGroupBatches is the largest group (in batches) the leader
 	// has committed at once.
-	MaxCommitGroupBatches int64
+	MaxCommitGroupBatches int64 `agg:"max"`
 	// CommitQueueDepth is the instantaneous pipeline depth: batches queued
 	// behind the active leader at snapshot time.
 	CommitQueueDepth int
@@ -144,10 +153,10 @@ type Stats struct {
 	// database (one CacheBytes budget total, not per shard), so these
 	// fields report the same shared cache from every shard; a sharded
 	// aggregation takes their maximum, never their sum.
-	CacheCapacity int64
-	CacheUsed     int64
-	CacheHits     int64
-	CacheMisses   int64
+	CacheCapacity int64 `agg:"max"`
+	CacheUsed     int64 `agg:"max"`
+	CacheHits     int64 `agg:"max"`
+	CacheMisses   int64 `agg:"max"`
 
 	// Tier describes tiered placement (all zero without a RemoteFS).
 	Tier TierStats
@@ -237,9 +246,6 @@ func (db *DB) Stats() Stats {
 	s.Subcompactions = db.m.subcompactions.Load()
 	s.MaxMergeWidth = db.m.maxMergeWidth.Load()
 	s.CompactionTime = time.Duration(db.m.compactionNanos.Load())
-	if secs := s.CompactionTime.Seconds(); secs > 0 {
-		s.CompactionThroughputMBps = float64(s.CompactionBytesRead+s.CompactionBytesWritten) / (1 << 20) / secs
-	}
 	s.CommitGroups = db.m.commitGroups.Load()
 	s.CommitBatches = db.m.commitBatches.Load()
 	s.CommitEntries = db.m.commitEntries.Load()
@@ -268,9 +274,6 @@ func (db *DB) Stats() Stats {
 	s.Tier.Migrations = db.m.tierMigrations.Load()
 	s.Tier.MigratedBytes = db.m.tierMigratedBytes.Load()
 	s.Tier.MigrationTime = time.Duration(db.m.tierMigrateNanos.Load())
-	if secs := s.Tier.MigrationTime.Seconds(); secs > 0 {
-		s.Tier.MigrationMBps = float64(s.Tier.MigratedBytes) / (1 << 20) / secs
-	}
 	if db.remoteIO != nil {
 		io := db.remoteIO.Stats.Snapshot()
 		s.Tier.RemoteReadOps = io.ReadOps
@@ -278,7 +281,79 @@ func (db *DB) Stats() Stats {
 		s.Tier.RemoteWriteOps = io.WriteOps
 		s.Tier.RemoteBytesWritten = io.BytesWritten
 	}
+	s.derive()
 	return s
+}
+
+// derive sets the rates from their operands. A folded snapshot recomputes
+// them from the summed operands, since averaging per-shard ratios would
+// weight idle shards wrongly; shard merge windows can overlap in wall time,
+// so they are per-merge-second bandwidths, not host-level aggregates.
+func (s *Stats) derive() {
+	s.CompactionThroughputMBps = mbps(s.CompactionBytesRead+s.CompactionBytesWritten, s.CompactionTime)
+	s.Tier.MigrationMBps = mbps(s.Tier.MigratedBytes, s.Tier.MigrationTime)
+}
+
+func mbps(bytes int64, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(bytes) / (1 << 20) / d.Seconds()
+}
+
+// Accumulate folds src into dst, which points to a value of src's type, by
+// the rule each field declares: integers and durations add, a field tagged
+// agg:"max" takes the maximum, structs and slices fold element-wise (a
+// longer src extends dst), and float64 fields are left to Stats.derive,
+// which runs after each fold into a *Stats. It serves every per-shard and
+// per-file total: Stats, VerifyResult and the SRD counts.
+func Accumulate(dst, src any) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	if d.Type() != s.Type() {
+		panic(fmt.Sprintf("lsm: Accumulate: %s into %s", s.Type(), d.Type()))
+	}
+	accumulate(d, s, "")
+	if st, ok := dst.(*Stats); ok {
+		st.derive()
+	}
+}
+
+func accumulate(dst, src reflect.Value, rule string) {
+	switch dst.Kind() {
+	case reflect.Int, reflect.Int64:
+		if rule != "max" {
+			dst.SetInt(dst.Int() + src.Int())
+		} else if src.Int() > dst.Int() {
+			dst.SetInt(src.Int())
+		}
+	case reflect.Uint64:
+		dst.SetUint(dst.Uint() + src.Uint())
+	case reflect.Float64: // a rate: Stats.derive recomputes it
+	case reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			accumulate(dst.Field(i), src.Field(i), dst.Type().Field(i).Tag.Get("agg"))
+		}
+	case reflect.Slice:
+		if n := src.Len() - dst.Len(); n > 0 {
+			dst.Set(reflect.AppendSlice(dst, reflect.MakeSlice(dst.Type(), n, n)))
+		}
+		for i := 0; i < src.Len(); i++ {
+			accumulate(dst.Index(i), src.Index(i), rule)
+		}
+	default:
+		panic(fmt.Sprintf("lsm: Accumulate: no fold rule for %s", dst.Type()))
+	}
+}
+
+// storeMax raises v to x unless it already holds at least x. Concurrent
+// callers never lose the larger value.
+func storeMax(v *atomic.Int64, x int64) {
+	for {
+		old := v.Load()
+		if x <= old || v.CompareAndSwap(old, x) {
+			return
+		}
+	}
 }
 
 // WriteAmplification returns total bytes written to disk divided by the

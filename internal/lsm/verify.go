@@ -12,14 +12,8 @@ import (
 type VerifyResult struct {
 	// Files is the number of live sstables visited.
 	Files int
-	// Blocks and DroppedBlocks count the data blocks checked and the
-	// secondary-range-delete drops skipped.
-	Blocks        int
-	DroppedBlocks int
-	// Entries is the total number of entries decoded and order-checked.
-	Entries int
-	// Bytes is the total sealed block bytes whose checksums were verified.
-	Bytes int64
+	// Blocks, DroppedBlocks, Entries and Bytes sum the per-file walks.
+	sstable.VerifyStats
 	// CorruptFiles counts files that failed verification; the joined error
 	// returned alongside names each one.
 	CorruptFiles int
@@ -45,10 +39,7 @@ func (db *DB) VerifyTables() (VerifyResult, error) {
 			for _, h := range r {
 				vr.Files++
 				vs, err := h.r.VerifyIntegrity()
-				vr.Blocks += vs.Blocks
-				vr.DroppedBlocks += vs.DroppedBlocks
-				vr.Entries += vs.Entries
-				vr.Bytes += vs.Bytes
+				Accumulate(&vr.VerifyStats, vs)
 				if err != nil {
 					vr.CorruptFiles++
 					errs = append(errs, fmt.Errorf("%s: %w", h.name, err))

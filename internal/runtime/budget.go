@@ -2,9 +2,8 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"lethe/internal/metrics"
 )
 
 // memoryBudget implements the global memtable budget: every shard reports
@@ -20,8 +19,8 @@ type memoryBudget struct {
 	used  int64
 	per   map[int]int64
 
-	stalls     metrics.Counter
-	stallNanos metrics.Counter
+	stalls     atomic.Int64
+	stallNanos atomic.Int64
 }
 
 func (b *memoryBudget) init(total int64) {

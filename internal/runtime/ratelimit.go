@@ -2,9 +2,8 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"lethe/internal/metrics"
 )
 
 // RateLimiter is a token-bucket pacer for maintenance write I/O, refilled at
@@ -27,7 +26,7 @@ type RateLimiter struct {
 	released    chan struct{}
 	releaseOnce sync.Once
 
-	waitNanos metrics.Counter
+	waitNanos atomic.Int64
 }
 
 // NewRateLimiter builds a limiter for the given rate; nil (no limiting)

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lethe/internal/metrics"
 	"lethe/internal/sstable"
 )
 
@@ -158,10 +157,10 @@ type Runtime struct {
 	mergeSlots          int
 	maxMergeParallelism int
 
-	flushJobs      metrics.Counter
-	compactionJobs metrics.Counter
-	reshardJobs    metrics.Counter
-	subcompactions metrics.Counter
+	flushJobs      atomic.Int64
+	compactionJobs atomic.Int64
+	reshardJobs    atomic.Int64
+	subcompactions atomic.Int64
 }
 
 // New builds a Runtime and starts its worker pool and maintenance ticker.

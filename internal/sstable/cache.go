@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"lethe/internal/base"
-	"lethe/internal/metrics"
 )
 
 // PageCache is a shared LRU cache of decoded data pages, the engine's
@@ -28,7 +27,7 @@ type PageCache struct {
 	nextNS atomic.Uint64
 
 	// Hits and Misses count lookups for cache-efficiency reporting.
-	Hits, Misses metrics.Counter
+	Hits, Misses atomic.Int64
 }
 
 type pageKey struct {

@@ -9,14 +9,15 @@ import (
 
 // SRDStats reports what a secondary range delete did to one file — the
 // quantities behind Fig. 6H (fraction of full page drops) and the I/O
-// accounting of Fig. 6K/6L.
+// accounting of Fig. 6K/6L. Engine- and database-wide totals embed it
+// (lsm.SRDStats), so each count is declared once, here.
 type SRDStats struct {
-	// FullDrops is the number of pages removed without any I/O.
-	FullDrops int
-	// PartialDrops is the number of edge pages read and filtered: their
+	// FullPageDrops is the number of pages removed without any I/O.
+	FullPageDrops int
+	// PartialPageDrops is the number of edge pages read and filtered: their
 	// deleted entries are excluded from every later read, and their bytes
 	// stay in the file until a compaction rewrites it.
-	PartialDrops int
+	PartialPageDrops int
 	// EntriesDropped is the number of value entries deleted.
 	EntriesDropped int
 	// PagesUntouched is the number of live pages whose delete fences proved
@@ -250,7 +251,7 @@ scan:
 				stats.EntriesDropped += pl.values
 				next.drop(p)
 				r.cache.invalidate(r.Meta.FileNum, p)
-				stats.FullDrops++
+				stats.FullPageDrops++
 			case pl.maxD < lo || pl.minD >= hi:
 				// Delete fences prove no overlap.
 				stats.PagesUntouched++
@@ -266,12 +267,12 @@ scan:
 					stats.PagesUntouched++
 					continue
 				}
-				stats.PartialDrops++
+				stats.PartialPageDrops++
 				filtered = filtered || !next.dropped(p)
 			}
 		}
 	}
-	if stats.FullDrops+stats.PartialDrops == 0 {
+	if stats.FullPageDrops+stats.PartialPageDrops == 0 {
 		return stats, &cur.meta, err
 	}
 	if filtered {

@@ -95,7 +95,7 @@ func TestSRDFullAndPartialDrops(t *testing.T) {
 	if stats.EntriesDropped != 200 {
 		t.Fatalf("dropped %d entries, want 200", stats.EntriesDropped)
 	}
-	if stats.FullDrops == 0 || stats.PartialDrops == 0 {
+	if stats.FullPageDrops == 0 || stats.PartialPageDrops == 0 {
 		t.Fatalf("expected full and partial page drops, got %+v", stats)
 	}
 	if meta.NumEntries != 800 || r.Live().NumEntries != 800 {
@@ -158,14 +158,14 @@ func TestSRDWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := counting.Stats.Snapshot().Sub(before)
-	if stats.FullDrops == 0 || stats.PartialDrops == 0 {
+	if stats.FullPageDrops == 0 || stats.PartialPageDrops == 0 {
 		t.Fatalf("want full and partial drops, got %+v", stats)
 	}
 	if delta.WriteOps != 0 || delta.Syncs != 0 {
 		t.Fatalf("delete wrote to the file: %d writes, %d syncs", delta.WriteOps, delta.Syncs)
 	}
 	// Only edge pages are read, each once.
-	if delta.ReadOps < int64(stats.PartialDrops) || delta.ReadOps > int64(stats.PartialDrops+stats.PagesUntouched) {
+	if delta.ReadOps < int64(stats.PartialPageDrops) || delta.ReadOps > int64(stats.PartialPageDrops+stats.PagesUntouched) {
 		t.Fatalf("%d reads for %+v", delta.ReadOps, stats)
 	}
 }
@@ -200,8 +200,8 @@ func TestSRDLiveBytesAccounting(t *testing.T) {
 		t.Fatalf("the file's size moved: %d -> %d", before, r.Meta.Size)
 	}
 	// Every full drop is a dropped page; partial drops may also empty pages.
-	if droppedPages(d) < stats.FullDrops {
-		t.Fatalf("%d pages dropped < FullDrops %d", droppedPages(d), stats.FullDrops)
+	if droppedPages(d) < stats.FullPageDrops {
+		t.Fatalf("%d pages dropped < FullPageDrops %d", droppedPages(d), stats.FullPageDrops)
 	}
 }
 
@@ -234,8 +234,8 @@ func TestSRDFullDropsRequireNoIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := counting.Stats.Snapshot().Sub(before)
-	if stats.PartialDrops != 0 {
-		t.Fatalf("expected only full drops, got %d partials", stats.PartialDrops)
+	if stats.PartialPageDrops != 0 {
+		t.Fatalf("expected only full drops, got %d partials", stats.PartialPageDrops)
 	}
 	if stats.EntriesDropped != 500 {
 		t.Fatalf("dropped %d", stats.EntriesDropped)
@@ -308,10 +308,10 @@ func TestSRDEdgePagesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.FullDrops != 0 {
-		t.Fatalf("sub-page range must not fully drop pages, got %d", stats.FullDrops)
+	if stats.FullPageDrops != 0 {
+		t.Fatalf("sub-page range must not fully drop pages, got %d", stats.FullPageDrops)
 	}
-	if stats.PartialDrops == 0 || stats.EntriesDropped == 0 {
+	if stats.PartialPageDrops == 0 || stats.EntriesDropped == 0 {
 		t.Fatalf("expected partial drop, got %+v", stats)
 	}
 	// Remaining entries still readable.
@@ -324,7 +324,7 @@ func TestSRDEdgePagesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.FullDrops == 0 {
+	if stats2.FullPageDrops == 0 {
 		t.Fatalf("second wave: %+v", stats2)
 	}
 }
@@ -391,7 +391,7 @@ func TestSRDEmptyRangeAndMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.EntriesDropped != 0 || stats.FullDrops != 0 || stats.PartialDrops != 0 {
+	if stats.EntriesDropped != 0 || stats.FullPageDrops != 0 || stats.PartialPageDrops != 0 {
 		t.Fatalf("miss range did work: %+v", stats)
 	}
 	if stats.PagesUntouched == 0 {
@@ -456,11 +456,11 @@ func TestSRDFullDropFractionGrowsWithH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		touched := stats.FullDrops + stats.PartialDrops
+		touched := stats.FullPageDrops + stats.PartialPageDrops
 		if touched == 0 {
 			t.Fatalf("h=%d: nothing touched", h)
 		}
-		fractions[h] = float64(stats.FullDrops) / float64(touched)
+		fractions[h] = float64(stats.FullPageDrops) / float64(touched)
 		r.Close()
 	}
 	if !(fractions[16] > fractions[1]) {

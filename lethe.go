@@ -759,20 +759,8 @@ restart:
 			}
 			st, err := h.db.SecondaryRangeDelete(lo, hi)
 			h.exit()
-			agg.FullPageDrops += st.FullDrops
-			agg.PartialPageDrops += st.PartialDrops
-			agg.EntriesDropped += st.EntriesDropped
-			agg.PagesUntouched += st.PagesUntouched
-			agg.FilesRetired += st.FilesRetired
-			agg.Shards = append(agg.Shards, ShardSRDStats{
-				Shard:            i,
-				FullPageDrops:    st.FullDrops,
-				PartialPageDrops: st.PartialDrops,
-				EntriesDropped:   st.EntriesDropped,
-				PagesUntouched:   st.PagesUntouched,
-				FilesRetired:     st.FilesRetired,
-				Err:              err,
-			})
+			lsm.Accumulate(&agg.SRDStats, st)
+			agg.Shards = append(agg.Shards, ShardSRDStats{Shard: i, SRDStats: st, Err: err})
 			if err != nil {
 				return agg, err
 			}
@@ -783,19 +771,13 @@ restart:
 
 // SRDStats reports the work a secondary range delete performed.
 type SRDStats struct {
-	// FullPageDrops is the number of pages dropped without any I/O.
-	FullPageDrops int
-	// PartialPageDrops is the number of edge pages read and filtered: what
-	// they lost is excluded from every read, and their bytes stay on disk
-	// until a compaction rewrites the file.
-	PartialPageDrops int
-	// EntriesDropped is the number of entries removed.
-	EntriesDropped int
-	// PagesUntouched is the number of pages the delete fences excluded.
-	PagesUntouched int
-	// FilesRetired is the number of sstables the delete emptied and removed
-	// from the tree, returning their space.
-	FilesRetired int
+	// The five counts total the delete across every shard reached:
+	// FullPageDrops pages dropped without I/O, PartialPageDrops edge pages
+	// read and filtered (their bytes stay on disk until a compaction
+	// rewrites the file), EntriesDropped entries removed, PagesUntouched
+	// pages the delete fences excluded, and FilesRetired sstables emptied
+	// and removed from the tree, returning their space.
+	lsm.SRDStats
 	// Shards is the per-shard breakdown, in shard (key-range) order,
 	// mirroring DB.ShardStats: one entry per shard the fan-out reached. On
 	// success it has ShardCount entries; after a mid-loop failure it stops
@@ -808,14 +790,9 @@ type SRDStats struct {
 type ShardSRDStats struct {
 	// Shard is the shard index (key-range order, as in ShardStats).
 	Shard int
-	// FullPageDrops, PartialPageDrops, EntriesDropped, PagesUntouched, and
-	// FilesRetired mirror the aggregate fields, scoped to this shard. For a
-	// failed shard they count the work completed before the error.
-	FullPageDrops    int
-	PartialPageDrops int
-	EntriesDropped   int
-	PagesUntouched   int
-	FilesRetired     int
+	// The counts, scoped to this shard. For a failed shard they count the
+	// work completed before the error.
+	lsm.SRDStats
 	// Err is the error this shard's delete returned, nil on success. At
 	// most the last entry of SRDStats.Shards has it set.
 	Err error
@@ -987,20 +964,14 @@ func (db *DB) RuntimeStats() RuntimeStats {
 	return db.rt.Stats()
 }
 
-// Stats returns engine statistics. For a sharded database the counters are
-// aggregated across shards (peaks take the per-shard maximum; sequence
-// frontiers sum, since shards number sequences independently); ShardStats
-// exposes the per-shard breakdown.
+// Stats returns engine statistics: each shard's snapshot (ShardStats)
+// folded by the rule its lsm.Stats field declares — counters, populations
+// and per-level stats sum, peaks and the shared page cache take the
+// maximum, and rates are recomputed from the summed operands.
+// LastPublishedSeq is the sum of the per-shard frontiers: shards number
+// their sequences independently, so ShardStats has the exact ones.
 func (db *DB) Stats() lsm.Stats {
-	t := db.table.Load()
-	if len(t.shards) == 1 {
-		return t.shards[0].db.Stats()
-	}
-	out := make([]lsm.Stats, len(t.shards))
-	for i, h := range t.shards {
-		out[i] = h.db.Stats()
-	}
-	return aggregateStats(out)
+	return sumStats(db.ShardStats())
 }
 
 // ShardStats returns each shard's statistics, in shard (key-range) order.
@@ -1048,12 +1019,7 @@ func (db *DB) VerifyTables() (VerifyStats, error) {
 	t := db.table.Load()
 	for i, h := range t.shards {
 		vr, err := h.db.VerifyTables()
-		out.Files += vr.Files
-		out.Blocks += vr.Blocks
-		out.DroppedBlocks += vr.DroppedBlocks
-		out.Entries += vr.Entries
-		out.Bytes += vr.Bytes
-		out.CorruptFiles += vr.CorruptFiles
+		lsm.Accumulate(&out.VerifyResult, vr)
 		out.Shards = append(out.Shards, ShardVerifyStats{Shard: i, VerifyResult: vr, Err: err})
 		if err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))

@@ -274,112 +274,12 @@ func shardRange(boundaries [][]byte, start, end []byte) (lo, hi int) {
 	return lo, hi
 }
 
-// aggregateStats folds per-shard engine stats into one engine-wide view:
-// counters and populations sum, per-level stats sum level-wise (levels align
-// across shards since every shard runs the same geometry), and peak gauges
-// take the maximum. LastPublishedSeq sums the per-shard frontiers — shards
-// number their sequences independently, so only the total is meaningful
-// engine-wide; use DB.ShardStats for the exact per-shard frontiers.
-func aggregateStats(per []lsm.Stats) lsm.Stats {
+// sumStats folds per-shard engine stats into one engine-wide view (see
+// DB.Stats for the rule).
+func sumStats(per []lsm.Stats) lsm.Stats {
 	var agg lsm.Stats
 	for _, s := range per {
-		for len(agg.Levels) < len(s.Levels) {
-			agg.Levels = append(agg.Levels, lsm.LevelStats{})
-		}
-		for i, l := range s.Levels {
-			agg.Levels[i].Runs += l.Runs
-			agg.Levels[i].Files += l.Files
-			agg.Levels[i].LiveBytes += l.LiveBytes
-			agg.Levels[i].BytesOnDisk += l.BytesOnDisk
-			agg.Levels[i].Entries += l.Entries
-			agg.Levels[i].PointTombstones += l.PointTombstones
-			agg.Levels[i].RangeTombstones += l.RangeTombstones
-		}
-		agg.TreeEntries += s.TreeEntries
-		agg.BufferEntries += s.BufferEntries
-		agg.LivePointTombstones += s.LivePointTombstones
-		agg.BytesOnDisk += s.BytesOnDisk
-		agg.Compactions += s.Compactions
-		agg.CompactionsTTL += s.CompactionsTTL
-		agg.CompactionsSaturation += s.CompactionsSaturation
-		agg.FullTreeCompactions += s.FullTreeCompactions
-		agg.TrivialMoves += s.TrivialMoves
-		agg.Flushes += s.Flushes
-		if s.MaxCompactionBytes > agg.MaxCompactionBytes {
-			agg.MaxCompactionBytes = s.MaxCompactionBytes
-		}
-		agg.BytesFlushed += s.BytesFlushed
-		agg.CompactionBytesRead += s.CompactionBytesRead
-		agg.CompactionBytesWritten += s.CompactionBytesWritten
-		agg.TotalBytesWritten += s.TotalBytesWritten
-		agg.UserBytesWritten += s.UserBytesWritten
-		agg.EntriesDroppedObsolete += s.EntriesDroppedObsolete
-		agg.TombstonesDropped += s.TombstonesDropped
-		agg.RangeCovered += s.RangeCovered
-		agg.BlindDeletesSuppressed += s.BlindDeletesSuppressed
-		agg.FullPageDrops += s.FullPageDrops
-		agg.PartialPageDrops += s.PartialPageDrops
-		agg.SRDEntriesDropped += s.SRDEntriesDropped
-		agg.SRDFilesRetired += s.SRDFilesRetired
-		agg.SRDBytesReclaimed += s.SRDBytesReclaimed
-		agg.ImmutableBuffers += s.ImmutableBuffers
-		agg.MemtableBytes += s.MemtableBytes
-		agg.WriteStalls += s.WriteStalls
-		agg.WriteStallTime += s.WriteStallTime
-		agg.BackgroundFlushes += s.BackgroundFlushes
-		agg.BackgroundCompactions += s.BackgroundCompactions
-		agg.Subcompactions += s.Subcompactions
-		if s.MaxMergeWidth > agg.MaxMergeWidth {
-			agg.MaxMergeWidth = s.MaxMergeWidth
-		}
-		agg.CompactionTime += s.CompactionTime
-		agg.CommitGroups += s.CommitGroups
-		agg.CommitBatches += s.CommitBatches
-		agg.CommitEntries += s.CommitEntries
-		if s.MaxCommitGroupBatches > agg.MaxCommitGroupBatches {
-			agg.MaxCommitGroupBatches = s.MaxCommitGroupBatches
-		}
-		agg.CommitQueueDepth += s.CommitQueueDepth
-		agg.WALSyncs += s.WALSyncs
-		agg.LastPublishedSeq += s.LastPublishedSeq
-		// Tier populations and traffic are per-shard (each instance wraps
-		// its own prefixed slice of the remote filesystem), so they sum.
-		agg.Tier.LocalFiles += s.Tier.LocalFiles
-		agg.Tier.LocalBytes += s.Tier.LocalBytes
-		agg.Tier.RemoteFiles += s.Tier.RemoteFiles
-		agg.Tier.RemoteBytes += s.Tier.RemoteBytes
-		agg.Tier.Migrations += s.Tier.Migrations
-		agg.Tier.MigratedBytes += s.Tier.MigratedBytes
-		agg.Tier.MigrationTime += s.Tier.MigrationTime
-		agg.Tier.RemoteReadOps += s.Tier.RemoteReadOps
-		agg.Tier.RemoteBytesRead += s.Tier.RemoteBytesRead
-		agg.Tier.RemoteWriteOps += s.Tier.RemoteWriteOps
-		agg.Tier.RemoteBytesWritten += s.Tier.RemoteBytesWritten
-		// The page cache is shared: every shard reports the same cache, so
-		// the aggregate takes the maximum rather than summing — summing
-		// would claim Shards x the real budget.
-		if s.CacheCapacity > agg.CacheCapacity {
-			agg.CacheCapacity = s.CacheCapacity
-		}
-		if s.CacheUsed > agg.CacheUsed {
-			agg.CacheUsed = s.CacheUsed
-		}
-		if s.CacheHits > agg.CacheHits {
-			agg.CacheHits = s.CacheHits
-		}
-		if s.CacheMisses > agg.CacheMisses {
-			agg.CacheMisses = s.CacheMisses
-		}
-	}
-	// Derived rates are recomputed from the summed operands: averaging
-	// per-shard ratios would weight idle shards incorrectly. Shard merge
-	// windows can overlap in wall time, so these are per-merge-second
-	// bandwidths, not host-level aggregates.
-	if secs := agg.CompactionTime.Seconds(); secs > 0 {
-		agg.CompactionThroughputMBps = float64(agg.CompactionBytesRead+agg.CompactionBytesWritten) / (1 << 20) / secs
-	}
-	if secs := agg.Tier.MigrationTime.Seconds(); secs > 0 {
-		agg.Tier.MigrationMBps = float64(agg.Tier.MigratedBytes) / (1 << 20) / secs
+		lsm.Accumulate(&agg, s)
 	}
 	return agg
 }

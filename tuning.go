@@ -231,7 +231,10 @@
 // when the last iterator or snapshot pinning it lets go — so a retention job
 // over time-ordered ingest, where whole flushed runs age out together, sees
 // Stats().BytesOnDisk fall at delete time (SRDFilesRetired and
-// SRDBytesReclaimed count it). A file the delete only partly covers keeps
+// SRDBytesReclaimed count it). Each call returns its own SRDStats: the
+// page drops, entries and files retired summed over its Shards breakdown,
+// the same amounts Stats().FullPageDrops, PartialPageDrops,
+// SRDEntriesDropped and SRDFilesRetired advance by. A file the delete only partly covers keeps
 // its dropped blocks, and the deleted entries of its edge blocks, on disk
 // until a compaction rewrites it (a merge leaves excluded entries behind);
 // the gap shows as Levels[i].BytesOnDisk − LiveBytes. To keep that gap
