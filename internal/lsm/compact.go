@@ -438,19 +438,14 @@ func (db *DB) migrateFile(job *maintJob, h *fileHandle) (*fileHandle, int64, err
 }
 
 // discardCopy undoes a migration copy of orig that will not be installed:
-// it closes the copy's reader (when one was opened), removes the copy from
-// the other tier, and routes the name back to orig's tier. Best effort — the
-// orphan sweep at the next open removes anything a failure here leaves.
+// it closes the copy's reader (when one was opened) and removes the copy
+// from the other tier. Best effort — the orphan sweep at the next open
+// removes anything a failure here leaves.
 func (db *DB) discardCopy(orig, dup *fileHandle) {
 	if dup != nil {
 		_ = dup.r.Close()
 	}
 	_ = db.tierFS(!orig.remote).Remove(orig.name)
-	if orig.remote {
-		db.tierReg.Store(orig.name, struct{}{})
-	} else {
-		db.tierReg.Delete(orig.name)
-	}
 }
 
 // installJobLocked makes an executed job's result the current version.

@@ -107,20 +107,17 @@ type DB struct {
 	// appends and reads are not.
 	maintFS vfs.FS
 
-	// Tiered placement (nil/zero when Options.RemoteFS is unset). remoteFS
-	// is the remote device wrapped in a CountingFS (remoteIO) so tier
-	// traffic is measurable; maintRemoteFS adds the runtime's independent
-	// remote-tier rate limiter on top for background writes; dataFS is the
-	// vfs.TieredFS both tiers compose into, routing each sstable by the
-	// placement registry (tierReg: file name -> present means remote). The
-	// registry is loaded from the manifest's Remote list at open and
-	// updated before any create or open, so WAL segments, the manifest,
-	// and every unregistered name route local.
+	// Tiered placement (nil when Options.RemoteFS is unset). remoteFS is
+	// the remote device wrapped in a CountingFS (remoteIO) so tier traffic
+	// is measurable; maintRemoteFS adds the runtime's independent
+	// remote-tier rate limiter on top for background writes. Every sstable
+	// lives on the tier its handle records (fileHandle.remote, loaded from
+	// the manifest's Remote list) and is created, opened and removed
+	// through tierFS of that tier only; WAL segments and the manifest are
+	// always local.
 	remoteFS      vfs.FS
 	remoteIO      *vfs.CountingFS
 	maintRemoteFS vfs.FS
-	dataFS        vfs.FS
-	tierReg       sync.Map
 
 	// cq is the commit pipeline's queue (commit.go): pending batches in
 	// enqueue order plus the leader-active flag. idle is broadcast when the
@@ -237,7 +234,6 @@ func Open(opts Options) (db *DB, err error) {
 		store:   manifest.NewStore(o.FS, manifestName),
 		memSeed: o.Seed,
 		maintFS: o.FS,
-		dataFS:  o.FS,
 		// srcID is assigned by the runtime at registration (after
 		// recovery). Until then it must not alias another shard's id:
 		// WAL-recovery flushes report memory usage, and id 0 belongs to the
@@ -278,22 +274,15 @@ func Open(opts Options) (db *DB, err error) {
 		db.maintFS = vfs.NewThrottled(o.FS, lim)
 	}
 	if o.RemoteFS != nil {
-		// Tiered placement: count all remote traffic, pace background
+		// Tiered placement: count all remote traffic, and pace background
 		// remote writes with the runtime's independent remote bucket (so a
-		// migration cannot starve local flushes of local tokens), and
-		// compose both tiers into the TieredFS sstable opens route through.
+		// migration cannot starve local flushes of local tokens).
 		db.remoteIO = vfs.NewCounting(o.RemoteFS, o.PageSize)
 		db.remoteFS = db.remoteIO
 		db.maintRemoteFS = db.remoteFS
 		if rlim := db.rt.RemoteLimiter(); rlim != nil {
 			db.maintRemoteFS = vfs.NewThrottled(db.remoteFS, rlim)
 		}
-		db.dataFS = vfs.NewTiered(o.FS, db.remoteFS, func(name string) vfs.Tier {
-			if _, ok := db.tierReg.Load(name); ok {
-				return vfs.TierRemote
-			}
-			return vfs.TierLocal
-		})
 	}
 	db.bgCond = sync.NewCond(&db.mu)
 	db.cq.idle = sync.NewCond(&db.cq.mu)
@@ -309,15 +298,10 @@ func Open(opts Options) (db *DB, err error) {
 	db.flushedSeq = base.SeqNum(state.LastSeq)
 
 	drops := state.DropsByFile()
-	// Tier membership is manifest state: seed the placement registry before
-	// any file opens so dataFS routes each sstable to the device it lives
-	// on.
+	// Tier membership is manifest state: each file opens on the tier the
+	// manifest names, and only there.
 	remoteSet := state.RemoteSet()
-	if db.remoteFS != nil {
-		for num := range remoteSet {
-			db.tierReg.Store(db.fileName(num), struct{}{})
-		}
-	} else if len(remoteSet) > 0 {
+	if len(remoteSet) > 0 && db.remoteFS == nil {
 		return nil, errors.New("lsm: manifest lists remote-tier files but Options.RemoteFS is unset")
 	}
 
@@ -327,6 +311,25 @@ func Open(opts Options) (db *DB, err error) {
 	// retirement never committed, can still name one. One commit drops them
 	// all; the orphan pass below then unlinks them with the rest of what the
 	// manifest does not claim.
+	//
+	// A failed Open closes every reader it opened: those in opened until the
+	// version is installed, then the current version through the engine's
+	// reference (recovery may have installed a newer one). db is passed in
+	// because a failing return has already set the named result to nil.
+	var opened []*fileHandle
+	defer func(db *DB) {
+		if err == nil {
+			return
+		}
+		if db.current != nil {
+			db.invalidateReadHandleLocked()
+			_ = db.current.unref()
+			return
+		}
+		for _, h := range opened {
+			_ = h.r.Close()
+		}
+	}(db)
 	v := &version{levels: make([][]run, len(state.Levels))}
 	swept := false
 	for l, runsIn := range state.Levels {
@@ -337,14 +340,15 @@ func Open(opts Options) (db *DB, err error) {
 				if err != nil {
 					return nil, err
 				}
+				opened = append(opened, h)
 				if d, ok := drops[num]; ok {
 					if err := h.r.SetDrops(d); err != nil {
-						h.r.Close()
 						return nil, fmt.Errorf("lsm: drops of file %d: %w", num, err)
 					}
 				}
 				if h.r.Live().Empty() {
 					swept = true
+					opened = opened[:len(opened)-1]
 					if err := h.r.Close(); err != nil {
 						return nil, fmt.Errorf("lsm: close emptied file %d: %w", num, err)
 					}
@@ -422,18 +426,12 @@ func (db *DB) tierFS(remote bool) vfs.FS {
 }
 
 // openFileAt opens file num on its tier and returns a handle pinned to that
-// tier's concrete filesystem. The placement registry is updated first so a
-// concurrent open through dataFS routes consistently.
+// tier's concrete filesystem. A file missing from that tier fails with
+// vfs.ErrNotExist: it is never looked for on the other one.
 func (db *DB) openFileAt(num uint64, remote bool) (*fileHandle, error) {
 	name := db.fileName(num)
-	if remote {
-		db.tierReg.Store(name, struct{}{})
-	} else {
-		// Clear any stale remote claim (a remote→local placement repair
-		// leaves both copies alive briefly; routing must prefer the new one).
-		db.tierReg.Delete(name)
-	}
-	f, err := db.dataFS.Open(name)
+	fs := db.tierFS(remote)
+	f, err := fs.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open file %d: %w", num, err)
 	}
@@ -444,7 +442,7 @@ func (db *DB) openFileAt(num uint64, remote bool) (*fileHandle, error) {
 	}
 	r.SetCache(db.cache)
 	r.SetRemote(remote)
-	return &fileHandle{meta: r.Meta, r: r, fs: db.tierFS(remote), name: name, remote: remote}, nil
+	return &fileHandle{meta: r.Meta, r: r, fs: fs, name: name, remote: remote}, nil
 }
 
 // cleanOrphans removes every sstable the committed version v does not place

@@ -75,9 +75,9 @@ func TestSyncMaintainRepicksAfterWALAgeFlush(t *testing.T) {
 // TestFailedMigrationWaveLeaksNothing fails one copy of a batched
 // placement-repair wave and checks that the copies which did complete leave
 // nothing behind: every remote file handle the engine opened or created is
-// closed by Close, no copy stays on the remote tier, the placement registry
-// routes every name to the tier its live file is on, and the tier counters
-// count no migration that never installed.
+// closed by Close, no copy stays on the remote tier, every live file opens
+// from the tier its handle records, and the tier counters count no
+// migration that never installed.
 func TestFailedMigrationWaveLeaksNothing(t *testing.T) {
 	boom := errors.New("remote create refused")
 	var armed atomic.Bool
@@ -136,8 +136,12 @@ func TestFailedMigrationWaveLeaksNothing(t *testing.T) {
 			live[h.name] = true
 			liveBytes += h.meta.Size
 		}
-		if _, routed := db.tierReg.Load(h.name); routed != h.remote {
-			t.Errorf("%s: placement registry routes remote=%v, live file remote=%v", h.name, routed, h.remote)
+		// The handle's tier is the only routing: the live file must open
+		// from that tier's filesystem.
+		if f, err := db.tierFS(h.remote).Open(h.name); err != nil {
+			t.Errorf("%s: live file (remote=%v) does not open from its tier: %v", h.name, h.remote, err)
+		} else {
+			f.Close()
 		}
 	})
 	db.mu.Unlock()

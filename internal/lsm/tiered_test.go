@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -347,5 +348,183 @@ func TestTieredConcurrentReadsDuringMigration(t *testing.T) {
 	}
 	if db.Stats().Tier.RemoteFiles == 0 {
 		t.Fatal("stress run never placed a file on the remote tier")
+	}
+}
+
+// moveFile moves name from one tier's filesystem to the other's.
+func moveFile(t *testing.T, from, to vfs.FS, name string) {
+	t.Helper()
+	src, err := from.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := src.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if _, err := src.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	dst, err := to.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := from.Remove(name); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesFileMissingFromItsTier moves one live sstable to the tier
+// its manifest does not name. Open must fail with vfs.ErrNotExist and leave
+// the moved file where it is — never read it from the other tier, and never
+// sweep it as an orphan — and open cleanly, with every key, once the file
+// is back.
+func TestOpenRefusesFileMissingFromItsTier(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remote bool // the tier the manifest names for the moved file
+	}{
+		{"manifest-remote-file-local", true},
+		{"manifest-local-file-remote", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := base.NewManualClock(time.Unix(1e6, 0))
+			local, remote := vfs.NewMem(), vfs.NewMem()
+			db := mustOpen(t, tieredOpts(local, remote, clock, 1))
+			const n = 600
+			fillTiered(t, db, clock, n)
+			var num uint64
+			found := false
+			for f, r := range tierByFile(db) {
+				if r == tc.remote {
+					num, found = f, true
+					break
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !found {
+				t.Fatalf("setup placed no file on the remote=%v tier", tc.remote)
+			}
+			name := FileName(num)
+			recorded, other := vfs.FS(local), vfs.FS(remote)
+			if tc.remote {
+				recorded, other = other, recorded
+			}
+			moveFile(t, recorded, other, name)
+
+			if db, err := Open(tieredOpts(local, remote, clock, 1)); !errors.Is(err, vfs.ErrNotExist) {
+				if err == nil {
+					db.Close()
+				}
+				t.Fatalf("Open with %s on the wrong tier: %v, want vfs.ErrNotExist", name, err)
+			}
+			f, err := other.Open(name)
+			if err != nil {
+				t.Fatalf("failed Open removed the only copy of %s: %v", name, err)
+			}
+			f.Close()
+
+			moveFile(t, other, recorded, name)
+			db = mustOpen(t, tieredOpts(local, remote, clock, 1))
+			defer db.Close()
+			for i := 0; i < n; i++ {
+				v, _, err := db.Get(key(i))
+				if err != nil || !bytes.Equal(v, value(i)) {
+					t.Fatalf("get %d after moving %s back: %q %v", i, name, v, err)
+				}
+			}
+		})
+	}
+}
+
+// TestFailedOpenClosesWhatItOpened fails Open at each stage that runs after
+// files are open — an sstable open in the tree walk, the orphan sweep, WAL
+// replay after the version is installed, and the new WAL segment — and
+// checks that every file Open opened or created on either tier is closed
+// again by the time it returns.
+func TestFailedOpenClosesWhatItOpened(t *testing.T) {
+	boom := errors.New("injected open-path failure")
+	for _, tc := range []struct {
+		name string
+		fail func(op vfs.Op, name, lastSST string) bool
+	}{
+		{"sstable-open", func(op vfs.Op, name, lastSST string) bool {
+			return op == vfs.OpOpen && name == lastSST
+		}},
+		{"orphan-sweep", func(op vfs.Op, name, _ string) bool {
+			return op == vfs.OpRemove && strings.HasSuffix(name, ".sst")
+		}},
+		{"wal-replay", func(op vfs.Op, name, _ string) bool {
+			return op == vfs.OpOpen && strings.HasSuffix(name, ".wal")
+		}},
+		{"wal-create", func(op vfs.Op, name, _ string) bool {
+			return op == vfs.OpCreate && strings.HasSuffix(name, ".wal")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := base.NewManualClock(time.Unix(1e6, 0))
+			localMem, remoteMem := vfs.NewMem(), vfs.NewMem()
+			db := mustOpen(t, tieredOpts(localMem, remoteMem, clock, 1))
+			fillTiered(t, db, clock, 600)
+			// The tree walk opens files in version order: failing the last
+			// one leaves every other reader open.
+			var lastSST string
+			db.mu.Lock()
+			db.current.forEach(func(h *fileHandle) { lastSST = h.name })
+			db.mu.Unlock()
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// An orphan for the sweep to remove.
+			f, err := localMem.Create(FileName(999999))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			var mu sync.Mutex
+			opened, closed, faults := 0, 0, 0
+			hook := func(op vfs.Op, name string) error {
+				mu.Lock()
+				defer mu.Unlock()
+				if tc.fail(op, name, lastSST) {
+					faults++
+					return boom
+				}
+				switch op {
+				case vfs.OpOpen, vfs.OpCreate:
+					opened++
+				case vfs.OpClose:
+					closed++
+				}
+				return nil
+			}
+			local, remote := vfs.NewInject(localMem, hook), vfs.NewInject(remoteMem, hook)
+			if db, err := Open(tieredOpts(local, remote, clock, 1)); !errors.Is(err, boom) {
+				if err == nil {
+					db.Close()
+				}
+				t.Fatalf("Open: %v, want the injected failure", err)
+			}
+			if faults == 0 || opened == 0 {
+				t.Fatalf("fault fired %d times over %d opens", faults, opened)
+			}
+			if opened != closed {
+				t.Fatalf("failed Open opened or created %d files and closed %d", opened, closed)
+			}
+		})
 	}
 }

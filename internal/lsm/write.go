@@ -220,11 +220,10 @@ func (db *DB) installFlushLocked(job *maintJob) error {
 // handles. Pool-run jobs pass their tier's maintenance filesystem so a
 // configured I/O rate limit paces the build; inline work (synchronous mode,
 // recovery, Close, FullTreeCompact) passes the raw tier filesystem and is
-// never throttled. remote records the tier the caller's
-// fs writes to, so the handles and the placement registry stay consistent
-// with where the bytes physically landed. File numbers come from an atomic
-// counter, so concurrent background workers can build runs without holding
-// db.mu.
+// never throttled. remote records the tier the caller's fs writes to: each
+// handle records it and opens its file there, so a handle's tier is where
+// its bytes physically landed. File numbers come from an atomic counter, so
+// concurrent background workers can build runs without holding db.mu.
 func (db *DB) writeRun(entries []base.Entry, rts []base.RangeTombstone, fs vfs.FS, remote bool) (run, base.SeqNum, error) {
 	var out run
 	var maxSeq base.SeqNum

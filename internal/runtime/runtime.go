@@ -108,14 +108,11 @@ type Config struct {
 	MemoryBudget int64
 	// CompactionRateBytes caps maintenance write I/O (flush and compaction
 	// sstable builds) in bytes per second via a token bucket. Zero means
-	// unlimited.
+	// unlimited. Writes to the remote storage tier (cold-level compaction
+	// outputs and tier migrations) get the same cap in a bucket of their
+	// own, so a remote migration draining slowly through a modeled remote
+	// device never consumes the local bucket's tokens and stalls a flush.
 	CompactionRateBytes int64
-	// RemoteRateBytes caps maintenance write I/O against the remote storage
-	// tier (cold-level compaction outputs and tier migrations) with its own
-	// token bucket, so a remote migration draining slowly through a modeled
-	// remote device never consumes the local bucket's tokens and stalls a
-	// flush. Zero inherits CompactionRateBytes (same cap, separate bucket).
-	RemoteRateBytes int64
 	// TickInterval overrides the periodic maintenance tick (tests).
 	TickInterval time.Duration
 }
@@ -171,13 +168,10 @@ func New(cfg Config) *Runtime {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = defaultTickInterval
 	}
-	if cfg.RemoteRateBytes <= 0 {
-		cfg.RemoteRateBytes = cfg.CompactionRateBytes
-	}
 	rt := &Runtime{
 		cache:         sstable.NewPageCache(cfg.CacheBytes),
 		limiter:       NewRateLimiter(cfg.CompactionRateBytes),
-		remoteLimiter: NewRateLimiter(cfg.RemoteRateBytes),
+		remoteLimiter: NewRateLimiter(cfg.CompactionRateBytes),
 		notifyC:       make(chan struct{}, 1),
 		flushNotifyC:  make(chan struct{}, 1),
 		quit:          make(chan struct{}),

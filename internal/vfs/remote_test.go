@@ -3,19 +3,9 @@ package vfs
 import (
 	"errors"
 	"io"
-	"strings"
 	"testing"
 	"time"
 )
-
-func placeBySuffix(suffix string) func(string) Tier {
-	return func(name string) Tier {
-		if strings.HasSuffix(name, suffix) {
-			return TierRemote
-		}
-		return TierLocal
-	}
-}
 
 func writeFile(t *testing.T, fs FS, name, content string) {
 	t.Helper()
@@ -47,69 +37,6 @@ func readFile(t *testing.T, fs FS, name string) string {
 		t.Fatalf("read %s: %v", name, err)
 	}
 	return string(buf)
-}
-
-func TestTieredRoutesByPlacement(t *testing.T) {
-	local, remote := NewMem(), NewMem()
-	tfs := NewTiered(local, remote, placeBySuffix(".cold"))
-
-	writeFile(t, tfs, "a.hot", "hot")
-	writeFile(t, tfs, "b.cold", "cold")
-
-	if _, err := local.Open("a.hot"); err != nil {
-		t.Fatalf("a.hot not on local tier: %v", err)
-	}
-	if _, err := remote.Open("b.cold"); err != nil {
-		t.Fatalf("b.cold not on remote tier: %v", err)
-	}
-	if _, err := local.Open("b.cold"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("b.cold leaked to local tier: err=%v", err)
-	}
-	if got := readFile(t, tfs, "b.cold"); got != "cold" {
-		t.Fatalf("read through tier = %q, want %q", got, "cold")
-	}
-}
-
-func TestTieredOpenFallsBackAcrossTiers(t *testing.T) {
-	local, remote := NewMem(), NewMem()
-	// The file physically lives remote, but the placement function (say,
-	// after a policy change across reopen) now claims it is local.
-	writeFile(t, remote, "x.sst", "payload")
-	tfs := NewTiered(local, remote, nil) // nil place = everything local
-
-	if got := readFile(t, tfs, "x.sst"); got != "payload" {
-		t.Fatalf("fallback open = %q, want %q", got, "payload")
-	}
-	if err := tfs.Remove("x.sst"); err != nil {
-		t.Fatalf("fallback remove: %v", err)
-	}
-	if _, err := remote.Open("x.sst"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("remove did not reach remote tier: err=%v", err)
-	}
-}
-
-func TestTieredListMergesAndRenameGuardsTiers(t *testing.T) {
-	local, remote := NewMem(), NewMem()
-	tfs := NewTiered(local, remote, placeBySuffix(".cold"))
-	writeFile(t, tfs, "b.hot", "1")
-	writeFile(t, tfs, "a.cold", "2")
-	writeFile(t, local, "a.cold", "stale local twin") // duplicate name on both tiers
-
-	names, err := tfs.List()
-	if err != nil {
-		t.Fatalf("list: %v", err)
-	}
-	want := []string{"a.cold", "b.hot"}
-	if len(names) != len(want) || names[0] != want[0] || names[1] != want[1] {
-		t.Fatalf("list = %v, want %v", names, want)
-	}
-
-	if err := tfs.Rename("b.hot", "b.cold"); err == nil {
-		t.Fatal("cross-tier rename unexpectedly succeeded")
-	}
-	if err := tfs.Rename("b.hot", "c.hot"); err != nil {
-		t.Fatalf("same-tier rename: %v", err)
-	}
 }
 
 func TestRemoteFSCountsAndInjectsFaults(t *testing.T) {

@@ -1034,13 +1034,6 @@ func (db *DB) VerifyTables() (VerifyStats, error) {
 func (db *DB) SpaceAmp() (float64, error) {
 	for {
 		t := db.table.Load()
-		if len(t.shards) == 1 {
-			a, err := t.shards[0].db.SpaceAmp()
-			if err != nil && db.retryRead(err, t) {
-				continue
-			}
-			return a, err
-		}
 		var total, unique int64
 		retry := false
 		for _, h := range t.shards {
@@ -1068,12 +1061,8 @@ func (db *DB) SpaceAmp() (float64, error) {
 // TombstoneAges returns the per-file tombstone age distribution across all
 // shards.
 func (db *DB) TombstoneAges() []lsm.TombstoneAgeBucket {
-	t := db.table.Load()
-	if len(t.shards) == 1 {
-		return t.shards[0].db.TombstoneAges()
-	}
 	var out []lsm.TombstoneAgeBucket
-	for _, h := range t.shards {
+	for _, h := range db.table.Load().shards {
 		out = append(out, h.db.TombstoneAges()...)
 	}
 	return out

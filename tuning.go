@@ -295,6 +295,10 @@
 // sync, then a manifest commit that flips the authoritative tier — so a
 // crash at any point leaves either the old copy or both, never neither.
 // Partial copies a crash strands are swept as orphans at the next open.
+// The manifest's tier is the only place a file is looked for: a file
+// missing from the tier its manifest names fails Open (an error wrapping
+// vfs.ErrNotExist) and nothing is deleted; the engine never reads it from
+// the other tier.
 //
 // Choosing LocalLevels: level sizes grow by SizeRatio, so each extra local
 // level multiplies the local footprint by T but also keeps T times more of
@@ -316,9 +320,9 @@
 // same-aged local block), so a cold-read working set warms into the cache
 // and stays there. Migrations are background work: they ride the
 // maintenance pool at the lowest priority, only when no compaction trigger
-// fires, and their bytes are paced by a separate remote token bucket
-// (runtime.Config.RemoteRateBytes, defaulting to the compaction rate) so a
-// bulk migration cannot starve local flushes of limiter budget.
+// fires, and their bytes are paced by a separate remote token bucket (at
+// the compaction rate, Options.CompactionRateBytes) so a bulk migration
+// cannot starve local flushes of limiter budget.
 // Stats().Tier reports the split (files and bytes per tier), the migration
 // totals, and the raw remote-device traffic; `lethe stats` prints it.
 //
