@@ -139,3 +139,33 @@ func TestBatchModelEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyWholeBatchAllocs pins the allocations of a 16-put batch applied
+// to a one-shard database. A batch that lands whole in one shard reaches
+// the engine as it is, so routing it copies no op.
+func TestApplyWholeBatchAllocs(t *testing.T) {
+	db, err := Open(Options{InMemory: true, DisableWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%04d", i))
+	}
+	b := NewBatch()
+	allocs := testing.AllocsPerRun(200, func() {
+		for i, k := range keys {
+			b.Put(k, DeleteKey(i), []byte("value"))
+		}
+		if err := db.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The batch's own key and value copies plus the engine's commit and
+	// memtable inserts.
+	const want = 70
+	if allocs > want {
+		t.Fatalf("Apply of a one-shard batch: %.0f allocs per batch, want at most %d", allocs, want)
+	}
+}

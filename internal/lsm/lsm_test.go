@@ -867,6 +867,53 @@ func TestFlushFailureSurfacesError(t *testing.T) {
 	})
 }
 
+// TestFailedFlushClosesFinishedFiles fails the second sstable create of a
+// synchronous flush whose run spans several files: the reader of the file
+// the flush already finished must be closed with the failure, so after
+// Close every sstable handle the engine opened or created is closed.
+func TestFailedFlushClosesFinishedFiles(t *testing.T) {
+	boom := errors.New("second create refused")
+	var armed atomic.Bool
+	var creates, opened, closed atomic.Int64
+	inj := vfs.NewInject(vfs.NewMem(), func(op vfs.Op, name string) error {
+		if !strings.HasSuffix(name, ".sst") {
+			return nil
+		}
+		if armed.Load() && op == vfs.OpCreate && creates.Add(1) == 2 {
+			return boom
+		}
+		switch op {
+		case vfs.OpCreate, vfs.OpOpen:
+			opened.Add(1)
+		case vfs.OpClose:
+			closed.Add(1)
+		}
+		return nil
+	})
+	opts := smallOpts(inj, base.NewManualClock(time.Unix(1e6, 0)))
+	opts.BufferBytes = 64 << 10 // no flush until the one under test
+	db := mustOpen(t, opts)
+	for i := 0; i < 100; i++ {
+		if err := db.Put(key(i), 0, value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(true)
+	if err := db.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("Flush: %v, want the injected create failure", err)
+	}
+	if creates.Load() < 2 {
+		t.Fatalf("the flush created %d files; the test needs a run of several", creates.Load())
+	}
+	armed.Store(false)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if o, c := opened.Load(), closed.Load(); o != c {
+		t.Fatalf("sstable handles leaked: %d created or opened, %d closed", o, c)
+	}
+}
+
 func TestTTLsRecomputedOnGrowth(t *testing.T) {
 	clock := base.NewManualClock(time.Unix(1e6, 0))
 	opts := smallOpts(vfs.NewMem(), clock)

@@ -228,6 +228,15 @@ func (db *DB) writeRun(entries []base.Entry, rts []base.RangeTombstone, fs vfs.F
 	var out run
 	var maxSeq base.SeqNum
 	targetBytes := db.opts.FilePages * db.opts.PageSize
+	// fail closes the readers of the files already finished: no version
+	// references them yet, and the files themselves are orphans the next
+	// Open sweeps.
+	fail := func(err error) (run, base.SeqNum, error) {
+		for _, h := range out {
+			_ = h.r.Close()
+		}
+		return nil, 0, err
+	}
 
 	i := 0
 	first := true
@@ -235,7 +244,7 @@ func (db *DB) writeRun(entries []base.Entry, rts []base.RangeTombstone, fs vfs.F
 		num := db.nextFileNum.Add(1) - 1
 		f, err := fs.Create(db.fileName(num))
 		if err != nil {
-			return nil, 0, fmt.Errorf("lsm: create sstable: %w", err)
+			return fail(fmt.Errorf("lsm: create sstable: %w", err))
 		}
 		w := sstable.NewWriter(f, sstable.WriterOptions{
 			FileNum:           num,
@@ -251,7 +260,7 @@ func (db *DB) writeRun(entries []base.Entry, rts []base.RangeTombstone, fs vfs.F
 			e := entries[i]
 			if err := w.Add(e); err != nil {
 				f.Close()
-				return nil, 0, err
+				return fail(err)
 			}
 			if s := e.Key.SeqNum(); s > maxSeq {
 				maxSeq = s
@@ -263,7 +272,7 @@ func (db *DB) writeRun(entries []base.Entry, rts []base.RangeTombstone, fs vfs.F
 			for _, rt := range rts {
 				if err := w.AddRangeTombstone(rt); err != nil {
 					f.Close()
-					return nil, 0, err
+					return fail(err)
 				}
 				if rt.Seq > maxSeq {
 					maxSeq = rt.Seq
@@ -273,14 +282,14 @@ func (db *DB) writeRun(entries []base.Entry, rts []base.RangeTombstone, fs vfs.F
 		}
 		if _, err := w.Finish(); err != nil {
 			f.Close()
-			return nil, 0, err
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			return nil, 0, err
+			return fail(err)
 		}
 		h, err := db.openFileAt(num, remote)
 		if err != nil {
-			return nil, 0, err
+			return fail(err)
 		}
 		out = append(out, h)
 	}

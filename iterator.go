@@ -2,6 +2,7 @@ package lethe
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"lethe/internal/base"
@@ -134,58 +135,42 @@ func (db *DB) NewIter(start, end []byte) (*Iterator, error) {
 		// SeekGE from trying to revive it into shards it never pinned.
 		return &Iterator{exhausted: true, owned: true, cur: 0, hi: -1}, nil
 	}
-	for {
-		if db.closed.Load() {
-			return nil, ErrClosed
-		}
-		t := db.table.Load()
+	var it *Iterator
+	err := db.route(func(t *routingTable) error {
 		lo, hi := 0, len(t.shards)-1
 		if start != nil || end != nil {
 			lo, hi = shardRange(t.boundaries, start, end)
 		}
 		a := iterAllocPool.Get().(*iterAlloc)
-		if cap(a.snaps) < len(t.shards) {
-			a.snaps = make([]*lsm.Snapshot, len(t.shards))
-		} else {
-			a.snaps = a.snaps[:len(t.shards)]
-			for i := range a.snaps {
-				a.snaps[i] = nil
-			}
-		}
-		snaps := a.snaps
-		var err error
+		// A pooled alloc holds no pin (recycle clears them), so every slot
+		// up to its capacity is nil.
+		a.snaps = slices.Grow(a.snaps[:0], len(t.shards))[:len(t.shards)]
 		for i := lo; i <= hi; i++ {
-			var sn *lsm.Snapshot
-			if sn, err = t.shards[i].db.NewScanSnapshot(start, end); err != nil {
+			sn, err := t.shards[i].db.NewScanSnapshot(start, end)
+			if err != nil {
+				// No pin survives a failed pass: the next one, after a
+				// reshard retired a shard, pins everything at one epoch.
 				for j := lo; j < i; j++ {
-					snaps[j].Release()
-					snaps[j] = nil
+					a.snaps[j].Release()
 				}
-				break
+				a.recycle()
+				return err
 			}
-			snaps[i] = sn
+			a.snaps[i] = sn
 		}
-		if err != nil {
-			a.recycle()
-			// A shard retired by a concurrent reshard before we pinned it:
-			// re-resolve against the new table. No pins survive, so the
-			// retry re-pins everything at one epoch.
-			if db.retryRead(err, t) {
-				continue
-			}
-			return nil, err
-		}
-		return &Iterator{
+		it = &Iterator{
 			a:          a,
-			snaps:      snaps,
+			snaps:      a.snaps,
 			boundaries: t.boundaries,
 			owned:      true,
 			start:      a.setStart(start),
 			end:        a.setEnd(end),
 			cur:        lo,
 			hi:         hi,
-		}, nil
-	}
+		}
+		return nil
+	})
+	return it, err
 }
 
 // CloneBytes returns a copy of b that stays valid indefinitely. Use it to
@@ -335,6 +320,18 @@ func (it *Iterator) SeekGE(key []byte) {
 	}
 	it.cur = target
 	it.pendingSeek = key
+}
+
+// each feeds fn the iterator's items until it returns false, then closes
+// the iterator, returning Close's error.
+func (it *Iterator) each(fn func(key []byte, dkey DeleteKey, value []byte) bool) error {
+	defer it.Close()
+	for it.Next() {
+		if !fn(it.Key(), it.DeleteKey(), it.Value()) {
+			break
+		}
+	}
+	return it.Close()
 }
 
 // Valid reports whether the iterator is positioned on an item.

@@ -319,28 +319,27 @@ type Options struct {
 // its portion.
 //
 // The shard layout is mutable at runtime (SplitShard, MergeShards, the
-// balancer behind Options.AutoReshard): routing goes through an
-// epoch-stamped table swapped atomically when the layout changes. Per-shard
-// atomicity semantics during a reshard: point operations and per-shard
-// sub-batches remain atomic — a write either lands entirely in the shard
-// that owned its key when it was admitted, or (if that shard froze first)
-// waits and lands entirely in the epoch-N+1 shard that owns it after the
-// swap; it is never torn across epochs. Cross-shard fan-outs (RangeDelete,
-// SecondaryRangeDelete, Apply) that collide with a concurrent layout swap
-// restart against the new table, re-applying only idempotent or
-// not-yet-applied portions, so each point op still applies exactly once.
-// Iterators and snapshots opened before a swap finish on the table they
-// pinned — a reshard moves sstables between directories without touching
-// their contents, and the donor shard's files outlive its retirement for as
-// long as any reader pins them.
+// balancer behind Options.AutoReshard). Every call reaches its shards in a
+// pass over an epoch-stamped routing table that a layout change replaces
+// whole, and a pass the change interrupts runs again on the new table. A
+// write aimed at a shard a reshard has frozen blocks until the reshard
+// commits or rolls back, then lands entirely in the shard owning its key,
+// so a point operation or a per-shard sub-batch is never torn across
+// epochs; a read that finds its shard retired reads the new table. Of the
+// cross-shard fan-outs, RangeDelete and SecondaryRangeDelete restart (both
+// are idempotent) and Apply resumes from the key where it stopped, so each
+// of its point ops applies exactly once. Iterators and snapshots opened
+// before a change finish on the table they pinned — a reshard moves
+// sstables between directories without touching their contents, and the
+// donor shard's files outlive its retirement for as long as any reader
+// pins them.
 type DB struct {
 	// table is the current routing epoch: boundaries plus one handle per
-	// shard. Swapped atomically by reshard.go; readers Load it once per
-	// operation and never observe a mix of epochs.
+	// shard. Replaced only by install; every routed pass Loads it once and
+	// never observes a mix of epochs.
 	table atomic.Pointer[routingTable]
-	// closed latches on Close. The table is never swapped afterwards, which
-	// is what lets read retry loops distinguish "shard retired by reshard"
-	// (table changed — retry) from "database closed" (give up).
+	// closed latches on Close, before Close installs its last table, so a
+	// pass woken or retried by that install stops with ErrClosed.
 	closed atomic.Bool
 	// reshardMu serializes layout changes (splits, merges, Close) without
 	// touching any per-operation path.
@@ -351,11 +350,11 @@ type DB struct {
 	layout *shardLayout
 	// rootFS/remoteFS are the database-root filesystems (not
 	// shard-prefixed); reshard moves files across shard directories through
-	// them. makeInner builds a child instance's options for a given pair of
-	// shard-prefixed filesystems.
-	rootFS    vfs.FS
-	remoteFS  vfs.FS
-	makeInner func(shardFS, shardRemoteFS vfs.FS) lsm.Options
+	// them. inner is the options every shard's engine opens with, less the
+	// filesystems openShard fills in.
+	rootFS   vfs.FS
+	remoteFS vfs.FS
+	inner    lsm.Options
 	// rt is the shared maintenance runtime every shard registers with: one
 	// worker pool, page cache, memory budget, and I/O rate limiter for the
 	// whole database. In synchronous mode it is inline — the page cache
@@ -387,6 +386,18 @@ type routingTable struct {
 	epoch      uint64
 	boundaries [][]byte
 	shards     []*shardHandle
+	// done is closed when install replaces the table.
+	done chan struct{}
+}
+
+// superseded reports whether install has replaced t.
+func (t *routingTable) superseded() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // index routes a key to its owning shard position.
@@ -400,12 +411,9 @@ func (t *routingTable) index(key []byte) int {
 // Handle lifecycle states, held in the high half of shardHandle.word.
 const (
 	shardActive uint32 = iota
-	// shardFrozen: a reshard is draining the shard; new writes wait for the
-	// next routing table instead of entering.
+	// shardFrozen: a reshard is draining the shard, or has retired it; new
+	// writes wait for the next routing table instead of entering.
 	shardFrozen
-	// shardRetired: the shard's data has been handed off and its instance
-	// is closing. Only reached after a successful layout swap.
-	shardRetired
 )
 
 // shardHandle pairs one engine instance with its routing identity and a
@@ -413,8 +421,8 @@ const (
 // of in-flight write operations (low 32 bits), so freezing the shard and
 // draining its writers is one atomic protocol with no per-write lock.
 // Reads bypass the gate entirely: they pin LSM read state internally, and a
-// read that loses the race with retirement observes ErrClosed and retries
-// on the new table.
+// read that loses the race with retirement observes ErrClosed and route
+// runs it again on the new table.
 type shardHandle struct {
 	// id is the persistent shard identity (directory shard-<id>/), -1 for a
 	// single instance rooted at the filesystem root.
@@ -424,22 +432,26 @@ type shardHandle struct {
 	word   atomic.Uint64
 }
 
-// enter admits a write; false means the shard is frozen or retired and the
-// caller should reload the routing table.
-func (h *shardHandle) enter() bool {
+// errFrozen is what a routed pass returns when a shard's write gate refused
+// it: a reshard has frozen the shard, and route waits for the next table.
+var errFrozen = errors.New("lethe: shard frozen by a reshard")
+
+// admit runs the write fn on the shard's engine, counted in the gate so a
+// reshard can drain it, or returns errFrozen without running it when the
+// shard is frozen.
+func (h *shardHandle) admit(fn func(*lsm.DB) error) error {
 	for {
 		w := h.word.Load()
 		if uint32(w>>32) != shardActive {
-			return false
+			return errFrozen
 		}
 		if h.word.CompareAndSwap(w, w+1) {
-			return true
+			break
 		}
 	}
+	defer h.word.Add(^uint64(0))
+	return fn(h.db)
 }
-
-// exit releases enter.
-func (h *shardHandle) exit() { h.word.Add(^uint64(0)) }
 
 // setState replaces the lifecycle state, preserving the writer count.
 func (h *shardHandle) setState(s uint32) {
@@ -460,31 +472,58 @@ func (h *shardHandle) waitWriters() {
 	}
 }
 
-// waitTableChange is the backoff between routing-table reload attempts for
-// writes aimed at a frozen shard.
-func waitTableChange() { time.Sleep(200 * time.Microsecond) }
-
-// enterWrite routes key to its owning shard and admits a write, retrying
-// across layout swaps. The caller must h.exit() after the write.
-func (db *DB) enterWrite(key []byte) (*shardHandle, error) {
-	for {
-		if db.closed.Load() {
-			return nil, ErrClosed
-		}
-		t := db.table.Load()
-		h := t.shards[t.index(key)]
-		if h.enter() {
-			return h, nil
-		}
-		waitTableChange()
+// install makes t the current routing table and closes the done channel of
+// the table it replaces, waking every pass waiting on that one. Open, a
+// reshard's commit and rollback, and Close install; all but Open hold
+// reshardMu, so installs never race.
+func (db *DB) install(t *routingTable) {
+	t.done = make(chan struct{})
+	if old := db.table.Swap(t); old != nil {
+		close(old.done)
 	}
 }
 
-// retryRead reports whether a failed per-shard read should be retried on a
-// fresh routing table: the shard was retired by a reshard (table changed)
-// rather than the database being closed.
-func (db *DB) retryRead(err error, t *routingTable) bool {
-	return errors.Is(err, ErrClosed) && !db.closed.Load() && db.table.Load() != t
+// reinstall installs a copy of the current table: the same epoch and
+// shards, with a fresh done channel.
+func (db *DB) reinstall() {
+	t := *db.table.Load()
+	db.install(&t)
+}
+
+// route is the one way a call reaches its shards: it runs pass against the
+// current routing table and settles the result. errFrozen — a write gate
+// refused the pass — waits until the table is replaced, which the reshard
+// holding the shard does when it commits or rolls back, and runs the pass
+// again. ErrClosed runs it again only if the table has already been
+// replaced: an engine closes only after install replaced every table naming
+// it, so the error came from a shard a reshard retired. Any other result,
+// and ErrClosed from a current table, is returned; after Close, ErrClosed
+// is returned without a pass. Callers make a repeated pass safe: reads and
+// barriers start over, RangeDelete and SecondaryRangeDelete re-apply
+// idempotent work, and Apply resumes from its cursor.
+func (db *DB) route(pass func(t *routingTable) error) error {
+	for {
+		if db.closed.Load() {
+			return ErrClosed
+		}
+		t := db.table.Load()
+		err := pass(t)
+		switch {
+		case err == nil:
+			return nil
+		case err == errFrozen:
+			<-t.done
+		case !errors.Is(err, ErrClosed) || !t.superseded():
+			return err
+		}
+	}
+}
+
+// write routes a point write on key to its owning shard's gate.
+func (db *DB) write(key []byte, fn func(*lsm.DB) error) error {
+	return db.route(func(t *routingTable) error {
+		return t.shards[t.index(key)].admit(fn)
+	})
 }
 
 // Open creates or reopens a database.
@@ -531,86 +570,72 @@ func Open(opts Options) (*DB, error) {
 			CompactionRateBytes: opts.CompactionRateBytes,
 		})
 	}
-	innerOpts := func(shardFS, shardRemoteFS vfs.FS) lsm.Options {
-		return lsm.Options{
-			FS:                   shardFS,
-			RemoteFS:             shardRemoteFS,
-			Placement:            storage.Placement,
-			Clock:                opts.Clock,
-			SizeRatio:            opts.SizeRatio,
-			BufferBytes:          opts.BufferBytes,
-			PageSize:             opts.PageSize,
-			FilePages:            opts.FilePages,
-			TilePages:            opts.TilePages,
-			BlockSizeBytes:       storage.BlockSizeBytes,
-			BloomBitsPerKey:      opts.BloomBitsPerKey,
-			Mode:                 mode,
-			Dth:                  opts.Dth,
-			Tiering:              opts.Tiering,
-			SuppressBlindDeletes: opts.SuppressBlindDeletes,
-			DisableWAL:           opts.DisableWAL,
-			WALSync:              opts.WALSync,
-			CoverageEstimator:    opts.CoverageEstimator,
-			CacheBytes:           storage.CacheBytes,
-			Seed:                 opts.Seed,
+	db := &DB{rootFS: fs, remoteFS: storage.RemoteFS, rt: rt, layout: layout, inner: lsm.Options{
+		Placement:            storage.Placement,
+		Clock:                opts.Clock,
+		SizeRatio:            opts.SizeRatio,
+		BufferBytes:          opts.BufferBytes,
+		PageSize:             opts.PageSize,
+		FilePages:            opts.FilePages,
+		TilePages:            opts.TilePages,
+		BlockSizeBytes:       storage.BlockSizeBytes,
+		BloomBitsPerKey:      opts.BloomBitsPerKey,
+		Mode:                 mode,
+		Dth:                  opts.Dth,
+		Tiering:              opts.Tiering,
+		SuppressBlindDeletes: opts.SuppressBlindDeletes,
+		DisableWAL:           opts.DisableWAL,
+		WALSync:              opts.WALSync,
+		CoverageEstimator:    opts.CoverageEstimator,
+		CacheBytes:           storage.CacheBytes,
+		Seed:                 opts.Seed,
 
-			DisableBackgroundMaintenance: opts.DisableBackgroundMaintenance,
-			MaxImmutableBuffers:          opts.MaxImmutableBuffers,
-			Subcompactions:               opts.Subcompactions,
-			Runtime:                      rt,
+		DisableBackgroundMaintenance: opts.DisableBackgroundMaintenance,
+		MaxImmutableBuffers:          opts.MaxImmutableBuffers,
+		Subcompactions:               opts.Subcompactions,
+		Runtime:                      rt,
+	}}
+	// Without a layout the database is a single instance that owns the
+	// filesystem root, byte-identical to the unsharded layout. It still
+	// routes through a one-shard table so SplitShard can shard it online.
+	t := &routingTable{shards: []*shardHandle{{id: -1}}}
+	if layout != nil {
+		t = &routingTable{epoch: layout.epoch, boundaries: layout.boundaries}
+		for _, id := range layout.ids {
+			t.shards = append(t.shards, &shardHandle{id: id, prefix: shardDirPrefix(id)})
 		}
 	}
-	db := &DB{
-		rootFS:    fs,
-		remoteFS:  storage.RemoteFS,
-		makeInner: innerOpts,
-		rt:        rt,
-		layout:    layout,
-	}
-	var handles []*shardHandle
-	if layout == nil {
-		// Single instance: the engine owns the filesystem root directly,
-		// byte-identical to the unsharded layout. It still routes through a
-		// one-handle table so SplitShard can shard it online.
-		inner, err := lsm.Open(innerOpts(fs, storage.RemoteFS))
-		if err != nil {
+	for i, h := range t.shards {
+		if h.db, err = db.openShard(h.prefix, false); err != nil {
+			for _, opened := range t.shards[:i] {
+				opened.db.Close()
+			}
 			rt.Close()
 			return nil, err
 		}
-		handles = []*shardHandle{{id: -1, prefix: "", db: inner}}
-		db.table.Store(&routingTable{epoch: 0, shards: handles})
-	} else {
-		handles = make([]*shardHandle, 0, len(layout.ids))
-		for _, id := range layout.ids {
-			prefix := shardDirPrefix(id)
-			// The remote tier mirrors the local shard layout: each instance
-			// gets the same shard-directory prefix over the remote
-			// filesystem.
-			var shardRemote vfs.FS
-			if storage.RemoteFS != nil {
-				shardRemote = vfs.NewPrefix(storage.RemoteFS, prefix)
-			}
-			inner, err := lsm.Open(innerOpts(vfs.NewPrefix(fs, prefix), shardRemote))
-			if err != nil {
-				for _, h := range handles {
-					h.db.Close()
-				}
-				rt.Close()
-				return nil, err
-			}
-			handles = append(handles, &shardHandle{id: id, prefix: prefix, db: inner})
-		}
-		db.table.Store(&routingTable{
-			epoch:      layout.epoch,
-			boundaries: layout.boundaries,
-			shards:     handles,
-		})
 	}
+	db.install(t)
 	if !rt.Inline() && opts.AutoReshard {
 		db.balancer = runtime.NewBalancer(&reshardController{db: db}, runtime.BalancerConfig{})
 		db.balancerID = rt.Register(db.balancer)
 	}
 	return db, nil
+}
+
+// openShard opens the engine instance in the directory prefix ("" for the
+// filesystem root). The remote tier mirrors the local shard layout: the
+// instance gets the same prefix over the remote filesystem. hold opens it
+// with maintenance held until ResumeMaintenance.
+func (db *DB) openShard(prefix string, hold bool) (*lsm.DB, error) {
+	opts := db.inner
+	opts.FS, opts.RemoteFS, opts.HoldMaintenance = db.rootFS, db.remoteFS, hold
+	if prefix != "" {
+		opts.FS = vfs.NewPrefix(opts.FS, prefix)
+		if opts.RemoteFS != nil {
+			opts.RemoteFS = vfs.NewPrefix(opts.RemoteFS, prefix)
+		}
+	}
+	return lsm.Open(opts)
 }
 
 // ShardCount returns the number of range shards (1 when unsharded).
@@ -637,12 +662,7 @@ func (db *DB) ShardBoundaries() [][]byte {
 
 // Put inserts or updates key with the given secondary delete key and value.
 func (db *DB) Put(key []byte, dkey DeleteKey, value []byte) error {
-	h, err := db.enterWrite(key)
-	if err != nil {
-		return err
-	}
-	defer h.exit()
-	return h.db.Put(key, dkey, value)
+	return db.write(key, func(s *lsm.DB) error { return s.Put(key, dkey, value) })
 }
 
 // Get returns the value stored for key, or ErrNotFound.
@@ -652,25 +672,17 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 }
 
 // GetWithDeleteKey also returns the entry's secondary delete key.
-func (db *DB) GetWithDeleteKey(key []byte) ([]byte, DeleteKey, error) {
-	for {
-		t := db.table.Load()
-		v, dk, err := t.shards[t.index(key)].db.Get(key)
-		if err != nil && db.retryRead(err, t) {
-			continue
-		}
-		return v, dk, err
-	}
+func (db *DB) GetWithDeleteKey(key []byte) (v []byte, dk DeleteKey, err error) {
+	err = db.route(func(t *routingTable) (err error) {
+		v, dk, err = t.shards[t.index(key)].db.Get(key)
+		return err
+	})
+	return v, dk, err
 }
 
 // Delete removes key (a point delete on the sort key).
 func (db *DB) Delete(key []byte) error {
-	h, err := db.enterWrite(key)
-	if err != nil {
-		return err
-	}
-	defer h.exit()
-	return h.db.Delete(key)
+	return db.write(key, func(s *lsm.DB) error { return s.Delete(key) })
 }
 
 // RangeDelete removes every key in [start, end) (a primary range delete).
@@ -679,30 +691,15 @@ func (db *DB) Delete(key []byte) error {
 // swap mid-fan-out restarts the delete against the new table — re-applying
 // a range tombstone is idempotent, so the restart only re-covers keys.
 func (db *DB) RangeDelete(start, end []byte) error {
-	for {
-		if db.closed.Load() {
-			return ErrClosed
-		}
-		t := db.table.Load()
+	return db.route(func(t *routingTable) error {
 		lo, hi := shardRange(t.boundaries, start, end)
-		stale := false
 		for i := lo; i <= hi; i++ {
-			h := t.shards[i]
-			if !h.enter() {
-				stale = true
-				break
-			}
-			err := h.db.RangeDelete(start, end)
-			h.exit()
-			if err != nil {
+			if err := t.shards[i].admit(func(s *lsm.DB) error { return s.RangeDelete(start, end) }); err != nil {
 				return err
 			}
 		}
-		if !stale {
-			return nil
-		}
-		waitTableChange()
-	}
+		return nil
+	})
 }
 
 // SecondaryRangeDelete removes every entry whose delete key lies in
@@ -745,28 +742,27 @@ func (db *DB) RangeDelete(start, end []byte) error {
 // residual work (the delete is idempotent), so the returned stats describe
 // the final pass.
 func (db *DB) SecondaryRangeDelete(lo, hi DeleteKey) (SRDStats, error) {
-restart:
-	for {
-		if db.closed.Load() {
-			return SRDStats{}, ErrClosed
-		}
-		t := db.table.Load()
-		var agg SRDStats
+	var agg SRDStats
+	err := db.route(func(t *routingTable) error {
+		agg = SRDStats{}
 		for i, h := range t.shards {
-			if !h.enter() {
-				waitTableChange()
-				continue restart
+			var st lsm.SRDStats
+			err := h.admit(func(s *lsm.DB) (err error) {
+				st, err = s.SecondaryRangeDelete(lo, hi)
+				return err
+			})
+			if err == errFrozen {
+				return err
 			}
-			st, err := h.db.SecondaryRangeDelete(lo, hi)
-			h.exit()
 			lsm.Accumulate(&agg.SRDStats, st)
 			agg.Shards = append(agg.Shards, ShardSRDStats{Shard: i, SRDStats: st, Err: err})
 			if err != nil {
-				return agg, err
+				return err
 			}
 		}
-		return agg, nil
-	}
+		return nil
+	})
+	return agg, err
 }
 
 // SRDStats reports the work a secondary range delete performed.
@@ -807,32 +803,11 @@ type ShardSRDStats struct {
 // machinery only when the cursor reaches it. For a Get that must agree with
 // a Scan, take a DB.NewSnapshot and issue both against it.
 func (db *DB) Scan(start, end []byte, fn func(key []byte, dkey DeleteKey, value []byte) bool) error {
-	for {
-		t := db.table.Load()
-		if len(t.shards) > 1 {
-			break
-		}
-		// Single shard: run directly against the instance. ErrClosed here can
-		// only come from the pin attempt (once the scan's read state is
-		// pinned, retirement cannot revoke it), so a retry never re-visits
-		// keys.
-		err := t.shards[0].db.Scan(start, end, fn)
-		if err != nil && db.retryRead(err, t) {
-			continue
-		}
-		return err
-	}
 	it, err := db.NewIter(start, end)
 	if err != nil {
 		return err
 	}
-	defer it.Close()
-	for it.Next() {
-		if !fn(it.Key(), it.DeleteKey(), it.Value()) {
-			break
-		}
-	}
-	return it.Close()
+	return it.each(fn)
 }
 
 // SecondaryRangeScan returns live entries with lo <= D < hi, served by the
@@ -841,29 +816,25 @@ func (db *DB) Scan(start, end []byte, fn func(key []byte, dkey DeleteKey, value 
 // key, then sort key — on both the sharded and single-instance paths, so
 // the order never depends on shard layout or fence traversal order.
 func (db *DB) SecondaryRangeScan(lo, hi DeleteKey) ([]Item, error) {
-	for {
-		t := db.table.Load()
-		var items []Item
-		retry := false
+	var items []Item
+	err := db.route(func(t *routingTable) error {
+		items = items[:0]
 		for _, h := range t.shards {
 			entries, err := h.db.SecondaryRangeScan(lo, hi)
 			if err != nil {
-				if db.retryRead(err, t) {
-					retry = true
-					break
-				}
-				return nil, err
+				return err
 			}
 			for _, e := range entries {
 				items = append(items, Item{Key: e.Key.UserKey, DKey: e.DKey, Value: e.Value})
 			}
 		}
-		if retry {
-			continue
-		}
-		sortSecondaryItems(items)
-		return items, nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	sortSecondaryItems(items)
+	return items, nil
 }
 
 // Item is one key-value pair returned by secondary scans.
@@ -874,34 +845,24 @@ type Item struct {
 }
 
 // eachShard runs fn on every shard of the current routing table. A shard
-// retired by a concurrent reshard (ErrClosed while the table moved on)
-// restarts the sweep against the new table — fn must be idempotent, which
-// flush and compaction barriers are. Other errors are collected
-// first-error-wins without stopping the sweep.
+// retired by a concurrent reshard stops the sweep with ErrClosed, and route
+// runs it again on the new table — fn must be idempotent, which flush and
+// compaction barriers are. Other errors are collected first-error-wins
+// without stopping the sweep.
 func (db *DB) eachShard(fn func(*lsm.DB) error) error {
-	for {
-		if db.closed.Load() {
-			return ErrClosed
-		}
-		t := db.table.Load()
+	return db.route(func(t *routingTable) error {
 		var first error
-		stale := false
 		for _, h := range t.shards {
-			if err := fn(h.db); err != nil {
-				if db.retryRead(err, t) {
-					stale = true
-					break
-				}
-				if first == nil {
-					first = err
-				}
+			err := fn(h.db)
+			if errors.Is(err, ErrClosed) {
+				return err
+			}
+			if first == nil {
+				first = err
 			}
 		}
-		if !stale {
-			return first
-		}
-		waitTableChange()
-	}
+		return first
+	})
 }
 
 // Flush forces every shard's memory buffer to disk.
@@ -928,8 +889,10 @@ func (db *DB) FullTreeCompact() error {
 }
 
 // Close flushes and releases every shard, then stops the shared maintenance
-// runtime, returning the first error. Once closed latches, the routing table
-// never changes again — which is what lets concurrent retry loops terminate.
+// runtime, returning the first error. Once closed latches, every routed
+// call returns ErrClosed: Close installs a copy of the table before closing
+// any shard, which wakes any pass still waiting, and a pass that meets a
+// closed shard runs again only to find the latch.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return ErrClosed
@@ -938,6 +901,7 @@ func (db *DB) Close() error {
 	// SplitShard and MergeShards re-check closed under reshardMu).
 	db.reshardMu.Lock()
 	defer db.reshardMu.Unlock()
+	db.reinstall()
 	if db.balancer != nil {
 		db.rt.Deregister(db.balancer, db.balancerID)
 	}
@@ -1015,47 +979,46 @@ var ErrCorruption = lsm.ErrCorruption
 // every corrupt file's failure (each wrapping ErrCorruption).
 func (db *DB) VerifyTables() (VerifyStats, error) {
 	var out VerifyStats
-	var errs []error
-	t := db.table.Load()
-	for i, h := range t.shards {
-		vr, err := h.db.VerifyTables()
-		lsm.Accumulate(&out.VerifyResult, vr)
-		out.Shards = append(out.Shards, ShardVerifyStats{Shard: i, VerifyResult: vr, Err: err})
-		if err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+	err := db.route(func(t *routingTable) error {
+		out = VerifyStats{}
+		var errs []error
+		for i, h := range t.shards {
+			vr, err := h.db.VerifyTables()
+			if errors.Is(err, ErrClosed) {
+				return err
+			}
+			lsm.Accumulate(&out.VerifyResult, vr)
+			out.Shards = append(out.Shards, ShardVerifyStats{Shard: i, VerifyResult: vr, Err: err})
+			if err != nil {
+				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+			}
 		}
-	}
-	return out, errors.Join(errs...)
+		return errors.Join(errs...)
+	})
+	return out, err
 }
 
 // SpaceAmp measures the current space amplification (full scan; a
 // diagnostic, not a hot-path call). Sharded: the byte totals are summed
 // across shards before forming the ratio.
 func (db *DB) SpaceAmp() (float64, error) {
-	for {
-		t := db.table.Load()
-		var total, unique int64
-		retry := false
+	var total, unique int64
+	err := db.route(func(t *routingTable) error {
+		total, unique = 0, 0
 		for _, h := range t.shards {
 			tb, u, err := h.db.SpaceAmpParts()
 			if err != nil {
-				if db.retryRead(err, t) {
-					retry = true
-					break
-				}
-				return 0, err
+				return err
 			}
 			total += tb
 			unique += u
 		}
-		if retry {
-			continue
-		}
-		if unique == 0 {
-			return 0, nil
-		}
-		return float64(total-unique) / float64(unique), nil
+		return nil
+	})
+	if err != nil || unique == 0 {
+		return 0, err
 	}
+	return float64(total-unique) / float64(unique), nil
 }
 
 // TombstoneAges returns the per-file tombstone age distribution across all
@@ -1144,142 +1107,93 @@ func (b *Batch) Len() int { return len(b.ops) }
 // atomic as a whole (a crash can persist one shard's portion and not
 // another's).
 //
-// A batch admitted on routing epoch N that collides with a layout swap
-// (a shard frozen mid-fan-out) resumes against epoch N+1 applying only the
-// not-yet-applied remainder: point operations carry an applied bit, and a
-// range delete carries a watermark — shards apply in ascending key order, so
-// its unapplied portion is exactly the keys at or above the first shard that
-// refused admission. The watermark matters for correctness, not just
-// economy: re-applying a range delete over a same-batch Put that already
-// landed would give the tombstone a higher sequence number and wrongly
-// delete the Put.
+// Shards apply their sub-batches in ascending key order, so a batch that
+// collides with a layout change (a shard frozen mid-fan-out) has applied
+// exactly the ops below one key: the lower bound of the shard that refused
+// it. That key is the batch's cursor, and the next pass, on the new table,
+// applies only the remainder — every point op at or above the cursor, and
+// each range delete clipped to start there. The clip matters for
+// correctness, not just economy: re-applying a range delete over a
+// same-batch Put that already landed would give the tombstone a higher
+// sequence number and wrongly delete the Put.
 func (db *DB) Apply(b *Batch) error {
-	// Pre-validate every op so deterministic rejections (the same ones
-	// lsm.ApplyBatch raises) surface before any shard's sub-batch commits —
-	// otherwise a bad op in a later shard would leave earlier shards
-	// applied while the unsharded path rejects the whole batch untouched.
+	// An empty range delete is the one op lsm.ApplyBatch rejects. Rejecting
+	// it before any shard's sub-batch commits keeps a bad op in a later
+	// shard from leaving earlier shards applied, as the unsharded path
+	// rejects the whole batch untouched.
 	for _, op := range b.ops {
-		switch op.Kind {
-		case base.KindSet, base.KindDelete:
-		case base.KindRangeDelete:
-			if base.CompareUserKeys(op.Key, op.EndKey) >= 0 {
-				return fmt.Errorf("lethe: batch range delete [%q, %q) is empty", op.Key, op.EndKey)
-			}
-		default:
-			return fmt.Errorf("lethe: unsupported batch op kind %v", op.Kind)
+		if op.Kind == base.KindRangeDelete && base.CompareUserKeys(op.Key, op.EndKey) >= 0 {
+			return fmt.Errorf("lethe: batch range delete [%q, %q) is empty", op.Key, op.EndKey)
 		}
 	}
-	// applied marks point ops done (exactly-once across retries); watermark
-	// is a range-delete op's resume key (nil = none applied yet); rdDone
-	// marks a range delete fully applied.
-	var (
-		applied   []bool
-		watermark [][]byte
-		rdDone    []bool
-	)
-	for {
-		if db.closed.Load() {
-			return ErrClosed
+	var from []byte // the cursor: every op below it has been applied
+	err := db.route(func(t *routingTable) error {
+		// Before the cursor has moved, a batch that lands whole in one shard
+		// reaches it as it is, without a copy.
+		if i := t.owner(b.ops); i >= 0 && from == nil {
+			return t.shards[i].admit(func(s *lsm.DB) error { return s.ApplyBatch(b.ops) })
 		}
-		t := db.table.Load()
-		n := len(t.shards)
-		if n == 1 && applied == nil {
-			// Common case: one shard, no partial progress — hand the batch
-			// over whole.
-			h := t.shards[0]
-			if !h.enter() {
-				waitTableChange()
+		for i, ops := range t.splitBatch(b.ops, from) {
+			if len(ops) == 0 {
 				continue
 			}
-			err := h.db.ApplyBatch(b.ops)
-			h.exit()
-			if err == nil {
-				b.ops = b.ops[:0]
-			}
-			return err
-		}
-		if applied == nil {
-			applied = make([]bool, len(b.ops))
-			watermark = make([][]byte, len(b.ops))
-			rdDone = make([]bool, len(b.ops))
-		}
-		split := make([][]lsm.BatchOp, n)
-		members := make([][]int, n)
-		rdHi := make([]int, len(b.ops))
-		pending := false
-		for j, op := range b.ops {
-			if op.Kind == base.KindRangeDelete {
-				if rdDone[j] {
-					continue
-				}
-				start := op.Key
-				if len(start) == 0 {
-					start = nil
-				}
-				if watermark[j] != nil && base.CompareUserKeys(watermark[j], start) > 0 {
-					start = watermark[j]
-				}
-				end := op.EndKey
-				if base.CompareUserKeys(start, end) >= 0 {
-					rdDone[j] = true
-					continue
-				}
-				clipped := op
-				clipped.Key = start
-				lo, hi := shardRange(t.boundaries, start, end)
-				rdHi[j] = hi
-				for i := lo; i <= hi; i++ {
-					split[i] = append(split[i], clipped)
-					members[i] = append(members[i], j)
-				}
-				pending = true
-				continue
-			}
-			if applied[j] {
-				continue
-			}
-			i := t.index(op.Key)
-			split[i] = append(split[i], op)
-			members[i] = append(members[i], j)
-			pending = true
-		}
-		if !pending {
-			b.ops = b.ops[:0]
-			return nil
-		}
-		stale := false
-		for i := 0; i < n; i++ {
-			if len(split[i]) == 0 {
-				continue
-			}
-			h := t.shards[i]
-			if !h.enter() {
-				stale = true
-				break
-			}
-			err := h.db.ApplyBatch(split[i])
-			h.exit()
-			if err != nil {
+			if err := t.shards[i].admit(func(s *lsm.DB) error { return s.ApplyBatch(ops) }); err != nil {
 				return err
 			}
-			for _, j := range members[i] {
-				if b.ops[j].Kind == base.KindRangeDelete {
-					if i == rdHi[j] {
-						rdDone[j] = true
-					} else {
-						watermark[j] = t.boundaries[i]
-					}
-				} else {
-					applied[j] = true
-				}
+			// Shard i held an op at or above the cursor, so its upper bound
+			// is above the cursor too: the cursor only moves forward.
+			if i < len(t.boundaries) {
+				from = t.boundaries[i]
 			}
 		}
-		if !stale {
-			b.ops = b.ops[:0]
-			return nil
-		}
-		waitTableChange()
+		return nil
+	})
+	if err == nil {
+		b.ops = b.ops[:0]
 	}
+	return err
+}
+
+// span returns the shards op lands in.
+func (t *routingTable) span(op lsm.BatchOp) (lo, hi int) {
+	if op.Kind == base.KindRangeDelete {
+		return shardRange(t.boundaries, op.Key, op.EndKey)
+	}
+	i := t.index(op.Key)
+	return i, i
+}
+
+// owner returns the one shard that every op of ops lands in, or -1.
+func (t *routingTable) owner(ops []lsm.BatchOp) int {
+	own := -1
+	for _, op := range ops {
+		lo, hi := t.span(op)
+		if lo != hi || (own >= 0 && lo != own) {
+			return -1
+		}
+		own = lo
+	}
+	return own
+}
+
+// splitBatch divides the ops at or above from into per-shard sub-batches in
+// submission order, clipping each range delete to start at from and giving
+// it to every shard it overlaps.
+func (t *routingTable) splitBatch(ops []lsm.BatchOp, from []byte) [][]lsm.BatchOp {
+	split := make([][]lsm.BatchOp, len(t.shards))
+	for _, op := range ops {
+		if from != nil && base.CompareUserKeys(op.Key, from) < 0 {
+			if op.Kind != base.KindRangeDelete || base.CompareUserKeys(op.EndKey, from) <= 0 {
+				continue // applied before the cursor
+			}
+			op.Key = from
+		}
+		lo, hi := t.span(op)
+		for i := lo; i <= hi; i++ {
+			split[i] = append(split[i], op)
+		}
+	}
+	return split
 }
 
 // ReshardStats summarizes online reshard activity since Open. Epoch is the

@@ -73,30 +73,38 @@ func (c *reshardController) Reshard(p runtime.ReshardProposal) error {
 	return fmt.Errorf("lethe: unknown reshard proposal kind %d", p.Kind)
 }
 
-// shardPressures samples per-shard load in routing order.
+// shardPressures samples per-shard load in routing order; nil once the
+// database is closed.
 func (db *DB) shardPressures(includeSpaceAmp bool) []runtime.ShardPressure {
-	t := db.table.Load()
-	out := make([]runtime.ShardPressure, len(t.shards))
-	for i, h := range t.shards {
-		s := h.db.Stats()
-		p := runtime.ShardPressure{
-			Shard:            i,
-			ID:               h.id,
-			WriteStalls:      s.WriteStalls,
-			WriteStallTime:   s.WriteStallTime,
-			MemtableBytes:    s.MemtableBytes,
-			ImmutableBuffers: s.ImmutableBuffers,
-			BytesOnDisk:      s.BytesOnDisk,
-			SpaceAmpTotal:    -1,
-			SpaceAmpUnique:   -1,
-		}
-		if includeSpaceAmp {
-			if tb, u, err := h.db.SpaceAmpParts(); err == nil {
-				p.SpaceAmpTotal, p.SpaceAmpUnique = tb, u
+	var out []runtime.ShardPressure
+	_ = db.route(func(t *routingTable) error {
+		out = make([]runtime.ShardPressure, len(t.shards))
+		for i, h := range t.shards {
+			s := h.db.Stats()
+			p := runtime.ShardPressure{
+				Shard:            i,
+				ID:               h.id,
+				WriteStalls:      s.WriteStalls,
+				WriteStallTime:   s.WriteStallTime,
+				MemtableBytes:    s.MemtableBytes,
+				ImmutableBuffers: s.ImmutableBuffers,
+				BytesOnDisk:      s.BytesOnDisk,
+				SpaceAmpTotal:    -1,
+				SpaceAmpUnique:   -1,
 			}
+			if includeSpaceAmp {
+				tb, u, err := h.db.SpaceAmpParts()
+				if errors.Is(err, ErrClosed) {
+					return err // a retired shard: sample the new table
+				}
+				if err == nil {
+					p.SpaceAmpTotal, p.SpaceAmpUnique = tb, u
+				}
+			}
+			out[i] = p
 		}
-		out[i] = p
-	}
+		return nil
+	})
 	return out
 }
 
@@ -211,13 +219,7 @@ func (tx *reshardTxn) moveAll(moves []reshardMove) error {
 // it after the routing epoch commits, so a freshly installed shard cannot
 // start compacting before it is reachable.
 func (tx *reshardTxn) open(c *reshardChild) (*lsm.DB, error) {
-	var rfs vfs.FS
-	if tx.db.remoteFS != nil {
-		rfs = vfs.NewPrefix(tx.db.remoteFS, c.prefix)
-	}
-	io := tx.db.makeInner(vfs.NewPrefix(tx.db.rootFS, c.prefix), rfs)
-	io.HoldMaintenance = true
-	cdb, err := lsm.Open(io)
+	cdb, err := tx.db.openShard(c.prefix, true)
 	if err != nil {
 		return nil, fmt.Errorf("lethe: open shard %d: %w", c.id, err)
 	}
@@ -465,18 +467,21 @@ type reshardChild struct {
 // move or clips, and runs the intent protocol described at the top of this
 // file. The caller holds reshardMu.
 func (db *DB) reshard(p *reshardPlan) error {
-	// Freeze: new writes to the donors wait for the next epoch; admitted
-	// ones drain. Reads are untouched.
+	// Freeze: new writes to the donors wait for the next routing table;
+	// admitted ones drain. Reads are untouched.
 	for _, h := range p.donors {
 		h.setState(shardFrozen)
 	}
 	for _, h := range p.donors {
 		h.waitWriters()
 	}
+	// A rollback reinstalls the unchanged layout: the writers waiting on the
+	// frozen donors wake and find them active again.
 	unfreeze := func(err error) error {
 		for _, h := range p.donors {
 			h.setState(shardActive)
 		}
+		db.reinstall()
 		return err
 	}
 	for _, h := range p.donors {
@@ -633,17 +638,15 @@ func (db *DB) reshard(p *reshardPlan) error {
 		return fail(fmt.Errorf("lethe: %s commit: %w", p.kind, err))
 	}
 
-	// Committed. Swap the routing table; everything after this is cleanup
-	// that crash recovery can redo.
+	// Committed. Install the new routing table, waking the writers waiting
+	// on the donors, which close only after it; everything after this is
+	// cleanup that crash recovery can redo.
 	t := db.table.Load()
 	db.layout = nl
-	db.table.Store(&routingTable{epoch: nl.epoch, boundaries: nl.boundaries,
+	db.install(&routingTable{epoch: nl.epoch, boundaries: nl.boundaries,
 		shards: slices.Concat(t.shards[:p.pos], handles, t.shards[p.pos+nd:])})
 	for _, h := range handles {
 		h.db.ResumeMaintenance()
-	}
-	for _, h := range p.donors {
-		h.setState(shardRetired)
 	}
 
 	p.count.Add(1)

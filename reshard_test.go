@@ -1037,3 +1037,112 @@ func TestReshardPlanCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyTablesDuringReshard: an integrity walk racing splits and merges
+// walks whichever routing table is current, so a shard retired under it is
+// walked again in its successors, never reported as a closed database.
+func TestVerifyTablesDuringReshard(t *testing.T) {
+	db := openSharded(t, vfs.NewMem(), 2)
+	defer db.Close()
+	fillShards(t, db, 2000)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := db.VerifyTables(); err != nil {
+					if errors.Is(err, ErrClosed) {
+						t.Errorf("VerifyTables on an open database: %v", err)
+					} else {
+						t.Errorf("VerifyTables: %v", err)
+					}
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 40 && !t.Failed(); r++ {
+		if err := db.SplitShard(0, nil); err != nil {
+			t.Errorf("round %d split: %v", r, err)
+			break
+		}
+		if err := db.MergeShards(0); err != nil {
+			t.Errorf("round %d merge: %v", r, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestWriteWaitsThroughReshardRollback: a write aimed at a shard a split has
+// frozen waits for the split to finish, and a split that rolls back wakes it
+// on the restored layout instead of leaving it waiting for a table that
+// never comes.
+func TestWriteWaitsThroughReshardRollback(t *testing.T) {
+	boom := errors.New("intent create refused")
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	inj := vfs.NewInject(vfs.NewMem(), func(op vfs.Op, name string) error {
+		if op == vfs.OpCreate && name == reshardIntentName+".tmp" && armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+			return boom
+		}
+		return nil
+	})
+	db := openSharded(t, inj, 2)
+	defer db.Close()
+	// Release the hook on every exit, before Close waits for the split.
+	var once sync.Once
+	releaseHook := func() { once.Do(func() { close(release) }) }
+	defer releaseHook()
+	fillShards(t, db, 600)
+
+	armed.Store(true)
+	splitErr := make(chan error, 1)
+	go func() { splitErr <- db.SplitShard(0, nil) }()
+	select {
+	case <-entered: // shard 0 is frozen and the split holds at its intent
+	case err := <-splitErr:
+		t.Fatalf("split returned %v before writing its intent", err)
+	}
+	key := []byte{0x00, 'w'}
+	putErr := make(chan error, 1)
+	go func() { putErr <- db.Put(key, 1, []byte("v")) }()
+	select {
+	case err := <-putErr:
+		t.Fatalf("Put into a frozen shard returned (%v) while the split was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	releaseHook()
+	if err := <-splitErr; !errors.Is(err, boom) {
+		t.Fatalf("split: %v, want the injected intent failure", err)
+	}
+	select {
+	case err := <-putErr:
+		if err != nil {
+			t.Fatalf("Put after the rollback: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Put still waiting 5 s after the split rolled back")
+	}
+	if got := db.ShardCount(); got != 2 {
+		t.Fatalf("ShardCount = %d after the rollback, want 2", got)
+	}
+	if v, err := db.Get(key); err != nil || string(v) != "v" {
+		t.Fatalf("Get after the rollback: %q %v", v, err)
+	}
+}

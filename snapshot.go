@@ -49,33 +49,25 @@ type Snapshot struct {
 // the returned snapshot — it keeps reading the epoch it pinned. The caller
 // must Release it.
 func (db *DB) NewSnapshot() (*Snapshot, error) {
-	for {
-		if db.closed.Load() {
-			return nil, ErrClosed
-		}
-		t := db.table.Load()
+	var s *Snapshot
+	err := db.route(func(t *routingTable) error {
 		shards := make([]*lsm.Snapshot, len(t.shards))
-		var err error
 		for i, h := range t.shards {
-			var sn *lsm.Snapshot
-			if sn, err = h.db.NewSnapshot(); err != nil {
+			sn, err := h.db.NewSnapshot()
+			if err != nil {
+				// No pin survives a failed pass: the next one, after a
+				// reshard retired a shard, pins everything at one epoch.
 				for j := 0; j < i; j++ {
 					shards[j].Release()
 				}
-				break
+				return err
 			}
 			shards[i] = sn
 		}
-		if err != nil {
-			// A shard retired mid-pin by a concurrent reshard: no pins
-			// survive, so retry pins everything against the new epoch.
-			if db.retryRead(err, t) {
-				continue
-			}
-			return nil, err
-		}
-		return &Snapshot{db: db, shards: shards, boundaries: t.boundaries}, nil
-	}
+		s = &Snapshot{db: db, shards: shards, boundaries: t.boundaries}
+		return nil
+	})
+	return s, err
 }
 
 // Get returns the value stored for key as of the snapshot, or ErrNotFound.
@@ -89,11 +81,7 @@ func (s *Snapshot) GetWithDeleteKey(key []byte) ([]byte, DeleteKey, error) {
 	if s.released.Load() {
 		return nil, 0, ErrReadOnlySnapshot
 	}
-	i := 0
-	if len(s.shards) > 1 {
-		i = shardIndex(s.boundaries, key)
-	}
-	return s.shards[i].Get(key)
+	return s.shards[shardIndex(s.boundaries, key)].Get(key)
 }
 
 // Scan visits every live pair with start <= key < end (nil end = unbounded)
@@ -103,13 +91,7 @@ func (s *Snapshot) Scan(start, end []byte, fn func(key []byte, dkey DeleteKey, v
 	if err != nil {
 		return err
 	}
-	defer it.Close()
-	for it.Next() {
-		if !fn(it.Key(), it.DeleteKey(), it.Value()) {
-			break
-		}
-	}
-	return it.Close()
+	return it.each(fn)
 }
 
 // NewIter returns a streaming iterator over [start, end) of the snapshot.

@@ -107,6 +107,9 @@
 // pinned, new operations route by the new one, and a crash at any point
 // recovers to exactly the old or the new layout (reshard_test.go sweeps
 // every fault offset of a split and of a merge across a range delete).
+// Reads and writes to other shards never wait; a write to a frozen shard
+// blocks until the reshard commits or rolls back, then goes to whichever
+// shard owns its key in the layout that results.
 //
 // The cost model is what makes resharding cheap enough to do online.
 // Sstables whose key range lies entirely on one side of the cut are handed
