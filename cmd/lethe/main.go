@@ -434,15 +434,12 @@ func (sh *shell) execute(args []string) (quit bool) {
 				t.RemoteReadOps, t.RemoteBytesRead, t.RemoteWriteOps, t.RemoteBytesWritten)
 		}
 		if n := db.ShardCount(); n > 1 || db.ShardEpoch() > 0 {
-			for _, p := range db.ShardPressures() {
-				amp := "n/a"
-				if p.SpaceAmpUnique > 0 {
-					amp = fmt.Sprintf("%.3f (%dB/%dB)",
-						float64(p.SpaceAmpTotal)/float64(p.SpaceAmpUnique)-1, p.SpaceAmpTotal, p.SpaceAmpUnique)
-				}
-				fmt.Printf("shard %d (id %d): stalls=%d (%v) memtable=%dB imm=%d disk=%dB space-amp=%s\n",
-					p.Shard, p.ID, p.WriteStalls, p.WriteStallTime,
-					p.MemtableBytes, p.ImmutableBuffers, p.BytesOnDisk, amp)
+			for i, ss := range db.ShardStats() {
+				fmt.Printf("shard %d: stalls=%d (%v) memtable=%dB imm=%d disk=%dB\n",
+					i, ss.WriteStalls, ss.WriteStallTime, ss.MemtableBytes, ss.ImmutableBuffers, ss.BytesOnDisk)
+			}
+			if amp, err := db.SpaceAmp(); err == nil {
+				fmt.Printf("space-amp=%.3f\n", amp)
 			}
 			rst := db.ReshardStats()
 			fmt.Printf("reshard: epoch=%d splits=%d merges=%d handed-off=%d rewrites=%d (%dB) manifest-ops=%d\n",
@@ -456,7 +453,7 @@ func (sh *shell) execute(args []string) (quit bool) {
 			fmt.Printf("runtime memory: used=%dB budget=%dB stalls=%d (%v stalled)\n",
 				rs.MemoryUsed, rs.MemoryBudget, rs.MemoryStalls, rs.MemoryStallTime)
 			fmt.Printf("runtime io: rate=%dB/s throttled=%v; cache %d/%dB hits=%d misses=%d\n",
-				rs.CompactionRateBytes, rs.ThrottleWaitTime, rs.CacheUsed, rs.CacheCapacity, rs.CacheHits, rs.CacheMisses)
+				rs.CompactionRateBytes, rs.ThrottleWaitTime, st.CacheUsed, st.CacheCapacity, st.CacheHits, st.CacheMisses)
 		}
 	case "levels":
 		for i, l := range db.Stats().Levels {

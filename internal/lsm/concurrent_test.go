@@ -123,7 +123,7 @@ func TestConcurrentStress(t *testing.T) {
 				if rng.Intn(20) == 0 {
 					lo := rng.Intn(keys - 50)
 					prev := ""
-					err := db.Scan(key(lo), key(lo+50), func(k []byte, _ base.DeleteKey, _ []byte) bool {
+					err := scan(db, key(lo), key(lo+50), func(k []byte, _ base.DeleteKey, _ []byte) bool {
 						if prev != "" && string(k) <= prev {
 							fail(fmt.Errorf("scan out of order: %q after %q", k, prev))
 						}

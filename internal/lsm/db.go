@@ -27,7 +27,7 @@ const manifestName = "MANIFEST"
 // DB is the engine. All public methods are safe for concurrent use.
 //
 // Concurrency model: the tree's disk structure lives in an immutable
-// refcounted version (see version.go). Readers (Get, Scan,
+// refcounted version (see version.go). Readers (Get, NewScanIter,
 // SecondaryRangeScan) acquire a snapshot of the buffer, the flush queue, and
 // the current version under a brief db.mu critical section, then run
 // entirely outside the lock; a compaction finishing mid-read cannot

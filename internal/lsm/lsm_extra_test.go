@@ -220,7 +220,7 @@ func TestStatsLevelAccounting(t *testing.T) {
 	}
 	// Scan agrees with TreeEntries (all unique, no tombstones).
 	count := 0
-	db.Scan(nil, nil, func([]byte, base.DeleteKey, []byte) bool { count++; return true })
+	scan(db, nil, nil, func([]byte, base.DeleteKey, []byte) bool { count++; return true })
 	if count != n {
 		t.Fatalf("scan %d != inserted %d", count, n)
 	}
@@ -396,7 +396,7 @@ func TestConcurrentAccess(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					db.Scan(key(g*1000), key(g*1000+100),
+					scan(db, key(g*1000), key(g*1000+100),
 						func([]byte, base.DeleteKey, []byte) bool { return true })
 				}
 			}

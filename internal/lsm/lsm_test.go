@@ -47,6 +47,24 @@ func mustOpen(t *testing.T, opts Options) *DB {
 	return db
 }
 
+// scan feeds fn the live pairs of src (an engine or a snapshot) in
+// [start, end) in key order until fn returns false, then closes the
+// iterator and returns Close's error.
+func scan(src interface {
+	NewScanIter(start, end []byte) (*ScanIter, error)
+}, start, end []byte, fn func(key []byte, dkey base.DeleteKey, value []byte) bool) error {
+	it, err := src.NewScanIter(start, end)
+	if err != nil {
+		return err
+	}
+	for {
+		e, ok := it.Next()
+		if !ok || !fn(e.Key.UserKey, e.DKey, e.Value) {
+			return it.Close()
+		}
+	}
+}
+
 func TestBasicPutGetDelete(t *testing.T) {
 	clock := base.NewManualClock(time.Unix(1e6, 0))
 	db := mustOpen(t, smallOpts(vfs.NewMem(), clock))
@@ -224,7 +242,7 @@ func TestScan(t *testing.T) {
 	}
 
 	var got []int
-	err := db.Scan(key(40), key(130), func(k []byte, _ base.DeleteKey, v []byte) bool {
+	err := scan(db, key(40), key(130), func(k []byte, _ base.DeleteKey, v []byte) bool {
 		var i int
 		fmt.Sscanf(string(k), "key-%06d", &i)
 		got = append(got, i)
@@ -246,7 +264,7 @@ func TestScan(t *testing.T) {
 
 	// Early termination.
 	count := 0
-	db.Scan(nil, nil, func([]byte, base.DeleteKey, []byte) bool {
+	scan(db, nil, nil, func([]byte, base.DeleteKey, []byte) bool {
 		count++
 		return count < 5
 	})
@@ -404,7 +422,7 @@ func TestSecondaryRangeDeleteEngine(t *testing.T) {
 	}
 	// Scans agree.
 	count := 0
-	db.Scan(nil, nil, func([]byte, base.DeleteKey, []byte) bool { count++; return true })
+	scan(db, nil, nil, func([]byte, base.DeleteKey, []byte) bool { count++; return true })
 	if count != 400 {
 		t.Fatalf("scan sees %d live keys", count)
 	}
@@ -719,7 +737,7 @@ func TestModelEquivalence(t *testing.T) {
 
 			// Scan agrees with the model.
 			got := map[string]string{}
-			err := db.Scan(nil, nil, func(k []byte, _ base.DeleteKey, v []byte) bool {
+			err := scan(db, nil, nil, func(k []byte, _ base.DeleteKey, v []byte) bool {
 				got[string(k)] = string(v)
 				return true
 			})

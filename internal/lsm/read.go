@@ -111,38 +111,14 @@ func (rh *readHandle) get(key []byte) (base.Entry, bool, error) {
 	return base.Entry{}, false, nil
 }
 
-// Scan calls fn for every live key-value pair with start <= key < end (nil
-// end = unbounded), in ascending key order, until fn returns false. It
+// ScanIter is the engine's range lookup: a lazy stream of the live entries
+// in [start, end), yielding only KindSet entries in ascending key order. It
 // merges the buffers and every run, applying tombstones, exactly as the
 // paper's range lookup does ("sort-merging the qualifying key ranges across
-// all runs in the tree"). Like Get, it pins the cached read handle and then
-// streams outside db.mu: the handle's version pins every file, so
-// compactions finishing mid-scan cannot pull pages out from under it.
-func (db *DB) Scan(start, end []byte, fn func(key []byte, dkey base.DeleteKey, value []byte) bool) error {
-	it, err := db.NewScanIter(start, end)
-	if err != nil {
-		return err
-	}
-	return it.each(fn)
-}
-
-// each feeds fn the live entries in order until fn returns false, then
-// closes the iterator and returns Close's error. It is the iterator's one
-// Close: ScanIters are pooled, and closing a recycled iterator would tear
-// down whatever scan reused it.
-func (it *ScanIter) each(fn func(key []byte, dkey base.DeleteKey, value []byte) bool) error {
-	for {
-		e, ok := it.Next()
-		if !ok || !fn(e.Key.UserKey, e.DKey, e.Value) {
-			return it.Close()
-		}
-	}
-}
-
-// ScanIter is the pull-based form of Scan: a lazy, merged stream of the live
-// entries in [start, end), tombstones already applied, yielding only KindSet
-// entries in ascending key order. It holds a reference on a read handle for
-// its lifetime — callers must Close it to release the pin. Memory stays bounded
+// all runs in the tree"). It holds a reference on a read handle for its
+// lifetime — callers must Close it to release the pin — and the handle's
+// version pins every file, so compactions finishing mid-scan cannot pull
+// pages out from under it. Memory stays bounded
 // regardless of range size: the in-memory buffers contribute a bounded copy
 // of the scanned range, and each disk run streams through one open file at
 // a time (runIter), so iterating the first K entries of an unbounded scan
@@ -507,7 +483,7 @@ func (r *runIter) Error() error { return r.err }
 // overlaps the range are read (§4.2.5 "Secondary Range Lookups"), instead of
 // scanning the whole tree. Candidates are verified against the primary read
 // path of the same pinned state, so only versions current as of the scan's
-// snapshot are returned. Like Get and Scan, it pins the cached read handle
+// snapshot are returned. Like Get and NewScanIter, it pins the cached read handle
 // and runs outside db.mu. The result order is unspecified at this layer; the
 // public API sorts it.
 func (db *DB) SecondaryRangeScan(lo, hi base.DeleteKey) ([]base.Entry, error) {

@@ -150,7 +150,7 @@ func (r *srdRecord) filter(buf []base.Entry) []base.Entry {
 // Snapshot is a pinned point-in-time view of the engine: a read handle of
 // its own whose head view is the mutable buffer's contents frozen by copy,
 // then the sealed flush-queue buffers, over a pinned version, so no file it
-// names is deleted while the snapshot lives. Get, Scan, NewScanIter, and
+// names is deleted while the snapshot lives. Get, NewScanIter, and
 // SecondaryRangeScan on the snapshot observe exactly this state — later
 // writes, flushes, and compactions are invisible — until Release drops the
 // pin. Snapshots are cheap: one buffer copy (bounded by BufferBytes, or by
@@ -268,16 +268,6 @@ func (s *Snapshot) NewScanIter(start, end []byte) (*ScanIter, error) {
 	it := scanIterPool.Get().(*ScanIter)
 	it.init(s.rh, start, end)
 	return it, nil
-}
-
-// Scan visits every live pair of the snapshot with start <= key < end in
-// key order until fn returns false.
-func (s *Snapshot) Scan(start, end []byte, fn func(key []byte, dkey base.DeleteKey, value []byte) bool) error {
-	it, err := s.NewScanIter(start, end)
-	if err != nil {
-		return err
-	}
-	return it.each(fn)
 }
 
 // SecondaryRangeScan returns the snapshot's live entries whose delete key

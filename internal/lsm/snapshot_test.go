@@ -99,10 +99,10 @@ func TestSnapshotSeesLaterSecondaryRangeDelete(t *testing.T) {
 				return keys
 			}
 			snapScan := scanned(func(fn func([]byte, base.DeleteKey, []byte) bool) error {
-				return snap.Scan(nil, nil, fn)
+				return scan(snap, nil, nil, fn)
 			})
 			liveScan := scanned(func(fn func([]byte, base.DeleteKey, []byte) bool) error {
-				return db.Scan(nil, nil, fn)
+				return scan(db, nil, nil, fn)
 			})
 			for what, keys := range map[string][]string{"snapshot scan": snapScan, "live scan": liveScan} {
 				if len(keys) != 1 || keys[0] != "kept" {
@@ -172,7 +172,7 @@ func TestSnapshotSRDConcurrent(t *testing.T) {
 					return
 				}
 				floor := base.DeleteKey(purged.Load())
-				err = snap.Scan(nil, nil, func(k []byte, d base.DeleteKey, _ []byte) bool {
+				err = scan(snap, nil, nil, func(k []byte, d base.DeleteKey, _ []byte) bool {
 					if d < floor {
 						t.Errorf("snapshot scan returned %s (D=%d) after [0, %d) was purged", k, d, floor)
 						return false

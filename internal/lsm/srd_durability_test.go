@@ -352,7 +352,7 @@ func TestSRDDuringJobExcludesFromOutputs(t *testing.T) {
 			}
 			check := func(db *DB, when string) {
 				t.Helper()
-				err := db.Scan(nil, nil, func(k []byte, d base.DeleteKey, _ []byte) bool {
+				err := scan(db, nil, nil, func(k []byte, d base.DeleteKey, _ []byte) bool {
 					if d < hi {
 						t.Errorf("%s: %s (D %d) survived the delete", when, k, d)
 					}

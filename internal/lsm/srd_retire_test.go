@@ -695,7 +695,7 @@ func TestSRDRetireConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := 0
-	err = db.Scan(nil, nil, func(_ []byte, d base.DeleteKey, _ []byte) bool {
+	err = scan(db, nil, nil, func(_ []byte, d base.DeleteKey, _ []byte) bool {
 		if d < cutoff {
 			t.Errorf("entry with delete key %d survived cutoff %d", d, cutoff)
 		}

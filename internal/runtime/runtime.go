@@ -73,8 +73,9 @@ type Job struct {
 	Cancel   func()
 }
 
-// Source is one registered producer of maintenance work — an LSM instance
-// (shard). Implementations must be safe for concurrent use.
+// Source is one registered producer of maintenance work: a shard's engine,
+// or the database's AutoReshard balancer. Implementations must be safe for
+// concurrent use.
 type Source interface {
 	// OfferJob returns the source's best ready job with its claim taken
 	// (conflicting work will not be offered again until the job runs or is
@@ -515,7 +516,8 @@ func (rt *Runtime) ticker(interval time.Duration) {
 }
 
 // Stats is a snapshot of the runtime's health: the shared pool, the memory
-// budget, the rate limiter, and the shared cache.
+// budget and the rate limiters. The shared page cache is reported by the
+// engines that read through it (lsm.Stats).
 type Stats struct {
 	// Workers is the compaction pool size (the dedicated flush lane is one
 	// more goroutine on top), 0 for an inline runtime. RunningJobs counts
@@ -558,12 +560,6 @@ type Stats struct {
 	ThrottleWaitTime       time.Duration
 	RemoteRateBytes        int64
 	RemoteThrottleWaitTime time.Duration
-
-	// Cache occupancy and efficiency of the shared page cache.
-	CacheCapacity int64
-	CacheUsed     int64
-	CacheHits     int64
-	CacheMisses   int64
 }
 
 // Stats returns a point-in-time snapshot.
@@ -595,12 +591,6 @@ func (rt *Runtime) Stats() Stats {
 	if rt.remoteLimiter != nil {
 		s.RemoteRateBytes = rt.remoteLimiter.Rate()
 		s.RemoteThrottleWaitTime = rt.remoteLimiter.WaitTime()
-	}
-	if rt.cache != nil {
-		s.CacheCapacity = rt.cache.Capacity()
-		s.CacheUsed = rt.cache.UsedBytes()
-		s.CacheHits = rt.cache.Hits.Load()
-		s.CacheMisses = rt.cache.Misses.Load()
 	}
 	return s
 }

@@ -404,7 +404,7 @@ func TestInlineRuntimeRunsNothing(t *testing.T) {
 		t.Fatalf("inline runtime lent %d merge slots", got)
 	}
 	st := rt.Stats()
-	if st.Workers != 0 || st.FlushJobs != 0 || st.QueueDepth != 1 || st.CacheCapacity != 1<<20 {
+	if st.Workers != 0 || st.FlushJobs != 0 || st.QueueDepth != 1 {
 		t.Fatalf("inline stats: %+v", st)
 	}
 	rt.Close()

@@ -44,8 +44,8 @@ import (
 )
 
 // RuntimeStats describes the shared maintenance runtime: the global worker
-// pool, queue, memory budget, I/O rate limiter, and page cache that span
-// every shard. See DB.RuntimeStats.
+// pool, queue, memory budget, and I/O rate limiters that span every shard.
+// The page cache they share is reported by Stats. See DB.RuntimeStats.
 type RuntimeStats = runtime.Stats
 
 // DeleteKey is the secondary delete key D attached to every entry —
@@ -276,15 +276,15 @@ type Options struct {
 	// reopening (the shard manifest's recorded boundaries win).
 	ShardBoundaries [][]byte
 	// AutoReshard enables the load-driven balancer: a maintenance-pool
-	// policy that samples per-shard pressure (write stalls, memtable bytes,
-	// on-disk footprint) on the runtime's tick and splits a persistently
-	// stalling shard at a delete-tile boundary — or merges an adjacent pair
-	// of idle, small shards — through the same job scheduler compactions
-	// use. Splits are sstable-level handoffs: only files straddling the cut
-	// are rewritten. Ignored in synchronous mode (which always keeps its
-	// layout) and off by default; DB.SplitShard/DB.MergeShards and the
-	// `lethe reshard` subcommand reshard manually either way. See
-	// "Resharding" in tuning.go.
+	// policy that reads every shard's ShardStats (write stalls, memtable
+	// bytes, on-disk footprint) on the runtime's tick and splits a shard
+	// that stalled a writer since the previous tick at a delete-tile
+	// boundary — or merges an adjacent pair of idle, small shards — through
+	// the same job scheduler compactions use. Splits are sstable-level
+	// handoffs: only files straddling the cut are rewritten. Ignored in
+	// synchronous mode (which always keeps its layout) and off by default;
+	// DB.SplitShard/DB.MergeShards and the `lethe reshard` subcommand
+	// reshard manually either way. See "Resharding" in tuning.go.
 	AutoReshard bool
 }
 
@@ -363,7 +363,7 @@ type DB struct {
 	rt *runtime.Runtime
 	// balancer is the AutoReshard policy registered with rt, nil unless
 	// enabled; balancerID is its runtime source ID for Deregister.
-	balancer   *runtime.Balancer
+	balancer   *balancer
 	balancerID int
 
 	reshardStats reshardCounters
@@ -616,7 +616,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.install(t)
 	if !rt.Inline() && opts.AutoReshard {
-		db.balancer = runtime.NewBalancer(&reshardController{db: db}, runtime.BalancerConfig{})
+		db.balancer = newBalancer(db)
 		db.balancerID = rt.Register(db.balancer)
 	}
 	return db, nil
@@ -920,10 +920,11 @@ func (db *DB) Close() error {
 }
 
 // RuntimeStats returns the shared maintenance runtime's statistics: worker
-// pool occupancy, global queue depth, memory-budget stalls, rate-limiter
-// throttle time, and the shared page cache. In synchronous mode it reports
-// the inline runtime: Workers is 0, no job counts, and only the cache
-// fields move.
+// pool occupancy, global queue depth, memory-budget stalls, and rate-limiter
+// throttle time (the shared page cache is in Stats). In synchronous mode it
+// reports the inline runtime: Workers is 0 and no job counts move, since
+// maintenance runs in the writing goroutine; QueueDepth and MemoryUsed still
+// report the shards' pending work and memtable bytes.
 func (db *DB) RuntimeStats() RuntimeStats {
 	return db.rt.Stats()
 }
@@ -1038,18 +1039,6 @@ func (db *DB) MaxTombstoneAge() time.Duration {
 	for _, h := range db.table.Load().shards {
 		if a := h.db.MaxTombstoneAge(); a > max {
 			max = a
-		}
-	}
-	return max
-}
-
-// NumLevels returns the current number of disk levels (the deepest shard's
-// when sharded).
-func (db *DB) NumLevels() int {
-	max := 0
-	for _, h := range db.table.Load().shards {
-		if n := h.db.NumLevels(); n > max {
-			max = n
 		}
 	}
 	return max
@@ -1228,17 +1217,4 @@ func (db *DB) ReshardStats() ReshardStats {
 		StraddlerRewriteBytes: db.reshardStats.straddlerRewriteBytes.Load(),
 		ManifestOps:           db.reshardStats.manifestOps.Load(),
 	}
-}
-
-// ShardPressure is one shard's load sample: write stalls, memtable
-// footprint, disk footprint, and space-amplification operands. It is the
-// balancer's input; `lethe stats` prints one line per shard from it.
-type ShardPressure = runtime.ShardPressure
-
-// ShardPressures samples every shard's pressure, in shard (key-range)
-// order, including the space-amplification operands (which cost a tree scan
-// per shard — this is the diagnostic path; the balancer's periodic sampling
-// skips them).
-func (db *DB) ShardPressures() []ShardPressure {
-	return db.shardPressures(true)
 }

@@ -144,7 +144,7 @@ func TestStatsExposed(t *testing.T) {
 	if _, err := db.SpaceAmp(); err != nil {
 		t.Fatal(err)
 	}
-	if db.NumLevels() == 0 {
+	if len(db.Stats().Levels) == 0 {
 		t.Fatal("levels")
 	}
 	_ = db.TombstoneAges()

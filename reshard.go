@@ -46,67 +46,9 @@ import (
 	"lethe/internal/compaction"
 	"lethe/internal/lsm"
 	"lethe/internal/manifest"
-	"lethe/internal/runtime"
 	"lethe/internal/sstable"
 	"lethe/internal/vfs"
 )
-
-// reshardController adapts the DB to the balancer's view of it: cheap
-// pressure samples in, split/merge proposals out.
-type reshardController struct {
-	db *DB
-}
-
-func (c *reshardController) ShardPressures() []runtime.ShardPressure {
-	// The cheap path: skip the space-amplification operands, which cost a
-	// tree scan per shard — too much for a periodic tick.
-	return c.db.shardPressures(false)
-}
-
-func (c *reshardController) Reshard(p runtime.ReshardProposal) error {
-	switch p.Kind {
-	case runtime.ReshardSplit:
-		return c.db.SplitShard(p.Shard, nil)
-	case runtime.ReshardMerge:
-		return c.db.MergeShards(p.Shard)
-	}
-	return fmt.Errorf("lethe: unknown reshard proposal kind %d", p.Kind)
-}
-
-// shardPressures samples per-shard load in routing order; nil once the
-// database is closed.
-func (db *DB) shardPressures(includeSpaceAmp bool) []runtime.ShardPressure {
-	var out []runtime.ShardPressure
-	_ = db.route(func(t *routingTable) error {
-		out = make([]runtime.ShardPressure, len(t.shards))
-		for i, h := range t.shards {
-			s := h.db.Stats()
-			p := runtime.ShardPressure{
-				Shard:            i,
-				ID:               h.id,
-				WriteStalls:      s.WriteStalls,
-				WriteStallTime:   s.WriteStallTime,
-				MemtableBytes:    s.MemtableBytes,
-				ImmutableBuffers: s.ImmutableBuffers,
-				BytesOnDisk:      s.BytesOnDisk,
-				SpaceAmpTotal:    -1,
-				SpaceAmpUnique:   -1,
-			}
-			if includeSpaceAmp {
-				tb, u, err := h.db.SpaceAmpParts()
-				if errors.Is(err, ErrClosed) {
-					return err // a retired shard: sample the new table
-				}
-				if err == nil {
-					p.SpaceAmpTotal, p.SpaceAmpUnique = tb, u
-				}
-			}
-			out[i] = p
-		}
-		return nil
-	})
-	return out
-}
 
 // errSyncReshard is the rejection for resharding without a maintenance pool.
 func errSyncReshard() error {
@@ -638,9 +580,16 @@ func (db *DB) reshard(p *reshardPlan) error {
 		return fail(fmt.Errorf("lethe: %s commit: %w", p.kind, err))
 	}
 
-	// Committed. Install the new routing table, waking the writers waiting
-	// on the donors, which close only after it; everything after this is
-	// cleanup that crash recovery can redo.
+	// Committed. Count the change before any reader can see its table, so
+	// ReshardStats never trails ShardCount. Then install the new routing
+	// table, waking the writers waiting on the donors, which close only
+	// after it; everything after this is cleanup that crash recovery can
+	// redo.
+	p.count.Add(1)
+	db.reshardStats.filesHandedOff.Add(int64(len(moves)))
+	db.reshardStats.straddlerRewrites.Add(int64(clipped))
+	db.reshardStats.straddlerRewriteBytes.Add(rewriteBytes)
+	db.reshardStats.manifestOps.Add(int64(len(children) + 1))
 	t := db.table.Load()
 	db.layout = nl
 	db.install(&routingTable{epoch: nl.epoch, boundaries: nl.boundaries,
@@ -648,12 +597,6 @@ func (db *DB) reshard(p *reshardPlan) error {
 	for _, h := range handles {
 		h.db.ResumeMaintenance()
 	}
-
-	p.count.Add(1)
-	db.reshardStats.filesHandedOff.Add(int64(len(moves)))
-	db.reshardStats.straddlerRewrites.Add(int64(clipped))
-	db.reshardStats.straddlerRewriteBytes.Add(rewriteBytes)
-	db.reshardStats.manifestOps.Add(int64(len(children) + 1))
 
 	// Retire the donors. A failure leaves the intent in place, and the next
 	// Open rolls the cleanup forward; the reshard itself has succeeded.

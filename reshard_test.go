@@ -806,8 +806,8 @@ func TestAutoReshardSplitsHotShard(t *testing.T) {
 	i := 0
 	for db.ShardCount() == 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no automatic split after %d writes; pressures: %+v, stats: %+v",
-				i, db.ShardPressures(), db.ReshardStats())
+			t.Fatalf("no automatic split after %d writes; shard stats: %+v, reshard stats: %+v",
+				i, db.ShardStats(), db.ReshardStats())
 		}
 		k := i % 4096
 		if err := db.Put(shardKey(k), DeleteKey(k), shardVal(k)); err != nil {
@@ -822,6 +822,43 @@ func TestAutoReshardSplitsHotShard(t *testing.T) {
 	for k := 0; k < 4096 && k < i; k++ {
 		if v, err := db.Get(shardKey(k)); err != nil || !bytes.Equal(v, shardVal(k)) {
 			t.Fatalf("key %d after auto split: %q %v", k, v, err)
+		}
+	}
+}
+
+// TestAutoReshardMergesIdlePair drives the merge half of the AutoReshard
+// policy by hand: a baseline sample plus autoMergeIdleSamples stall-free
+// samples of two small shards must arm a merge, which the pool runs.
+func TestAutoReshardMergesIdlePair(t *testing.T) {
+	db, err := Open(Options{
+		Storage:     StorageOptions{FS: vfs.NewMem()},
+		Shards:      2,
+		AutoReshard: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n = 64
+	for i := 0; i < n; i++ {
+		if err := db.Put(shardKey(i), DeleteKey(i), shardVal(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i <= autoMergeIdleSamples; i++ {
+		db.balancer.MaintenanceTick()
+	}
+	db.rt.Notify()
+	deadline := time.Now().Add(10 * time.Second)
+	for db.ReshardStats().Merges != 1 || db.ShardCount() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no automatic merge: %d shards, reshard stats %+v", db.ShardCount(), db.ReshardStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < n; i++ {
+		if v, err := db.Get(shardKey(i)); err != nil || !bytes.Equal(v, shardVal(i)) {
+			t.Fatalf("key %d after auto merge: %q %v", i, v, err)
 		}
 	}
 }

@@ -125,25 +125,31 @@
 //
 // When to reach for it manually (`lethe -path DIR reshard split/merge`):
 // split when one shard absorbs a disproportionate share of writes —
-// ShardPressures shows per-shard WriteStalls, memtable backlog, and disk
-// bytes, and `lethe stats` prints the same lines — and merge when
-// neighboring shards sit idle, since each shard costs a memory buffer and
-// a WAL stream even when cold. Pass an explicit boundary to pre-split for
-// load you know is coming; pass none to cut at the median tile fence.
+// ShardStats shows per-shard WriteStalls, memtable backlog (MemtableBytes,
+// ImmutableBuffers), and BytesOnDisk, and `lethe stats` prints one line of
+// them per shard — and merge when neighboring shards sit idle, since each
+// shard costs a memory buffer and a WAL stream even when cold. Pass an
+// explicit boundary to pre-split for load you know is coming; pass none to
+// cut at the median tile fence.
 //
-// Options.AutoReshard runs that judgment as a background policy: the
-// balancer samples ShardPressures on the maintenance runtime's tick,
-// splits a shard whose write stalls keep climbing while peers' do not,
-// and merges the two smallest adjacent shards after a sustained idle
-// streak, within [1, 8] shards by default. It is deliberately
-// conservative — a split costs a freeze and a flush, so the policy
-// requires a persistent signal, not one bad sample. Leave it off for
-// benchmarking fixed layouts or when shard count is part of the
-// operational contract; BenchmarkReshardConvergence measures how quickly
-// an auto-resharded database catches a hand-tuned static layout under
-// skew. Synchronous mode (DisableBackgroundMaintenance) keeps Shards=1
-// and rejects resharding: a layout change needs the worker pool, and the
-// synchronous runtime has none.
+// Options.AutoReshard runs that judgment as a background policy: on each
+// maintenance runtime tick the balancer reads every shard's ShardStats
+// sample. A shard's first sample only sets its baseline; after that, the
+// first tick that sees one or more new WriteStalls on a shard arms a split
+// of the shard with the most new stalls, at its median tile fence, while
+// there are fewer than 8 shards. Otherwise, while there are at least two
+// shards, it merges the lowest-positioned adjacent pair whose shards have
+// both gone 8 consecutive samples without a new stall and together hold at
+// most 8 MiB (BytesOnDisk plus MemtableBytes). At most one split or merge is
+// armed or running at a time, and the shards a layout change creates start
+// from a fresh baseline, so none of them splits again before a later tick
+// has seen it stall. These bounds are fixed; there is no knob. Leave it off
+// for benchmarking fixed layouts or when shard count is part of the
+// operational contract; BenchmarkReshardConvergence measures how quickly an
+// auto-resharded database catches a hand-tuned static layout under skew.
+// Synchronous mode (DisableBackgroundMaintenance) keeps Shards=1 and rejects
+// resharding: a layout change needs the worker pool, and the synchronous
+// runtime has none.
 //
 // # Compaction parallelism: Options.Subcompactions
 //
@@ -341,9 +347,10 @@
 // transitions, Gets share one pinned handle and allocate only the returned
 // value copy), and sstable/memtable decode paths hand out views into pooled
 // buffers rather than copies. BenchmarkIteratorFirstK and
-// BenchmarkSnapshotReads track this as allocs/op, and CI diffs both against
-// the committed baseline (BENCH_BASELINE.json) exactly like ns/op — an
-// accidental per-key allocation is a flagged regression, not silent noise.
+// BenchmarkSnapshotReads report this as allocs/op (the CI bench smoke runs
+// them with -benchmem), and the repository benchmark tracks the per-layer
+// allocation counts (lsm.get_allocs, sstable.iter_next_allocs and friends)
+// beside their timings.
 //
 // The visible consequence is the Iterator validity contract: Key and Value
 // return views into those recycled buffers, valid only until the next Next,
