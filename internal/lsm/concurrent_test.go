@@ -39,9 +39,9 @@ func TestConcurrentStress(t *testing.T) {
 		TilePages:   2,
 		// A short Dth under the wall clock keeps FADE's TTL triggers —
 		// including last-level rewrites — firing throughout the run.
-		Mode:              compaction.ModeLethe,
-		Dth:               200 * time.Millisecond,
-		CompactionWorkers: 2,
+		Mode:    compaction.ModeLethe,
+		Dth:     200 * time.Millisecond,
+		Runtime: pool(t, 2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,9 +53,9 @@ const manifestName = "MANIFEST"
 // one scheduler (background.go): a claim function hands out the next job,
 // and one execute and one install step per job kind run it. What differs
 // between the two modes is only the driver. By default the DB is a source
-// of the shared runtime's worker pool (internal/runtime), whose
-// CompactionWorkers goroutines — shared by every shard of a database — poll
-// it for its best ready job and merge outside db.mu. Flushes outrank
+// of the shared runtime's worker pool (internal/runtime), whose workers —
+// shared by every shard of a database — poll it for its best ready job and
+// merge outside db.mu. Flushes outrank
 // compactions (writers stall, with metrics, when the immutable queue
 // exceeds MaxImmutableBuffers, and additionally when the runtime's global
 // memory budget is exceeded); compactions carry a FADE-derived priority
@@ -254,12 +254,7 @@ func Open(opts Options) (db *DB, err error) {
 	case o.DisableBackgroundMaintenance:
 		db.rt = runtime.NewInline(o.CacheBytes)
 	default:
-		db.rt = runtime.New(runtime.Config{
-			Workers:             o.CompactionWorkers,
-			CacheBytes:          o.CacheBytes,
-			MemoryBudget:        o.MemoryBudget,
-			CompactionRateBytes: o.CompactionRateBytes,
-		})
+		db.rt = runtime.New(runtime.Config{CacheBytes: o.CacheBytes})
 	}
 	if rt := db.rt; rt != o.Runtime {
 		db.ownRT = true

@@ -12,6 +12,7 @@ import (
 
 	"lethe/internal/base"
 	"lethe/internal/compaction"
+	"lethe/internal/runtime"
 	"lethe/internal/vfs"
 )
 
@@ -45,6 +46,14 @@ func mustOpen(t *testing.T, opts Options) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// pool returns a background runtime of its own with n maintenance workers,
+// closed at test cleanup.
+func pool(t *testing.T, n int) *runtime.Runtime {
+	rt := runtime.New(runtime.Config{Workers: n})
+	t.Cleanup(rt.Close)
+	return rt
 }
 
 // scan feeds fn the live pairs of src (an engine or a snapshot) in

@@ -99,7 +99,7 @@ func TestFailedMigrationWaveLeaksNothing(t *testing.T) {
 		},
 	})
 	opts := tieredOpts(local, remote, base.RealClock{}, 1)
-	opts.CompactionWorkers = 4
+	opts.Runtime = pool(t, 4)
 	opts.Subcompactions = 4
 	db := mustOpen(t, opts)
 

@@ -150,11 +150,6 @@ type Options struct {
 	// MaxImmutableBuffers bounds the immutable-memtable flush queue in
 	// background mode; writers stall when it is full (default 2).
 	MaxImmutableBuffers int
-	// CompactionWorkers sizes the shared maintenance pool: the total number
-	// of goroutines executing flushes and compactions (default 1). When
-	// Runtime is set the pool belongs to the runtime and this field is
-	// ignored. Ignored in synchronous mode.
-	CompactionWorkers int
 	// Subcompactions caps how many key-range subcompactions one compaction
 	// (or tier-migration) job may fan out into (default 1: serial jobs). The
 	// extra pipelines borrow slots from the shared worker pool, so total
@@ -167,17 +162,9 @@ type Options struct {
 	// worker pool (or the inline runtime of synchronous mode), page cache,
 	// memory budget, and I/O rate limiter spanning every instance
 	// registered with it (the shards of one database). Nil — or a runtime
-	// of the other mode — builds a private runtime sized from the options
-	// above.
+	// of the other mode — builds a private runtime: one worker, a
+	// CacheBytes page cache, no memory budget and no rate limit.
 	Runtime *runtime.Runtime
-	// MemoryBudget bounds total memtable bytes (mutable plus sealed) for a
-	// private runtime; writers stall above it. Zero disables the budget.
-	// Ignored when Runtime is set or in synchronous mode.
-	MemoryBudget int64
-	// CompactionRateBytes caps maintenance write I/O (flush and compaction
-	// sstable builds) in bytes/second for a private runtime. Zero means
-	// unlimited. Ignored when Runtime is set or in synchronous mode.
-	CompactionRateBytes int64
 }
 
 // PlacementPolicy decides which levels of the tree live on the local
@@ -203,9 +190,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxImmutableBuffers == 0 {
 		o.MaxImmutableBuffers = 2
-	}
-	if o.CompactionWorkers == 0 {
-		o.CompactionWorkers = 1
 	}
 	if o.Subcompactions == 0 {
 		o.Subcompactions = 1

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"slices"
 	"sync"
 
 	"lethe/internal/base"
@@ -115,22 +116,31 @@ func (rh *readHandle) get(key []byte) (base.Entry, bool, error) {
 // in [start, end), yielding only KindSet entries in ascending key order. It
 // merges the buffers and every run, applying tombstones, exactly as the
 // paper's range lookup does ("sort-merging the qualifying key ranges across
-// all runs in the tree"). It holds a reference on a read handle for its
-// lifetime — callers must Close it to release the pin — and the handle's
-// version pins every file, so compactions finishing mid-scan cannot pull
-// pages out from under it. Memory stays bounded
-// regardless of range size: the in-memory buffers contribute a bounded copy
-// of the scanned range, and each disk run streams through one open file at
-// a time (runIter), so iterating the first K entries of an unbounded scan
-// costs K entries' worth of pages plus one tile per run, not the range.
+// all runs in the tree").
+//
+// A scan has two steps. Opening it (DB.NewScanIter, Snapshot.NewScanIter)
+// reads the delete-log position, copies each buffer's part of the range and
+// its range tombstones into the iterator's scratch, and pins the version —
+// no I/O, and no buffer stays reachable through the iterator, so a buffer
+// flushed while the scan is open is freed. The first Next or SeekGE primes
+// it: it collects the files' range tombstones, drops the copied entries a
+// secondary range delete logged since the open removed, and starts the
+// merge. A SeekGE before the first Next positions the inputs before the
+// merge reads them, so the scan reads its first pages once. Callers must
+// Close a ScanIter to release its pin; the version pins every file, so
+// compactions finishing mid-scan cannot pull pages out from under it.
+// Memory stays bounded regardless of range size: each disk run streams
+// through one open file at a time (runIter), so iterating the first K
+// entries of an unbounded scan costs K entries' worth of pages plus one
+// tile per run, not the range.
 //
 // ScanIters are pooled, with Close as the recycle point: the merge heap, the
-// per-run frames (each embedding a reusable sstable iterator), the bounded
-// buffer copies, and the tombstone scratch all survive into the next scan,
-// so opening and draining a scan in the steady state allocates almost
-// nothing. Consequently a ScanIter must be Closed exactly once and never
-// used afterwards; entries it returned are views whose bytes remain valid
-// (they alias pinned pages or memtable nodes), but the iterator itself is
+// per-run frames (each embedding a reusable sstable iterator), the buffer
+// copies, and the tombstone scratch all survive into the next scan, so
+// opening and draining a scan in the steady state allocates almost nothing.
+// Consequently a ScanIter must be Closed exactly once and never used
+// afterwards; entries it returned are views whose bytes remain valid (they
+// alias pinned pages or memtable nodes), but the iterator itself is
 // recycled.
 //
 // ScanIter satisfies compaction.Iterator and compaction.Seeker, so higher
@@ -138,121 +148,111 @@ func (rh *readHandle) get(key []byte) (base.Entry, bool, error) {
 // straight into the merging machinery and seek them.
 type ScanIter struct {
 	start, end []byte
-	merged     compaction.MergeIter
-	// pin is the read handle reference Close releases (nil for an empty
-	// iterator).
-	pin    *readHandle
+	// low is the key of a SeekGE issued before the first Next, where
+	// priming positions the inputs (nil: none).
+	low    []byte
+	merged compaction.MergeIter
+	// v is the pinned version Close releases (nil for an empty iterator).
+	v *version
+	// srds is the delete-log position read at open: the copies and the
+	// files drop what each later delete removed.
+	srds   *srdRecord
+	primed bool
 	closed bool
 	err    error // result of Close, sticky for late Error calls
 
-	// Reusable construction state. Frames are index-addressed so the
-	// pointers handed to the merge stay stable; capacities survive
-	// recycling through scanIterPool.
+	// Reusable state. Frames are index-addressed so the pointers handed to
+	// the merge stay stable; capacities survive recycling through
+	// scanIterPool.
 	inputs     []compaction.Iterator
 	rts        []base.RangeTombstone
+	mem        [][]base.Entry // one copy per buffer, newest first
 	sliceIters []compaction.SliceIter
 	runIters   []runIter
-	memScratch [][]base.Entry
 }
 
 var scanIterPool = sync.Pool{New: func() interface{} { return new(ScanIter) }}
 
-// emptyScanIter returns an exhausted iterator pinning nothing: it reads
-// emptyHandle, which is shared, so Close must not release it.
-func emptyScanIter() *ScanIter {
-	it := scanIterPool.Get().(*ScanIter)
-	it.init(&emptyHandle, nil, nil)
-	it.pin = nil
-	return it
-}
-
-// emptyHandle holds no views and no files.
-var emptyHandle = readHandle{v: &version{}}
-
-// NewScanIter opens a streaming scan over [start, end). A degenerate range
-// (start >= end, both bounds set) yields an empty, already-released iterator
-// rather than pinning any state.
+// NewScanIter opens a streaming scan over [start, end) of the engine's
+// current state. A degenerate range (start >= end, both bounds set) yields
+// an empty iterator pinning nothing.
 func (db *DB) NewScanIter(start, end []byte) (*ScanIter, error) {
-	if start != nil && end != nil && base.CompareUserKeys(start, end) >= 0 {
-		return emptyScanIter(), nil
-	}
+	// Read the log tail before copying the buffers, as NewSnapshot does.
+	srds := db.srdLog.Load()
 	rh, err := db.acquireReadHandle()
 	if err != nil {
 		return nil, err
 	}
-	it := scanIterPool.Get().(*ScanIter)
-	it.init(rh, start, end)
-	return it, nil
+	defer rh.release()
+	return openScanIter(rh, srds, start, end), nil
 }
 
-// init (re)builds the merged stream in place over rh, whose reference Close
-// releases (exactly once): one bounded in-memory copy per buffer view
-// (newest sources first) and one lazy runIter per disk run.
-func (it *ScanIter) init(rh *readHandle, start, end []byte) {
+// openScanIter opens a pooled scan over [start, end) of rh's views and
+// version, reading the delete log from srds. It takes its own version
+// reference; rh's stays with the caller.
+func openScanIter(rh *readHandle, srds *srdRecord, start, end []byte) *ScanIter {
+	it := scanIterPool.Get().(*ScanIter)
 	it.start, it.end = start, end
-	it.pin = rh
-	it.closed = false
-	it.err = nil
-	it.inputs = it.inputs[:0]
-	it.rts = it.rts[:0]
-	views, srds := rh.views, rh.srds
-
-	nViews := len(views)
-	if cap(it.sliceIters) < nViews {
-		it.sliceIters = make([]compaction.SliceIter, nViews)
-	} else {
-		it.sliceIters = it.sliceIters[:nViews]
+	it.primed, it.closed, it.err = false, false, nil
+	if start != nil && end != nil && base.CompareUserKeys(start, end) >= 0 {
+		it.mem = it.mem[:0]
+		it.prime() // empty: no inputs, nothing pinned
+		return it
 	}
-	if cap(it.memScratch) < nViews {
-		grown := make([][]base.Entry, nViews)
-		copy(grown, it.memScratch[:cap(it.memScratch)])
-		it.memScratch = grown
-	} else {
-		it.memScratch = it.memScratch[:nViews]
+	it.v, it.srds = rh.v.ref(), srds
+	it.mem = slices.Grow(it.mem[:0], len(rh.views))[:len(rh.views)]
+	// Each buffer's copy and its tombstones come from one lock acquisition,
+	// so a concurrent range-delete-then-put cannot tear the view.
+	for i, mv := range rh.views {
+		it.mem[i], it.rts = mv.AppendRange(start, end, it.mem[i][:0], it.rts)
 	}
+	return it
+}
 
-	// The buffers go first (newest sources first). Copying just the scanned
-	// range keeps the cost proportional to the range, bounded above by the
-	// buffer capacity; a frozen view is already an immutable sorted slice,
-	// so it is sub-sliced in place rather than copied again — unless a
-	// secondary range delete since the snapshot erased entries from it.
-	for i, mt := range views {
+// prime builds the merge: the buffer copies first (newest sources first),
+// then one lazy runIter per disk run, each positioned at low if a seek set
+// it.
+func (it *ScanIter) prime() {
+	it.primed = true
+	it.sliceIters = slices.Grow(it.sliceIters[:0], len(it.mem))[:len(it.mem)]
+	for i, buf := range it.mem {
+		buf = it.srds.filter(buf)
+		it.mem[i] = buf
 		si := &it.sliceIters[i]
-		if f, ok := mt.(*frozenMem); ok && !srds.pending() {
-			si.Reset(f.slice(start, end))
-		} else {
-			buf := srds.filter(mt.AppendRange(start, end, it.memScratch[i][:0]))
-			it.memScratch[i] = buf
-			si.Reset(buf)
+		si.Reset(buf)
+		if it.low != nil {
+			si.SeekGE(it.low)
 		}
-		it.rts = append(it.rts, mt.RangeTombstones()...)
 		it.inputs = append(it.inputs, si)
 	}
 
 	// One lazy iterator per run: files within a run are S-ordered and
 	// disjoint, so the run streams them one at a time — the merge holds
 	// open one file per run, independent of how many files the range
-	// covers. Range tombstones are collected from every file up front
+	// covers. Range tombstones are collected from every file here
 	// (metadata only; a tombstone anchored outside the scanned point-key
 	// range can still cover keys inside it).
+	var levels [][]run
+	if it.v != nil {
+		levels = it.v.levels
+	}
 	nRuns := 0
-	for _, runs := range rh.v.levels {
+	for _, runs := range levels {
 		nRuns += len(runs)
 	}
-	if cap(it.runIters) < nRuns {
-		it.runIters = make([]runIter, nRuns)
-	} else {
-		it.runIters = it.runIters[:nRuns]
-	}
+	it.runIters = slices.Grow(it.runIters[:0], nRuns)[:nRuns]
 	ri := 0
-	for _, runs := range rh.v.levels {
+	for _, runs := range levels {
 		for _, r := range runs {
 			for _, h := range r {
 				it.rts = append(it.rts, h.r.RangeTombstones...)
 			}
 			f := &it.runIters[ri]
 			ri++
-			f.init(r, start, end, srds)
+			f.init(r, it.start, it.end, it.srds)
+			if it.low != nil {
+				f.SeekGE(it.low)
+			}
 			it.inputs = append(it.inputs, f)
 		}
 	}
@@ -265,6 +265,9 @@ func (it *ScanIter) init(rh *readHandle, start, end []byte) {
 func (it *ScanIter) Next() (base.Entry, bool) {
 	if it.closed {
 		return base.Entry{}, false
+	}
+	if !it.primed {
+		it.prime()
 	}
 	for {
 		e, ok := it.merged.Next()
@@ -281,7 +284,8 @@ func (it *ScanIter) Next() (base.Entry, bool) {
 // SeekGE repositions the scan so the next Next returns the first live entry
 // with key >= key. Seeks are absolute within the scan bounds: the key is
 // clamped to [start, end), so seeking backward past start restarts at start
-// and seeking at or past end exhausts the iterator. It implements
+// and seeking at or past end exhausts the iterator. The key is retained as
+// the scan's lower bound until the next seek. It implements
 // compaction.Seeker.
 func (it *ScanIter) SeekGE(key []byte) {
 	if it.closed {
@@ -289,6 +293,10 @@ func (it *ScanIter) SeekGE(key []byte) {
 	}
 	if it.start != nil && base.CompareUserKeys(key, it.start) < 0 {
 		key = it.start
+	}
+	if !it.primed {
+		it.low = key
+		return
 	}
 	it.merged.SeekGE(key)
 }
@@ -302,7 +310,7 @@ func (it *ScanIter) Error() error {
 	return it.merged.Error()
 }
 
-// Close releases the pinned read state and recycles the iterator into the
+// Close releases the pinned version and recycles the iterator into the
 // pool, returning the scan's error state. It must be called exactly once:
 // after Close the iterator may already be serving another scan.
 func (it *ScanIter) Close() error {
@@ -311,29 +319,25 @@ func (it *ScanIter) Close() error {
 	}
 	it.closed = true
 	err := it.merged.Error()
-	if it.pin != nil {
-		if uerr := it.pin.release(); uerr != nil && err == nil {
+	if it.v != nil {
+		if uerr := it.v.unref(); uerr != nil && err == nil {
 			err = uerr
 		}
-		it.pin = nil
+		it.v = nil
 	}
 	it.err = err
 	it.recycle()
 	return err
 }
 
-// recycle drops every reference the scan accumulated — pinned entries and
-// frames — keeping the allocated capacity, and returns the iterator to the
-// pool.
+// recycle drops every reference the scan accumulated — copied entries,
+// tombstones and frames — keeping the allocated capacity, and returns the
+// iterator to the pool.
 func (it *ScanIter) recycle() {
 	it.merged.Reset()
-	for i := range it.inputs {
-		it.inputs[i] = nil
-	}
+	clear(it.inputs)
 	it.inputs = it.inputs[:0]
-	for i := range it.rts {
-		it.rts[i] = base.RangeTombstone{}
-	}
+	clear(it.rts)
 	it.rts = it.rts[:0]
 	for i := range it.sliceIters {
 		it.sliceIters[i].Reset(nil)
@@ -341,14 +345,11 @@ func (it *ScanIter) recycle() {
 	for i := range it.runIters {
 		it.runIters[i].release()
 	}
-	for i := range it.memScratch {
-		sc := it.memScratch[i]
-		for j := range sc {
-			sc[j] = base.Entry{}
-		}
-		it.memScratch[i] = sc[:0]
+	for i, buf := range it.mem {
+		clear(buf)
+		it.mem[i] = buf[:0]
 	}
-	it.start, it.end = nil, nil
+	it.start, it.end, it.low, it.srds = nil, nil, nil, nil
 	scanIterPool.Put(it)
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"lethe/internal/base"
-	"lethe/internal/memtable"
 )
 
 // ErrSnapshotReleased is returned by reads on a released Snapshot.
@@ -23,19 +22,20 @@ type memView interface {
 	// returns false.
 	Iter(fn func(base.Entry) bool)
 	// AppendRange appends the buffered point entries with start <= key <
-	// end (nil = unbounded) to buf and returns it — the allocation-free
-	// form of a bounded Iter, feeding scan construction's reusable scratch.
-	AppendRange(start, end []byte, buf []base.Entry) []base.Entry
+	// end (nil = unbounded) to buf and every buffered range tombstone to
+	// rts, as one consistent view, and returns both: the copy a scan opens
+	// with, into its reusable scratch.
+	AppendRange(start, end []byte, buf []base.Entry, rts []base.RangeTombstone) ([]base.Entry, []base.RangeTombstone)
 	// RangeTombstones returns the buffered range tombstones.
 	RangeTombstones() []base.RangeTombstone
 }
 
 // frozenMem is an immutable point-in-time copy of a mutable buffer's
-// contents: the point entries (sorted on S, possibly bounded to a key range)
-// plus every buffered range tombstone. Entry structs are copied shallowly —
-// the memtable never mutates the byte slices behind an inserted entry (an
-// in-place replace installs a freshly cloned entry), so the frozen view
-// stays stable while the live buffer moves on.
+// contents: the point entries (sorted on S) plus every buffered range
+// tombstone. Entry structs are copied shallowly — the memtable never mutates
+// the byte slices behind an inserted entry (an in-place replace installs a
+// freshly cloned entry), so the frozen view stays stable while the live
+// buffer moves on.
 type frozenMem struct {
 	entries []base.Entry
 	rts     []base.RangeTombstone
@@ -45,9 +45,7 @@ type frozenMem struct {
 // covering range tombstone newer than the point entry (or covering a key
 // with no point entry) reads as a delete.
 func (f *frozenMem) Get(key []byte) (base.Entry, bool) {
-	i := sort.Search(len(f.entries), func(i int) bool {
-		return base.CompareUserKeys(f.entries[i].Key.UserKey, key) >= 0
-	})
+	i := f.search(key)
 	var e base.Entry
 	found := false
 	if i < len(f.entries) && base.CompareUserKeys(f.entries[i].Key.UserKey, key) == 0 {
@@ -70,41 +68,29 @@ func (f *frozenMem) Iter(fn func(base.Entry) bool) {
 	}
 }
 
-// AppendRange implements memView. Scan construction prefers slice, which
-// shares the frozen entries, unless it must filter them.
-func (f *frozenMem) AppendRange(start, end []byte, buf []base.Entry) []base.Entry {
-	return append(buf, f.slice(start, end)...)
+// AppendRange implements memView.
+func (f *frozenMem) AppendRange(start, end []byte, buf []base.Entry, rts []base.RangeTombstone) ([]base.Entry, []base.RangeTombstone) {
+	lo, hi := f.search(start), len(f.entries)
+	if end != nil {
+		hi = max(lo, f.search(end))
+	}
+	return append(buf, f.entries[lo:hi]...), append(rts, f.rts...)
 }
 
 // RangeTombstones implements memView.
 func (f *frozenMem) RangeTombstones() []base.RangeTombstone { return f.rts }
 
-// slice returns the frozen entries with start <= key < end without copying
-// — scan construction over a frozen view feeds this straight to a
-// SliceIter instead of re-copying the already-bounded, already-sorted data.
-func (f *frozenMem) slice(start, end []byte) []base.Entry {
-	lo := 0
-	if start != nil {
-		lo = sort.Search(len(f.entries), func(i int) bool {
-			return base.CompareUserKeys(f.entries[i].Key.UserKey, start) >= 0
-		})
-	}
-	hi := len(f.entries)
-	if end != nil {
-		hi = sort.Search(len(f.entries), func(i int) bool {
-			return base.CompareUserKeys(f.entries[i].Key.UserKey, end) >= 0
-		})
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return f.entries[lo:hi]
+// search returns the index of the first entry with key >= key.
+func (f *frozenMem) search(key []byte) int {
+	return sort.Search(len(f.entries), func(i int) bool {
+		return base.CompareUserKeys(f.entries[i].Key.UserKey, key) >= 0
+	})
 }
 
 // srdRecord is one secondary range delete in the engine's delete log, a
 // linked list appended under db.mu and read without a lock. A delete filters
-// in place only what the engine still holds; a snapshot may read a frozen
-// buffer copy, a flushed buffer or a compacted-away file. So a snapshot
+// in place only what the engine still holds; a snapshot or an open scan may
+// read a buffer copy, a flushed buffer or a compacted-away file. So each
 // keeps the log tail of its creation and erases from all it reads what each
 // later record removed: the values with a delete key in [lo, hi) and a
 // sequence number at or below seq, the last one admitted at the delete.
@@ -153,38 +139,26 @@ func (r *srdRecord) filter(buf []base.Entry) []base.Entry {
 // names is deleted while the snapshot lives. Get, NewScanIter, and
 // SecondaryRangeScan on the snapshot observe exactly this state — later
 // writes, flushes, and compactions are invisible — until Release drops the
-// pin. Snapshots are cheap: one buffer copy (bounded by BufferBytes, or by
-// the scan bounds for NewScanSnapshot) plus reference-count bumps; they
-// trigger no I/O and block no writer or maintenance work. Obsolete sstables
-// a snapshot still references are deleted when the last holder releases.
+// pin. Snapshots are cheap: one copy of the mutable buffer (bounded by
+// BufferBytes) plus reference-count bumps; they trigger no I/O and block no
+// writer or maintenance work. Obsolete sstables a snapshot still references
+// are deleted when the last holder releases.
 //
 // Two caveats, both documented on the operations themselves: a snapshot
 // taken mid-commit-group may see a batch the group has not fully published
 // yet (the same property every read path here has), and
 // SecondaryRangeDelete is a physical delete, so entries it removes
-// disappear from existing snapshots too, on every tier (srdRecord).
+// disappear from existing snapshots too, on every tier, the frozen copy of
+// the mutable buffer included (srdRecord).
 type Snapshot struct {
-	rh *readHandle
-	// start/end record the bounds a NewScanSnapshot froze; reads outside
-	// them are rejected. Both nil for a full NewSnapshot.
-	start, end []byte
-	released   atomic.Bool
+	rh       *readHandle
+	released atomic.Bool
 }
 
 // NewSnapshot pins the engine's current read state: every read served from
 // the returned Snapshot sees the database exactly as of this call. The
 // caller must Release it.
-func (db *DB) NewSnapshot() (*Snapshot, error) { return db.newSnapshot(nil, nil) }
-
-// NewScanSnapshot pins the current read state for scans over [start, end)
-// only: the mutable buffer is frozen just for that range, so the copy cost
-// tracks the range, not the buffer. Reads outside the bounds fail with
-// ErrSnapshotOutOfBounds. The caller must Release it.
-func (db *DB) NewScanSnapshot(start, end []byte) (*Snapshot, error) {
-	return db.newSnapshot(start, end)
-}
-
-func (db *DB) newSnapshot(start, end []byte) (*Snapshot, error) {
+func (db *DB) NewSnapshot() (*Snapshot, error) {
 	// Read the log tail before freezing the buffer: a delete landing in
 	// between is then applied twice, harmlessly (its sequence bound spares
 	// later writes), rather than missed.
@@ -197,46 +171,12 @@ func (db *DB) newSnapshot(start, end []byte) (*Snapshot, error) {
 	rh := &readHandle{views: make([]memView, len(live.views)), v: live.v.ref(), srds: srds}
 	rh.refs.Store(1)
 	// The head view is the mutable buffer — the only one still receiving
-	// writes; freeze its entries and range tombstones atomically (one lock
-	// acquisition, so a concurrent range-delete-then-put can't tear the
-	// view). The sealed flush-queue buffers behind it are immutable and
-	// are shared.
-	entries, rts := live.views[0].(*memtable.Memtable).Capture(start, end)
+	// writes — frozen by copy; the sealed flush-queue buffers behind it are
+	// immutable and are shared.
+	entries, rts := live.views[0].AppendRange(nil, nil, nil, nil)
 	rh.views[0] = &frozenMem{entries: entries, rts: rts}
 	copy(rh.views[1:], live.views[1:])
-	return &Snapshot{
-		rh:    rh,
-		start: append([]byte(nil), start...),
-		end:   append([]byte(nil), end...),
-	}, nil
-}
-
-// ErrSnapshotOutOfBounds is returned by reads outside the key range a
-// NewScanSnapshot was taken for.
-var ErrSnapshotOutOfBounds = errors.New("lsm: read outside snapshot bounds")
-
-// checkBounds rejects scan ranges not contained in a bounded snapshot's
-// frozen range.
-func (s *Snapshot) checkBounds(start, end []byte) error {
-	if len(s.start) > 0 && (start == nil || base.CompareUserKeys(start, s.start) < 0) {
-		return ErrSnapshotOutOfBounds
-	}
-	if len(s.end) > 0 && (end == nil || base.CompareUserKeys(end, s.end) > 0) {
-		return ErrSnapshotOutOfBounds
-	}
-	return nil
-}
-
-// checkKeyBounds rejects point reads outside a bounded snapshot's frozen
-// range.
-func (s *Snapshot) checkKeyBounds(key []byte) error {
-	if len(s.start) > 0 && base.CompareUserKeys(key, s.start) < 0 {
-		return ErrSnapshotOutOfBounds
-	}
-	if len(s.end) > 0 && base.CompareUserKeys(key, s.end) >= 0 {
-		return ErrSnapshotOutOfBounds
-	}
-	return nil
+	return &Snapshot{rh: rh}, nil
 }
 
 // Get returns the value and delete key stored for key as of the snapshot,
@@ -245,29 +185,18 @@ func (s *Snapshot) Get(key []byte) ([]byte, base.DeleteKey, error) {
 	if s.released.Load() {
 		return nil, 0, ErrSnapshotReleased
 	}
-	if err := s.checkKeyBounds(key); err != nil {
-		return nil, 0, err
-	}
 	return userValue(s.rh.get(key))
 }
 
 // NewScanIter opens a streaming scan over [start, end) of the snapshot. The
-// iterator holds its own reference on the pinned state, so closing it and
-// releasing the snapshot are independent, in either order.
+// iterator pins the snapshot's version and copies the range of its buffers,
+// so closing it and releasing the snapshot are independent, in either
+// order.
 func (s *Snapshot) NewScanIter(start, end []byte) (*ScanIter, error) {
 	if s.released.Load() {
 		return nil, ErrSnapshotReleased
 	}
-	if start != nil && end != nil && base.CompareUserKeys(start, end) >= 0 {
-		return emptyScanIter(), nil
-	}
-	if err := s.checkBounds(start, end); err != nil {
-		return nil, err
-	}
-	s.rh.refs.Add(1)
-	it := scanIterPool.Get().(*ScanIter)
-	it.init(s.rh, start, end)
-	return it, nil
+	return openScanIter(s.rh, s.rh.srds, start, end), nil
 }
 
 // SecondaryRangeScan returns the snapshot's live entries whose delete key
@@ -276,9 +205,6 @@ func (s *Snapshot) NewScanIter(start, end []byte) (*ScanIter, error) {
 func (s *Snapshot) SecondaryRangeScan(lo, hi base.DeleteKey) ([]base.Entry, error) {
 	if s.released.Load() {
 		return nil, ErrSnapshotReleased
-	}
-	if len(s.start) > 0 || len(s.end) > 0 {
-		return nil, ErrSnapshotOutOfBounds // bounded snapshots serve their scan range only
 	}
 	return s.rh.secondaryRangeScan(lo, hi)
 }

@@ -49,8 +49,8 @@ type SRDStats struct {
 // blocked: each file's drops are an immutable generation swapped atomically,
 // so a lookup sees a file before or after the delete, never torn. Snapshots
 // pinned across the delete see it on every read issued after it returns
-// (the delete log, snapshot.go); iterators see it from their next tile on,
-// except for the buffered entries they copied when they opened.
+// (the delete log, snapshot.go); an open scan sees it from its next tile
+// on, and in its buffer copy if it has not read yet (ScanIter).
 //
 // Semantics: the deletion is physical, matching the paper's design. It
 // removes every stored version whose D qualifies; it does not write

@@ -595,13 +595,13 @@ func TestSRDRetireCrashSweep(t *testing.T) {
 func TestSRDRetireConcurrent(t *testing.T) {
 	fs := vfs.NewMem()
 	db := mustOpen(t, Options{
-		FS:                fs,
-		BufferBytes:       16 << 10,
-		PageSize:          512,
-		FilePages:         8,
-		SizeRatio:         4,
-		TilePages:         4,
-		CompactionWorkers: 2,
+		FS:          fs,
+		BufferBytes: 16 << 10,
+		PageSize:    512,
+		FilePages:   8,
+		SizeRatio:   4,
+		TilePages:   4,
+		Runtime:     pool(t, 2),
 	})
 	defer db.Close()
 

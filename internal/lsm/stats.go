@@ -433,9 +433,9 @@ func (db *DB) SpaceAmpParts() (totalBytes, uniqueBytes int64, err error) {
 	var iters []compaction.Iterator
 	var rts []base.RangeTombstone
 	for _, mt := range rh.views {
-		mem := compaction.NewSliceIter(mt.AppendRange(nil, nil, nil))
-		iters = append(iters, &countingIter{it: mem, total: &totalBytes})
-		rts = append(rts, mt.RangeTombstones()...)
+		var entries []base.Entry
+		entries, rts = mt.AppendRange(nil, nil, nil, rts)
+		iters = append(iters, &countingIter{it: compaction.NewSliceIter(entries), total: &totalBytes})
 	}
 	for _, runs := range rh.v.levels {
 		for _, r := range runs {

@@ -237,7 +237,7 @@ func TestCrashMidSubcompactionSweepsPartialOutputs(t *testing.T) {
 			})
 			opts := smallOpts(inj, base.RealClock{})
 			opts.DisableWAL = false
-			opts.CompactionWorkers = 4
+			opts.Runtime = pool(t, 4)
 			opts.Subcompactions = 4
 			db := mustOpen(t, opts)
 
@@ -347,7 +347,7 @@ func TestBackgroundMigrationBatchesCopies(t *testing.T) {
 		BandwidthBytesPerSec: 64 << 20,
 	})
 	opts := tieredOpts(local, remote, base.RealClock{}, 1)
-	opts.CompactionWorkers = 4
+	opts.Runtime = pool(t, 4)
 	opts.Subcompactions = 4
 	db := mustOpen(t, opts)
 	defer db.Close()

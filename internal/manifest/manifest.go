@@ -12,10 +12,8 @@ package manifest
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"lethe/internal/sstable"
@@ -200,55 +198,21 @@ func (st *Store) Commit(s *State) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("manifest: encode: %w", err)
-	}
-	tmp := st.name + ".tmp"
-	f, err := st.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("manifest: create temp: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("manifest: write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("manifest: sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("manifest: close: %w", err)
-	}
-	if err := st.fs.Rename(tmp, st.name); err != nil {
-		return fmt.Errorf("manifest: rename: %w", err)
+	if err := vfs.WriteJSON(st.fs, st.name, s); err != nil {
+		return fmt.Errorf("manifest: %w", err)
 	}
 	return nil
 }
 
 // Load reads the manifest. The boolean reports whether a manifest existed.
 func (st *Store) Load() (*State, bool, error) {
-	f, err := st.fs.Open(st.name)
+	var s State
+	err := vfs.ReadJSON(st.fs, st.name, &s)
 	if errors.Is(err, vfs.ErrNotExist) {
 		return &State{NextFileNum: 1}, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("manifest: open: %w", err)
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, false, fmt.Errorf("manifest: size: %w", err)
-	}
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-			return nil, false, fmt.Errorf("manifest: read: %w", err)
-		}
-	}
-	var s State
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, false, fmt.Errorf("manifest: decode: %w", err)
+		return nil, false, fmt.Errorf("manifest: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, false, err

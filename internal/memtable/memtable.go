@@ -265,7 +265,7 @@ func (m *Memtable) Empty() bool {
 // appended (a later RangeDelete appends, never edits in place), so the view
 // stays correct — it just does not see tombstones added after the call.
 // Returning the view keeps the per-lookup tombstone probe allocation-free;
-// callers that outlive the buffer (snapshots) copy via Capture instead.
+// callers that outlive the buffer (snapshots, scans) copy via AppendRange.
 func (m *Memtable) RangeTombstones() []base.RangeTombstone {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -284,47 +284,23 @@ func (m *Memtable) All() []base.Entry {
 	return out
 }
 
-// Capture returns the buffered point entries with start <= key < end (nil =
-// unbounded) together with every buffered range tombstone, taken under one
-// lock acquisition — the snapshot-freeze primitive. Capturing entries and
-// tombstones in separate calls would open a window for a concurrent
-// RangeDelete-then-Put to produce a torn view containing the Put but not
-// the tombstone that preceded it.
-func (m *Memtable) Capture(start, end []byte) ([]base.Entry, []base.RangeTombstone) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var entries []base.Entry
-	for x := m.head.next[0]; x != nil; x = x.next[0] {
-		k := x.entry.Key.UserKey
-		if start != nil && base.CompareUserKeys(k, start) < 0 {
-			continue
-		}
-		if end != nil && base.CompareUserKeys(k, end) >= 0 {
-			break
-		}
-		entries = append(entries, x.entry)
-	}
-	return entries, append([]base.RangeTombstone(nil), m.rangeDels...)
-}
-
 // AppendRange appends the buffered point entries with start <= key < end
-// (nil = unbounded) to buf in sort-key order and returns it. It is the
-// allocation-free equivalent of a bounded Iter: callers pass reusable
-// scratch and no closure is constructed.
-func (m *Memtable) AppendRange(start, end []byte, buf []base.Entry) []base.Entry {
+// (nil = unbounded) to buf in sort-key order, and every buffered range
+// tombstone to rts, and returns both. Entries and tombstones are taken under
+// one lock acquisition: taking them in separate calls would open a window
+// for a concurrent RangeDelete-then-Put to produce a torn view containing
+// the Put but not the tombstone that preceded it. Callers pass reusable
+// scratch, so a bounded copy into warm buffers allocates nothing.
+func (m *Memtable) AppendRange(start, end []byte, buf []base.Entry, rts []base.RangeTombstone) ([]base.Entry, []base.RangeTombstone) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for x := m.head.next[0]; x != nil; x = x.next[0] {
-		k := x.entry.Key.UserKey
-		if start != nil && base.CompareUserKeys(k, start) < 0 {
-			continue
-		}
-		if end != nil && base.CompareUserKeys(k, end) >= 0 {
+	for x := m.findGreaterOrEqual(start, nil); x != nil; x = x.next[0] {
+		if end != nil && base.CompareUserKeys(x.entry.Key.UserKey, end) >= 0 {
 			break
 		}
 		buf = append(buf, x.entry)
 	}
-	return buf
+	return buf, append(rts, m.rangeDels...)
 }
 
 // Iter calls fn for each buffered point entry in sort-key order until fn

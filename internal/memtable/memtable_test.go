@@ -96,6 +96,41 @@ func TestOrderedIteration(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("early stop: %d", n)
 	}
+
+	// A bounded copy starts at the first key at or after start, wherever
+	// start falls in the buffer, stops before end, and appends every range
+	// tombstone behind what the caller's scratch already holds.
+	m.Apply(base.MakeEntry([]byte("b"), 9, base.KindRangeDelete, 0, []byte("c")))
+	bound := func(s string) []byte {
+		if s == "" {
+			return nil
+		}
+		return []byte(s)
+	}
+	for _, tc := range []struct {
+		start, end string
+		want       []string
+	}{
+		{"", "", want},
+		{"charlie", "", []string{"charlie", "delta", "echo"}},
+		{"bz", "delta", []string{"charlie"}},
+		{"", "bravo", []string{"alpha"}},
+		{"delta", "delta", nil},
+		{"f", "", nil},
+	} {
+		prior := []base.RangeTombstone{{Start: []byte("x"), End: []byte("y")}}
+		entries, rts := m.AppendRange(bound(tc.start), bound(tc.end), []base.Entry{{}}, prior)
+		got = got[:0]
+		for _, e := range entries[1:] {
+			got = append(got, string(e.Key.UserKey))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || len(entries) != len(tc.want)+1 {
+			t.Fatalf("AppendRange(%q, %q) = %v, want %v", tc.start, tc.end, got, tc.want)
+		}
+		if len(rts) != 2 || string(rts[0].Start) != "x" || string(rts[1].Start) != "b" {
+			t.Fatalf("AppendRange(%q, %q) range tombstones = %v", tc.start, tc.end, rts)
+		}
+	}
 }
 
 func TestRangeTombstoneShadowing(t *testing.T) {

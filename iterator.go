@@ -15,7 +15,7 @@ import (
 // and surfaces this error instead of touching recycled state.
 var ErrIteratorClosed = errors.New("lethe: iterator used after Close")
 
-// iterAlloc is the poolable part of a cursor: the per-shard pin slice and
+// iterAlloc is the poolable part of a cursor: the per-shard scan slice and
 // the key scratch buffers. Iterators acquire one at creation and recycle it
 // at Close, so steady-state open/iterate/close cycles reuse the same
 // allocations. The Iterator handle itself is deliberately NOT pooled — a
@@ -23,7 +23,7 @@ var ErrIteratorClosed = errors.New("lethe: iterator used after Close")
 // reference) tear down whatever cursor reused it; recycling only the inner
 // state keeps Close idempotent and use-after-Close inert.
 type iterAlloc struct {
-	snaps                     []*lsm.Snapshot
+	scans                     []*lsm.ScanIter
 	startBuf, endBuf, seekBuf []byte
 }
 
@@ -48,34 +48,33 @@ func (a *iterAlloc) setEnd(k []byte) []byte {
 	return a.endBuf
 }
 
-// recycle clears the pin references and returns the alloc to the pool. Byte
-// scratch keeps its capacity (bytes pin nothing).
+// recycle clears the scan references and returns the alloc to the pool.
+// Byte scratch keeps its capacity (bytes pin nothing).
 func (a *iterAlloc) recycle() {
-	for i := range a.snaps {
-		a.snaps[i] = nil
-	}
+	clear(a.scans)
 	iterAllocPool.Put(a)
 }
 
 // Streaming cross-shard iteration.
 //
 // Iterator is a lazy cursor over the merged, tombstone-resolved view of a
-// key range: each shard contributes an lsm.ScanIter (a pull-based stream
-// over that shard's pinned snapshot), and because shard key ranges are
-// disjoint and ordered, the cross-shard merge is a concatenation — the
-// cursor drains shard i completely before touching shard i+1. Shard
-// snapshots are all pinned when the iterator (or its parent Snapshot) is
-// created, so the view is fixed up front; the per-shard scan machinery,
-// including its I/O, is opened lazily — a cursor abandoned after ten keys
-// reads roughly ten keys' worth of pages from the first shard and never
-// opens the others. Memory stays bounded regardless of range size: nothing
-// is materialized beyond each shard's in-buffer range copy and one decoded
-// tile per run.
+// key range: each overlapping shard contributes an lsm.ScanIter, and
+// because shard key ranges are disjoint and ordered, the cross-shard merge
+// is a concatenation — the cursor drains shard i completely before touching
+// shard i+1. Every shard's scan is opened when the iterator is created, in
+// one pass, so the view is fixed up front: an open copies the shard's
+// buffered part of the range and pins its version, and does no I/O. A scan
+// reads nothing until the cursor reaches its shard, and only then filters
+// its buffer copy against the secondary range deletes logged since it
+// opened — a cursor abandoned after ten keys reads roughly ten keys' worth
+// of pages from the first shard and none from the others. Memory stays
+// bounded regardless of range size: nothing is materialized beyond each
+// shard's buffer copy and one decoded tile per run.
 //
-// An iterator from DB.NewIter owns its pins and releases each shard's as
-// the cursor moves past it (and the rest on Close), so obsolete sstables
-// can be deleted mid-iteration; an iterator from Snapshot.NewIter borrows
-// the snapshot's pins, which live until Snapshot.Release.
+// An iterator from DB.NewIter closes each shard's scan, releasing its pin,
+// as the cursor moves past it (and the rest on Close), so obsolete sstables
+// can be deleted mid-iteration; an iterator from Snapshot.NewIter keeps
+// every shard's scan until Close, so its seeks can go back.
 
 // Iterator walks a fixed snapshot of a key range in ascending key order,
 // streaming entries on demand. It starts positioned before the first item:
@@ -91,7 +90,7 @@ func (a *iterAlloc) recycle() {
 // Validity contract: the slices returned by Key and Value are views into
 // the engine's pooled read buffers — they are valid only until the next
 // Next, SeekGE, or Close call. Copy them (CloneBytes) to retain them.
-// Iterators must be Closed — an unclosed iterator pins its snapshot's
+// Iterators must be Closed — an unclosed iterator pins its shards'
 // sstables, keeping obsolete files on disk. Close is idempotent, and Next or
 // SeekGE after Close returns false with ErrIteratorClosed sticky in Error,
 // rather than touching the recycled cursor state. An Iterator is not safe
@@ -100,77 +99,88 @@ type Iterator struct {
 	// a is the pooled cursor state; nil once Close has recycled it (and for
 	// degenerate empty-range iterators, which never allocate one).
 	a *iterAlloc
-	// snaps is indexed by shard; only [cur, hi] are non-nil. Owned pins are
-	// cleared as shards are exhausted. For owned iterators it aliases
-	// a.snaps; for borrowed ones it is the parent Snapshot's slice.
-	snaps      []*lsm.Snapshot
+	// scans is indexed by shard and aliases a.scans: [lo, hi] hold the
+	// open scans, of which a forward-only cursor keeps only [cur, hi].
+	scans      []*lsm.ScanIter
 	boundaries [][]byte
-	owned      bool
-	start, end []byte
-	cur, hi    int
-	it         *lsm.ScanIter
-	// pendingSeek defers a SeekGE into a shard whose scan isn't open yet,
-	// preserving laziness: SeekGE immediately followed by Close opens
-	// nothing.
-	pendingSeek []byte
-	key         []byte
-	dkey        DeleteKey
-	value       []byte
-	valid       bool
-	exhausted   bool
-	closed      bool
-	err         error
+	// forwardOnly marks a DB.NewIter cursor, which closes each shard's scan
+	// as it passes it.
+	forwardOnly bool
+	start, end  []byte
+	lo, cur, hi int
+	// reached is the furthest shard the cursor has positioned or read; a
+	// shard up to it that the cursor enters again is rewound to start.
+	reached   int
+	key       []byte
+	dkey      DeleteKey
+	value     []byte
+	valid     bool
+	exhausted bool
+	closed    bool
+	err       error
 }
 
 // NewIter returns a streaming iterator over live keys in [start, end) (nil
 // end = unbounded; an empty or inverted range yields an empty iterator).
-// Every overlapping shard's read state is pinned here, in one pass, against
-// a single routing epoch, so the iterator observes a fixed view regardless
-// of concurrent writes and layout changes — a reshard committing after the
-// pins are taken does not disturb an open iterator; see the Iterator
+// Every overlapping shard's scan is opened here, in one pass, against a
+// single routing epoch, so the iterator observes a fixed view regardless of
+// concurrent writes and layout changes — a reshard committing after the
+// scans open does not disturb an open iterator; see the Iterator
 // documentation for the contract. The caller must Close it.
 func (db *DB) NewIter(start, end []byte) (*Iterator, error) {
-	if start != nil && end != nil && base.CompareUserKeys(start, end) >= 0 {
-		// Empty range: an exhausted cursor pinning nothing. owned keeps
-		// SeekGE from trying to revive it into shards it never pinned.
-		return &Iterator{exhausted: true, owned: true, cur: 0, hi: -1}, nil
-	}
 	var it *Iterator
-	err := db.route(func(t *routingTable) error {
-		lo, hi := 0, len(t.shards)-1
-		if start != nil || end != nil {
-			lo, hi = shardRange(t.boundaries, start, end)
-		}
-		a := iterAllocPool.Get().(*iterAlloc)
-		// A pooled alloc holds no pin (recycle clears them), so every slot
-		// up to its capacity is nil.
-		a.snaps = slices.Grow(a.snaps[:0], len(t.shards))[:len(t.shards)]
-		for i := lo; i <= hi; i++ {
-			sn, err := t.shards[i].db.NewScanSnapshot(start, end)
-			if err != nil {
-				// No pin survives a failed pass: the next one, after a
-				// reshard retired a shard, pins everything at one epoch.
-				for j := lo; j < i; j++ {
-					a.snaps[j].Release()
-				}
-				a.recycle()
-				return err
-			}
-			a.snaps[i] = sn
-		}
-		it = &Iterator{
-			a:          a,
-			snaps:      a.snaps,
-			boundaries: t.boundaries,
-			owned:      true,
-			start:      a.setStart(start),
-			end:        a.setEnd(end),
-			cur:        lo,
-			hi:         hi,
-		}
-		return nil
+	err := db.route(func(t *routingTable) (err error) {
+		it, err = openIterator(t.boundaries, len(t.shards), start, end, true,
+			func(i int, start, end []byte) (*lsm.ScanIter, error) {
+				return t.shards[i].db.NewScanIter(start, end)
+			})
+		return err
 	})
 	return it, err
+}
+
+// openIterator opens a cursor over [start, end) of a layout with the given
+// boundaries and shard count, opening each overlapping shard's scan with
+// open. If any open fails, the scans already opened are closed.
+func openIterator(boundaries [][]byte, shards int, start, end []byte, forwardOnly bool,
+	open func(i int, start, end []byte) (*lsm.ScanIter, error)) (*Iterator, error) {
+	if start != nil && end != nil && base.CompareUserKeys(start, end) >= 0 {
+		// Empty range: an exhausted cursor opening nothing. forwardOnly
+		// keeps SeekGE from trying to revive it.
+		return &Iterator{exhausted: true, forwardOnly: true, cur: 0, hi: -1}, nil
+	}
+	lo, hi := 0, shards-1
+	if start != nil || end != nil {
+		lo, hi = shardRange(boundaries, start, end)
+	}
+	a := iterAllocPool.Get().(*iterAlloc)
+	start, end = a.setStart(start), a.setEnd(end)
+	// A pooled alloc holds no scan (recycle clears them), so every slot up
+	// to its capacity is nil.
+	a.scans = slices.Grow(a.scans[:0], shards)[:shards]
+	for i := lo; i <= hi; i++ {
+		si, err := open(i, start, end)
+		if err != nil {
+			for _, si := range a.scans[lo:i] {
+				si.Close()
+			}
+			a.recycle()
+			return nil, err
+		}
+		a.scans[i] = si
+	}
+	return &Iterator{
+		a:           a,
+		scans:       a.scans,
+		boundaries:  boundaries,
+		forwardOnly: forwardOnly,
+		start:       start,
+		end:         end,
+		lo:          lo,
+		cur:         lo,
+		hi:          hi,
+		reached:     lo,
+	}, nil
 }
 
 // CloneBytes returns a copy of b that stays valid indefinitely. Use it to
@@ -200,60 +210,54 @@ func (it *Iterator) Next() bool {
 	if it.exhausted || it.err != nil {
 		return false
 	}
-	for {
-		if it.it == nil {
-			if it.cur > it.hi {
-				it.exhausted = true
-				return false
-			}
-			si, err := it.snaps[it.cur].NewScanIter(it.start, it.end)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			if it.pendingSeek != nil {
-				si.SeekGE(it.pendingSeek)
-				it.pendingSeek = nil
-			}
-			it.it = si
-		}
-		e, ok := it.it.Next()
-		if ok {
+	for ; it.cur <= it.hi; it.enter(it.cur + 1) {
+		si := it.scans[it.cur]
+		if e, ok := si.Next(); ok {
 			it.key, it.dkey, it.value = e.Key.UserKey, e.DKey, e.Value
 			it.valid = true
 			return true
 		}
-		if !it.closeCurrentShard() {
+		if err := si.Error(); err != nil {
+			it.err = err
 			return false
 		}
-		it.cur++
+		if it.forwardOnly && !it.closeShard(it.cur) {
+			return false
+		}
+	}
+	it.exhausted = true
+	return false
+}
+
+// enter moves the cursor to shard i, rewinding that shard's scan if the
+// cursor positioned or read it before (a backward seek came back past it).
+func (it *Iterator) enter(i int) {
+	it.cur = i
+	if i > it.reached {
+		it.reached = i
+	} else if i <= it.hi {
+		it.scans[i].SeekGE(it.start)
 	}
 }
 
-// closeCurrentShard retires the open shard scan, releasing the shard's pin
-// when this iterator owns it. Returns false when the scan ended in error.
-func (it *Iterator) closeCurrentShard() bool {
-	err := it.it.Close()
-	it.it = nil
-	if it.owned && it.snaps[it.cur] != nil {
-		if rerr := it.snaps[it.cur].Release(); rerr != nil && err == nil {
-			err = rerr
+// closeShard closes shard i's scan, releasing its pin. It returns false
+// when the close surfaced an error.
+func (it *Iterator) closeShard(i int) bool {
+	if si := it.scans[i]; si != nil {
+		it.scans[i] = nil
+		if err := si.Close(); err != nil && it.err == nil {
+			it.err = err
 		}
-		it.snaps[it.cur] = nil
 	}
-	if err != nil {
-		it.err = err
-		return false
-	}
-	return true
+	return it.err == nil
 }
 
 // SeekGE repositions the cursor so the next Next returns the first entry
 // with key >= key (clamped into [start, end)). On an iterator from
-// Snapshot.NewIter seeks are absolute — backward seeks reopen earlier
-// shards from the snapshot's pins, and a seek can revive an exhausted
+// Snapshot.NewIter seeks are absolute — a backward seek repositions an
+// earlier shard's still-open scan, and a seek can revive an exhausted
 // iterator. On an iterator from DB.NewIter, shards the cursor has passed
-// have had their pins released, so seeks are forward-only: a backward
+// have had their scans closed, so seeks are forward-only: a backward
 // target is clamped to the current shard's range, and an exhausted
 // iterator stays exhausted.
 func (it *Iterator) SeekGE(key []byte) {
@@ -264,62 +268,35 @@ func (it *Iterator) SeekGE(key []byte) {
 		}
 		return
 	}
-	if it.err != nil {
+	if it.err != nil || (it.exhausted && it.forwardOnly) {
 		return
 	}
 	if it.start != nil && base.CompareUserKeys(key, it.start) < 0 {
 		key = it.start
 	}
-	lo := 0
-	if it.start != nil {
-		lo, _ = shardRange(it.boundaries, it.start, it.end)
-	}
-	target := shardIndex(it.boundaries, key)
-	if target < lo {
-		target = lo
+	target := max(shardIndex(it.boundaries, key), it.lo)
+	if it.forwardOnly {
+		// Close the scans the seek jumps past, releasing their pins.
+		target = max(target, it.cur)
+		for ; it.cur < min(target, it.hi+1); it.cur++ {
+			if !it.closeShard(it.cur) {
+				return
+			}
+		}
 	}
 	if target > it.hi {
 		// Past the last overlapping shard: exhaust.
-		if it.it != nil {
-			it.closeCurrentShard()
-		}
 		it.cur = it.hi + 1
 		it.exhausted = true
 		return
 	}
-	if it.owned && target < it.cur {
-		target = it.cur // earlier shards' pins are gone: forward-only
-	}
-	if it.exhausted {
-		if it.owned {
-			return
-		}
-		it.exhausted = false
-	}
-	// Copy the seek key into the reusable scratch: the scan machinery
-	// retains it (as a lower bound) until the next seek overwrites it.
-	it.a.seekBuf = append(it.a.seekBuf[:0], key...)
-	key = it.a.seekBuf
-	if target == it.cur && it.it != nil {
-		it.it.SeekGE(key)
-		return
-	}
-	if it.it != nil && !it.closeCurrentShard() {
-		return
-	}
-	// Skip over shards the seek jumps past, releasing owned pins promptly.
-	if it.owned {
-		for i := it.cur; i < target; i++ {
-			if it.snaps[i] != nil {
-				if err := it.snaps[i].Release(); err != nil && it.err == nil {
-					it.err = err
-				}
-				it.snaps[i] = nil
-			}
-		}
-	}
+	it.exhausted = false
 	it.cur = target
-	it.pendingSeek = key
+	it.reached = max(it.reached, target)
+	// Copy the seek key into the reusable scratch: the scan retains it (as
+	// a lower bound) until the next seek overwrites it.
+	it.a.seekBuf = append(it.a.seekBuf[:0], key...)
+	it.scans[target].SeekGE(it.a.seekBuf)
 }
 
 // each feeds fn the iterator's items until it returns false, then closes
@@ -351,39 +328,26 @@ func (it *Iterator) Value() []byte { return it.value }
 // Error returns the first error the iteration encountered, if any.
 func (it *Iterator) Error() error { return it.err }
 
-// Close releases every pin the iterator still holds, recycles the cursor
-// state into the pool, and returns the first error the iteration
-// encountered. Idempotent. Closing promptly matters twice over: the pins
-// keep obsolete sstables alive on disk, and the recycled state is what
-// makes the next iterator allocation-free.
+// Close closes every shard scan the iterator still holds, releasing their
+// pins, recycles the cursor state into the pool, and returns the first
+// error the iteration encountered. Idempotent. Closing promptly matters
+// twice over: the pins keep obsolete sstables alive on disk, and the
+// recycled state is what makes the next iterator allocation-free.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return it.err
 	}
 	it.closed = true
 	it.valid = false
-	if it.it != nil {
-		if err := it.it.Close(); err != nil && it.err == nil {
-			it.err = err
-		}
-		it.it = nil
-	}
-	if it.owned {
-		for i, sn := range it.snaps {
-			if sn != nil {
-				if err := sn.Release(); err != nil && it.err == nil {
-					it.err = err
-				}
-				it.snaps[i] = nil
-			}
-		}
+	for i := range it.scans {
+		it.closeShard(i)
 	}
 	// Drop every view before the pool hands the state to the next cursor.
 	// Key/value slices the caller captured without CloneBytes are invalid
 	// from here on, per the contract.
-	it.snaps = nil
+	it.scans = nil
 	it.boundaries = nil
-	it.start, it.end, it.pendingSeek = nil, nil, nil
+	it.start, it.end = nil, nil
 	it.key, it.value = nil, nil
 	if it.a != nil {
 		a := it.a

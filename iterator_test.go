@@ -3,6 +3,7 @@ package lethe
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -128,5 +129,135 @@ func TestIteratorSeekGE(t *testing.T) {
 	}
 	if err := it2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanAllocs: a Scan that stops after 100 keys allocates the same bytes
+// per scan whether the buffers hold 1,024 or 4,096 keys, on one shard and
+// on four. Opening a scan copies each shard's buffered range, but into the
+// pooled scan's scratch, so once the scratch is warm the copy allocates
+// nothing.
+func TestScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// sync.Pool keeps one item per P out of reach of the others: a scan that
+	// moved to another P between Close and the next open would find its
+	// warm iterator missing. One P keeps the measurement about the engine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bytesPerScan := func(t *testing.T, shards, buffered int) float64 {
+		opts := Options{InMemory: true, DisableWAL: true}
+		if shards > 1 {
+			opts.Shards = shards
+			for i := 1; i < shards; i++ {
+				opts.ShardBoundaries = append(opts.ShardBoundaries, []byte(fmt.Sprint(i)))
+			}
+		}
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if n := len(db.ShardBoundaries()) + 1; n != shards {
+			t.Fatalf("%d shards, want %d", n, shards)
+		}
+		for i := 0; i < buffered; i++ {
+			key := []byte(fmt.Sprintf("%d-%06d", i%shards, i))
+			if err := db.Put(key, DeleteKey(i), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan := func() {
+			n := 0
+			if err := db.Scan(nil, nil, func([]byte, DeleteKey, []byte) bool {
+				n++
+				return n < 100
+			}); err != nil || n != 100 {
+				t.Fatalf("scan read %d keys: %v", n, err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			scan() // warm the pooled scratch
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			scan()
+		}
+		runtime.ReadMemStats(&after)
+		if st := db.Stats(); st.BytesOnDisk != 0 {
+			t.Fatalf("%d bytes flushed; the keys must stay buffered", st.BytesOnDisk)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			small, large := bytesPerScan(t, shards, 1024), bytesPerScan(t, shards, 4096)
+			t.Logf("bytes per scan: %.0f with 1,024 keys buffered, %.0f with 4,096", small, large)
+			if large > small+64 {
+				t.Fatalf("bytes per scan grew from %.0f to %.0f with the buffered keys", small, large)
+			}
+		})
+	}
+}
+
+// TestIteratorSeesDeleteAfterOpen: an iterator opened before a secondary
+// range delete reads each shard's buffer copy only when the cursor reaches
+// that shard, and drops then what the delete removed. The cursor is in
+// shard 0 when the delete lands; shard 1's buffered entries in the deleted
+// range never come back, from DB.NewIter or from Snapshot.NewIter.
+func TestIteratorSeesDeleteAfterOpen(t *testing.T) {
+	for _, src := range []string{"db", "snapshot"} {
+		t.Run(src, func(t *testing.T) {
+			db, err := Open(Options{InMemory: true, DisableWAL: true,
+				Shards: 2, ShardBoundaries: [][]byte{[]byte("k100")}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for i := 0; i < 200; i++ {
+				if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), DeleteKey(i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			open := db.NewIter
+			if src == "snapshot" {
+				snap, err := db.NewSnapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer snap.Release()
+				open = snap.NewIter
+			}
+			it, err := open(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			if !it.Next() || string(it.Key()) != "k000" {
+				t.Fatalf("first key %q: %v", it.Key(), it.Error())
+			}
+			if _, err := db.SecondaryRangeDelete(120, 180); err != nil {
+				t.Fatal(err)
+			}
+			shard1 := 0
+			for it.Next() {
+				var i int
+				fmt.Sscanf(string(it.Key()), "k%03d", &i)
+				if i >= 100 {
+					shard1++
+				}
+				if i >= 100 && it.DeleteKey() >= 120 && it.DeleteKey() < 180 {
+					t.Fatalf("%s returned after the delete removed it", it.Key())
+				}
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if shard1 != 40 {
+				t.Fatalf("shard 1 returned %d keys, want 40", shard1)
+			}
+		})
 	}
 }

@@ -33,10 +33,8 @@ package lethe
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -109,27 +107,13 @@ func (l *shardLayout) manifest() *shardManifest {
 // or duplicate IDs — is rejected with ErrShardLayout rather than installed
 // as a nonsense routing table.
 func loadShardManifest(fs vfs.FS) (*shardLayout, bool, error) {
-	f, err := fs.Open(shardManifestName)
+	var m shardManifest
+	err := vfs.ReadJSON(fs, shardManifestName, &m)
 	if errors.Is(err, vfs.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("lethe: open shard manifest: %w", err)
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, false, fmt.Errorf("lethe: shard manifest size: %w", err)
-	}
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-			return nil, false, fmt.Errorf("lethe: read shard manifest: %w", err)
-		}
-	}
-	var m shardManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, false, fmt.Errorf("lethe: decode shard manifest: %w", err)
+		return nil, false, fmt.Errorf("lethe: shard manifest: %w", err)
 	}
 	if err := validateBoundaries(m.Boundaries); err != nil {
 		return nil, false, fmt.Errorf("%w (shard manifest): %w", ErrShardLayout, err)
@@ -178,33 +162,13 @@ func loadShardManifest(fs vfs.FS) (*shardLayout, bool, error) {
 	return l, true, nil
 }
 
-// saveShardManifest writes the SHARDS file via temp + rename, the same
-// atomic-replace pattern the engine manifest uses. This is the commit point
+// saveShardManifest writes the SHARDS file with vfs.WriteJSON (temp +
+// rename), the writer the engine manifest uses. This is the commit point
 // of a reshard: a crash strictly before the rename reopens on the old
 // layout, strictly after on the new one.
 func saveShardManifest(fs vfs.FS, l *shardLayout) error {
-	data, err := json.Marshal(l.manifest())
-	if err != nil {
-		return fmt.Errorf("lethe: encode shard manifest: %w", err)
-	}
-	tmp := shardManifestName + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("lethe: create shard manifest: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("lethe: write shard manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("lethe: sync shard manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("lethe: close shard manifest: %w", err)
-	}
-	if err := fs.Rename(tmp, shardManifestName); err != nil {
-		return fmt.Errorf("lethe: install shard manifest: %w", err)
+	if err := vfs.WriteJSON(fs, shardManifestName, l.manifest()); err != nil {
+		return fmt.Errorf("lethe: shard manifest: %w", err)
 	}
 	return nil
 }
@@ -413,54 +377,20 @@ type reshardIntent struct {
 }
 
 func saveReshardIntent(fs vfs.FS, in *reshardIntent) error {
-	data, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("lethe: encode reshard intent: %w", err)
-	}
-	tmp := reshardIntentName + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("lethe: create reshard intent: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("lethe: write reshard intent: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("lethe: sync reshard intent: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("lethe: close reshard intent: %w", err)
-	}
-	if err := fs.Rename(tmp, reshardIntentName); err != nil {
-		return fmt.Errorf("lethe: install reshard intent: %w", err)
+	if err := vfs.WriteJSON(fs, reshardIntentName, in); err != nil {
+		return fmt.Errorf("lethe: reshard intent: %w", err)
 	}
 	return nil
 }
 
 func loadReshardIntent(fs vfs.FS) (*reshardIntent, bool, error) {
-	f, err := fs.Open(reshardIntentName)
+	var in reshardIntent
+	err := vfs.ReadJSON(fs, reshardIntentName, &in)
 	if errors.Is(err, vfs.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("lethe: open reshard intent: %w", err)
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, false, fmt.Errorf("lethe: reshard intent size: %w", err)
-	}
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-			return nil, false, fmt.Errorf("lethe: read reshard intent: %w", err)
-		}
-	}
-	var in reshardIntent
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, false, fmt.Errorf("lethe: decode reshard intent: %w", err)
+		return nil, false, fmt.Errorf("lethe: reshard intent: %w", err)
 	}
 	if in.NewEpoch == 0 && len(in.Moves) == 0 && len(in.NewDirs) == 0 {
 		// A zero record (e.g. truncated-to-empty temp caught mid-crash)

@@ -95,31 +95,18 @@ func (s *Snapshot) Scan(start, end []byte, fn func(key []byte, dkey DeleteKey, v
 }
 
 // NewIter returns a streaming iterator over [start, end) of the snapshot.
-// The iterator borrows the snapshot's pins — close it before releasing the
-// snapshot. Unlike DB.NewIter's, its SeekGE is absolute: backward seeks
-// reopen earlier shards from the still-held pins.
+// Every overlapping shard's scan is opened here and holds its own pin, so
+// closing the iterator and releasing the snapshot are independent. Unlike
+// DB.NewIter's, its SeekGE is absolute: a backward seek repositions an
+// earlier shard's scan, which stays open until Close.
 func (s *Snapshot) NewIter(start, end []byte) (*Iterator, error) {
 	if s.released.Load() {
 		return nil, ErrReadOnlySnapshot
 	}
-	if start != nil && end != nil && base.CompareUserKeys(start, end) >= 0 {
-		return &Iterator{exhausted: true, owned: true, cur: 0, hi: -1}, nil
-	}
-	lo, hi := 0, len(s.shards)-1
-	if start != nil || end != nil {
-		lo, hi = shardRange(s.boundaries, start, end)
-	}
-	a := iterAllocPool.Get().(*iterAlloc)
-	return &Iterator{
-		a:          a,
-		snaps:      s.shards, // borrowed: never recycled into a
-		boundaries: s.boundaries,
-		owned:      false,
-		start:      a.setStart(start),
-		end:        a.setEnd(end),
-		cur:        lo,
-		hi:         hi,
-	}, nil
+	return openIterator(s.boundaries, len(s.shards), start, end, false,
+		func(i int, start, end []byte) (*lsm.ScanIter, error) {
+			return s.shards[i].NewScanIter(start, end)
+		})
 }
 
 // SecondaryRangeScan returns the snapshot's live entries with lo <= D < hi,

@@ -295,6 +295,78 @@ func TestIteratorReleasesShardPinsMidIteration(t *testing.T) {
 	}
 }
 
+// TestIteratorLeavesUnreachedShardsUnread: opening an iterator reads no
+// sstable page, and a cursor that stays in shard 0 — a Next, a SeekGE,
+// another Next — reads none of shard 1's, from DB.NewIter or from
+// Snapshot.NewIter.
+func TestIteratorLeavesUnreachedShardsUnread(t *testing.T) {
+	var reads [2]atomic.Int64
+	fs := vfs.NewInject(vfs.NewMem(), func(op vfs.Op, name string) error {
+		if op == vfs.OpRead && strings.HasSuffix(name, ".sst") {
+			if strings.HasPrefix(name, "shard-1/") {
+				reads[1].Add(1)
+			} else {
+				reads[0].Add(1)
+			}
+		}
+		return nil
+	})
+	db, err := Open(Options{Storage: StorageOptions{FS: fs}, Shards: 2, BufferBytes: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 300; i++ {
+		if err := db.Put(shardKey(i), DeleteKey(i), shardVal(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Quiesce maintenance so that only the cursors read from here on.
+	if err := db.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	for _, src := range []struct {
+		name string
+		open func(start, end []byte) (*Iterator, error)
+	}{{"db", db.NewIter}, {"snapshot", snap.NewIter}} {
+		reads[0].Store(0)
+		reads[1].Store(0)
+		it, err := src.open(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := reads[0].Load() + reads[1].Load(); n != 0 {
+			t.Fatalf("%s: opening the iterator read %d pages", src.name, n)
+		}
+		it.Next()
+		it.SeekGE([]byte{0x10})
+		if !it.Next() || bytes.Compare(it.Key(), db.ShardBoundaries()[0]) >= 0 {
+			t.Fatalf("%s: cursor left shard 0: %q %v", src.name, it.Key(), it.Error())
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := reads[1].Load(); n != 0 {
+			t.Fatalf("%s: the cursor never reached shard 1 but read %d of its pages", src.name, n)
+		}
+	}
+	// The counter does see shard 1: a full scan reads its pages.
+	if err := db.Scan(nil, nil, func([]byte, DeleteKey, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if reads[1].Load() == 0 {
+		t.Fatal("a full scan read no shard-1 page; the read counter is blind")
+	}
+}
+
 // TestSnapshotIterDegenerateRanges: empty and inverted ranges on the new
 // cursor, from both DB.NewIter and Snapshot.NewIter, yield clean empty
 // iterators; SeekGE on them stays exhausted.

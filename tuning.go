@@ -201,17 +201,19 @@
 //     level after Bloom filters and fence pointers have their say. Nothing
 //     to tune beyond CacheBytes.
 //
-//   - Range reads (Scan, NewIter) are lazy cursors: per shard they hold a
-//     bounded copy of the buffered range plus one decoded tile per run, so
-//     iterating the first K entries of an unbounded range costs K entries'
-//     worth of pages — independent of how large the range is
-//     (BenchmarkIteratorFirstK measures bytes/op flat across database
+//   - Range reads (Scan, NewIter) are lazy cursors. Opening one copies
+//     each overlapping shard's buffered part of the range into pooled
+//     scratch and pins the shard's version, with no I/O; a shard's scan
+//     reads nothing until the cursor reaches it, and then holds one decoded
+//     tile per run, so iterating the first K entries of an unbounded range
+//     costs K entries' worth of pages — independent of how large the range
+//     is (BenchmarkIteratorFirstK measures bytes/op flat across database
 //     sizes). Prefer NewIter over Scan-into-a-slice for anything large;
 //     use SeekGE to skip, and Close the moment you are done — an open
-//     iterator pins its snapshot's sstables, which keeps files a
-//     compaction has obsoleted on disk. A cursor from DB.NewIter releases
-//     each shard's pin as it passes the shard, so even a full-database
-//     scan holds at most one shard's obsolete files at a time.
+//     iterator pins its shards' sstables, which keeps files a compaction
+//     has obsoleted on disk. A cursor from DB.NewIter releases each
+//     shard's pin as it passes the shard, so even a full-database scan
+//     holds at most one shard's obsolete files at a time.
 //
 //   - Multi-read consistency costs one DB.NewSnapshot: every shard's read
 //     state is pinned in one pass (per shard: a buffer copy bounded by
@@ -225,10 +227,13 @@
 //
 // SecondaryRangeScan verifies candidates against the same pinned state it
 // collected them from and returns results sorted by (delete key, sort key)
-// deterministically. SecondaryRangeDelete remains physical: it filters
-// sealed buffers and drops sstable pages for every reader of the file, so
-// what it removes from those vanishes from snapshots taken before it ran
-// (only a snapshot's frozen copy of the mutable buffer is immune) — order
+// deterministically. SecondaryRangeDelete remains physical: it filters the
+// buffers and drops sstable pages for every reader of the file, and the
+// engine's delete log erases what it removed from the buffer copies and
+// retired files older readers hold. So it vanishes from snapshots taken
+// before it ran, on every tier, for every read issued after it returns; an
+// open iterator stops returning it from its next tile on, and from the
+// buffer copy of every shard the cursor has not reached yet. Order
 // retention deletes after reads that must not observe them.
 //
 // Space after a SecondaryRangeDelete: the drop hierarchy is page → tile →
@@ -339,9 +344,11 @@
 //
 // The read hot paths recycle their transient state instead of allocating it
 // per operation, so steady-state read traffic puts almost nothing on the
-// garbage collector: opening an Iterator reuses a pooled cursor (shard pins,
-// seek scratch, per-run sstable frames, and the k-way merge heap all come
-// from sync.Pools keyed by Close), point Gets ride a cached per-shard read
+// garbage collector: opening an Iterator reuses a pooled cursor (the
+// per-shard scans with their buffer-copy scratch, seek scratch, per-run
+// sstable frames, and the k-way merge heap all come from sync.Pools keyed
+// by Close, so a scan's bytes do not grow with the buffered range:
+// TestScanAllocs), point Gets ride a cached per-shard read
 // handle that is rebuilt only when the shard's read state actually changes
 // (a buffer seal, a flush or compaction installing a new version — between
 // transitions, Gets share one pinned handle and allocate only the returned
