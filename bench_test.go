@@ -2,8 +2,8 @@
 // (§5). Each benchmark runs the corresponding harness experiment once per
 // b.N and reports domain-specific metrics through b.ReportMetric, so
 // `go test -bench=. -benchmem` prints the paper's quantities alongside Go's
-// timing. The per-experiment index lives in DESIGN.md; paper-vs-measured
-// values are recorded in EXPERIMENTS.md.
+// timing. The experiments themselves live in internal/harness, and
+// `go run ./cmd/lethe-bench all` prints every one of them as a table.
 package lethe_test
 
 import (
@@ -575,8 +575,7 @@ func workloadYCSB() workload.Config {
 // BenchmarkAblationModes compares the full Lethe policy (DD trigger + SD
 // selection) against the ModeLetheSO ablation (DD trigger + the baseline's
 // overlap-driven selection) — isolating how much of FADE's effect comes from
-// the trigger versus the file picking (the design choice DESIGN.md §4.5
-// calls out).
+// the trigger versus the file picking.
 func BenchmarkAblationModes(b *testing.B) {
 	cfg := benchCfg()
 	runtime := cfg.Runtime(cfg.Ops)

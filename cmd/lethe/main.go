@@ -21,10 +21,12 @@
 // The layout is not fixed for life: the reshard subcommand (below) splits
 // and merges shards online, and -auto-reshard enables the load-driven
 // balancer, which watches per-shard write stalls and footprint and splits
-// hot shards (merging cold adjacent pairs back) by itself. Both require
-// background maintenance — they are rejected under -sync. The stats command
-// prints one pressure line per shard (stalls, memtable bytes, disk bytes,
-// space-amp operands) plus the cumulative reshard counters.
+// hot shards (merging cold adjacent pairs back) by itself. Sharding and the
+// reshard subcommand work under -sync too (the reshard runs in the calling
+// goroutine); only -auto-reshard needs background maintenance, and -sync
+// ignores it. The stats command prints one pressure line per shard (stalls,
+// memtable bytes, disk bytes, space-amp operands) plus the cumulative
+// reshard counters.
 // All shards share one maintenance runtime: -compaction-workers sizes its
 // global worker pool, -subcompactions lets a single compaction or migration
 // job fan out into up to K key-range subcompactions borrowing slots from
@@ -111,8 +113,8 @@ func main() {
 	memBudget := flag.Int64("memory-budget", 0, "total memtable bytes across shards before writers stall (0 = unlimited)")
 	compRate := flag.Int64("compaction-rate", 0, "maintenance write I/O cap in bytes/second (0 = unlimited)")
 	walSync := flag.String("wal-sync", "grouped", "WAL sync policy: grouped, always, or never")
-	shards := flag.Int("shards", 1, "range shards (independent LSM instances; >1 requires background maintenance)")
-	autoReshard := flag.Bool("auto-reshard", false, "enable the load-driven balancer (splits hot shards, merges cold pairs; requires background maintenance)")
+	shards := flag.Int("shards", 1, "range shards (independent LSM instances)")
+	autoReshard := flag.Bool("auto-reshard", false, "enable the load-driven balancer (splits hot shards, merges cold pairs; needs background maintenance; ignored with -sync)")
 	localLevels := flag.Int("local-levels", 0, "disk levels kept on the local tier (0 = tiering disabled)")
 	remoteLatency := flag.Duration("remote-latency", 0, "modeled per-operation round trip of the remote tier (0 = free)")
 	remoteBandwidth := flag.Int64("remote-bandwidth", 0, "modeled remote link bandwidth in bytes/second (0 = unlimited)")

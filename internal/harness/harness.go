@@ -2,13 +2,12 @@
 // Table 2) against this reproduction and reports the same rows and series
 // the paper plots.
 //
-// Substitutions relative to the authors' testbed are documented in
-// DESIGN.md: experiments run on an instrumented in-memory filesystem with a
-// manual clock advanced at the configured ingestion rate, and latency is
-// reconstructed from device-calibrated constants — 100µs per page I/O (the
-// paper's SSD access latency) and 80ns per Bloom filter hash (§4.2.4). The
-// *shapes* of the results, not the absolute device numbers, are the
-// reproduction target.
+// Substitutions relative to the authors' testbed: experiments run on an
+// instrumented in-memory filesystem with a manual clock advanced at the
+// configured ingestion rate, and latency is reconstructed from
+// device-calibrated constants — 100µs per page I/O (the paper's SSD access
+// latency) and 80ns per Bloom filter hash (§4.2.4). The *shapes* of the
+// results, not the absolute device numbers, are the reproduction target.
 package harness
 
 import (

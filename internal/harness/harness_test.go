@@ -87,9 +87,9 @@ func TestTombstoneAgeCompliance(t *testing.T) {
 func TestWriteAmpAmortizes(t *testing.T) {
 	// Fig. 6F's shape: an early eager-merging spike in normalized bytes
 	// written, then amortization as purging pays off. The paper's exact
-	// knob (Dth = runtime/15) is too adversarial at miniature scale (see
-	// EXPERIMENTS.md); 25% deletes with Dth = 75% of runtime shows the
-	// same spike-then-amortize curve here.
+	// knob (Dth = runtime/15) is too adversarial at miniature scale; 25%
+	// deletes with Dth = 75% of runtime shows the same spike-then-amortize
+	// curve here.
 	cfg := tiny()
 	rows, err := RunWriteAmpOverTime(cfg, 0.25, 0.75, 5)
 	if err != nil {
@@ -229,8 +229,7 @@ func TestFrontier(t *testing.T) {
 	// tombstones; both bounded approaches honor their bound; and Lethe never
 	// stalls on the whole database at once (its peak compaction event is
 	// smaller than a full-tree compaction). The total-bytes relation is
-	// geometry-dependent at miniature scale and recorded in EXPERIMENTS.md
-	// rather than asserted.
+	// geometry-dependent at miniature scale and is not asserted.
 	cfg := tiny()
 	cfg.KeySpace = 24000
 	cfg.Ops = 12000

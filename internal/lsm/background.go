@@ -6,13 +6,15 @@ import (
 )
 
 // Maintenance is one scheduler (see compact.go for a job's steps) with two
-// drivers. In background mode the DB is a runtime.Source: the shared pool's
-// workers — one bounded set for every shard, with FADE urgency compared
-// across shards — poll OfferJob, and runPooled runs each job outside db.mu;
-// a failure poisons the engine. In synchronous mode the runtime is inline
-// and nothing polls: runInlineLocked runs the jobs on the calling goroutine
+// drivers. On a pool the DB is a runtime.Source: the shared pool's workers
+// — one bounded set for every shard, with FADE urgency compared across
+// shards — poll OfferJob, and runPooled runs each job outside db.mu; a
+// failure poisons the engine. On an inline runtime (synchronous mode)
+// nothing polls: runInlineLocked runs the jobs on the calling goroutine
 // under db.mu and returns a failure to the caller, who may retry.
-// drainLocked chooses between them.
+// drainLocked chooses between them. A pause holds both: while one is held
+// the pool claims nothing, and a caller that would run jobs inline waits
+// for the resume.
 
 // ttlPriorityBase lifts every TTL-expired pick above every saturation pick:
 // FADE's delete-driven trigger preempts saturation (§4.1.4), globally.
@@ -43,15 +45,27 @@ func (db *DB) quiescentLocked() bool {
 
 // pauseBackgroundLocked stops the pool from claiming new work and waits for
 // in-flight jobs to finish. It does not drain the immutable queue — callers
-// that need an empty queue (FullTreeCompact) flush inline afterwards. The
-// inline driver ignores the pause: synchronous work only ever runs under
-// db.mu, so holding the lock already excludes it. Callers hold db.mu; pair
-// with resumeBackgroundLocked.
+// that need an empty queue (FullTreeCompact) flush inline afterwards. While
+// it is held, drainLocked's inline driver and FullTreeCompact wait in
+// waitUnpausedLocked, so the files a reshard exported stay in place. Callers
+// hold db.mu; pair with resumeBackgroundLocked.
 func (db *DB) pauseBackgroundLocked() {
 	db.pauseBG++
 	for db.flushActive || db.inflight > 0 {
 		db.bgCond.Wait()
 	}
+}
+
+// waitUnpausedLocked waits until no pause is held, or returns ErrClosed once
+// the instance closes. Callers hold db.mu.
+func (db *DB) waitUnpausedLocked() error {
+	for db.pauseBG > 0 && !db.closed {
+		db.bgCond.Wait()
+	}
+	if db.closed {
+		return ErrClosed
+	}
+	return nil
 }
 
 // resumeBackgroundLocked reverses pauseBackgroundLocked and re-kicks the
@@ -257,13 +271,13 @@ const (
 )
 
 // drainLocked is the executor, and the one place that asks which driver the
-// engine has. Inline, the work runs here and any failure, a failed seal
-// included, returns to the caller. On a pool it kicks the workers and,
-// unless handing off, waits until the flush queue is empty (flushAll) or
-// the pipeline is quiescent with no trigger and no over-age WAL left
-// (settle); a failed job surfaces as the sticky background error, as does a
-// failed hand-off seal — a WAL rotation no caller waits on. Callers hold
-// db.mu.
+// engine has. Inline, the work runs here, once no pause is held, and any
+// failure, a failed seal included, returns to the caller. On a pool it
+// kicks the workers and, unless handing off, waits until the flush queue is
+// empty (flushAll) or the pipeline is quiescent with no trigger and no
+// over-age WAL left (settle); a failed job surfaces as the sticky
+// background error, as does a failed hand-off seal — a WAL rotation no
+// caller waits on. Callers hold db.mu.
 func (db *DB) drainLocked(mode drainMode) error {
 	if mode != settle {
 		if err := db.sealMemtableLocked(); err != nil {
@@ -274,6 +288,9 @@ func (db *DB) drainLocked(mode drainMode) error {
 		}
 	}
 	if db.rt.Inline() {
+		if err := db.waitUnpausedLocked(); err != nil {
+			return err
+		}
 		return db.runInlineLocked(mode == flushAll)
 	}
 	db.kickMaintenance()

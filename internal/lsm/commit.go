@@ -29,11 +29,10 @@ import (
 // db.mu is held only for the per-group writability check / buffer capture
 // and for buffer rotation — never across WAL I/O or memtable inserts.
 //
-// Synchronous mode (DisableBackgroundMaintenance, forced under a manual
-// clock) and SyncAlways run the same protocol with groups of one: the leader
-// takes only its own batch, so each commit gets its own WAL record and its
-// own Sync, and the batches queued behind it lead their own groups in
-// sequence order. With a single writer that is exactly the paper's
+// Synchronous mode (an inline runtime) and SyncAlways run the same protocol
+// with groups of one: the leader takes only its own batch, so each commit
+// gets its own WAL record and its own Sync, and the batches queued behind it
+// lead their own groups in sequence order. With a single writer that is exactly the paper's
 // deterministic execution: log, apply, publish, then — when the buffer
 // filled — the inline flush and maintenance of maybeRotateBufferLocked, all
 // in the caller's goroutine.

@@ -190,16 +190,18 @@ func TestCommitPipelineGroups(t *testing.T) {
 		perWriter = 25
 	)
 	run := func(t *testing.T, policy WALSyncPolicy, syncMode bool) Stats {
-		db, err := Open(Options{
+		opts := Options{
 			FS:          vfs.NewInject(vfs.NewMem(), slowSync),
 			BufferBytes: 1 << 20,
 			PageSize:    512,
 			FilePages:   4,
 			SizeRatio:   4,
 			WALSync:     policy,
-
-			DisableBackgroundMaintenance: syncMode,
-		})
+		}
+		if syncMode {
+			opts.Runtime = inline(t)
+		}
+		db, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +273,7 @@ func TestWALSyncFailureSurfaces(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		policy   WALSyncPolicy
-		syncMode bool // DisableBackgroundMaintenance
+		syncMode bool // on an inline runtime
 		wantErr  bool
 	}{
 		{"grouped-background", SyncGrouped, false, true},
@@ -295,8 +297,9 @@ func TestWALSyncFailureSurfaces(t *testing.T) {
 				FilePages:   4,
 				SizeRatio:   4,
 				WALSync:     tc.policy,
-
-				DisableBackgroundMaintenance: tc.syncMode,
+			}
+			if tc.syncMode {
+				opts.Runtime = inline(t)
 			}
 			db, err := Open(opts)
 			if err != nil {
@@ -354,16 +357,18 @@ func forEachCommitMode(t *testing.T, hook func(op vfs.Op, name string) error, fn
 			if hook != nil {
 				fs = vfs.NewInject(fs, hook)
 			}
-			fn(t, Options{
+			opts := Options{
 				FS:          fs,
 				BufferBytes: 1 << 20,
 				PageSize:    512,
 				FilePages:   4,
 				SizeRatio:   4,
 				WALSync:     tc.policy,
-
-				DisableBackgroundMaintenance: tc.syncMode,
-			})
+			}
+			if tc.syncMode {
+				opts.Runtime = inline(t)
+			}
+			fn(t, opts)
 		})
 	}
 }

@@ -881,12 +881,13 @@ func (db *DB) mergeFiles(upper, lower run, lastLevel bool, trigger compaction.Tr
 // persistence latency and to execute secondary range deletes (§3.1.3). It
 // stalls everything else while it runs (background maintenance is paused and
 // db.mu is held throughout), which is exactly the behavior the paper's
-// baseline exhibits.
+// baseline exhibits. It waits out another party's pause first: a reshard
+// holds one from exporting a donor's files until it lets the donor go.
 func (db *DB) FullTreeCompact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	if err := db.waitUnpausedLocked(); err != nil {
+		return err
 	}
 	db.pauseBackgroundLocked()
 	defer db.resumeBackgroundLocked()

@@ -59,13 +59,13 @@ const manifestName = "MANIFEST"
 // compactions (writers stall, with metrics, when the immutable queue
 // exceeds MaxImmutableBuffers, and additionally when the runtime's global
 // memory budget is exceeded); compactions carry a FADE-derived priority
-// compared across shards. Setting Options.DisableBackgroundMaintenance —
-// automatic when a manual clock is injected — selects the paper's
-// synchronous mode: the runtime is inline, with no workers, commits run the
-// same pipeline as groups of one (as they do under SyncAlways), and the
-// writing goroutine runs each job the buffer arms itself, under db.mu,
-// preserving the deterministic execution the experiments and the
-// reproduction harness depend on.
+// compared across shards. An inline runtime (Options.Runtime built by
+// runtime.NewInline, or the private fallback under a manual clock) selects
+// the paper's synchronous mode: no workers, commits run the same pipeline as
+// groups of one (as they do under SyncAlways), and the writing goroutine
+// runs each job the buffer arms itself, under db.mu, preserving the
+// deterministic execution the experiments and the reproduction harness
+// depend on.
 type DB struct {
 	opts Options
 
@@ -245,18 +245,15 @@ func Open(opts Options) (db *DB, err error) {
 	}
 	db.srdLog.Store(new(srdRecord))
 	// Attach (or build) the runtime before any file opens: the page cache
-	// handle and the throttled maintenance filesystem come from it. A
-	// supplied runtime serves only the mode it was built for; synchronous
-	// mode otherwise builds a private inline one (no workers, no limiter).
-	switch {
-	case o.Runtime != nil && o.Runtime.Inline() == o.DisableBackgroundMaintenance:
-		db.rt = o.Runtime
-	case o.DisableBackgroundMaintenance:
-		db.rt = runtime.NewInline(o.CacheBytes)
-	default:
-		db.rt = runtime.New(runtime.Config{CacheBytes: o.CacheBytes})
-	}
-	if rt := db.rt; rt != o.Runtime {
+	// handle and the throttled maintenance filesystem come from it.
+	db.rt = o.Runtime
+	if db.rt == nil {
+		if _, manual := o.Clock.(*base.ManualClock); manual {
+			db.rt = runtime.NewInline(o.CacheBytes)
+		} else {
+			db.rt = runtime.New(runtime.Config{CacheBytes: o.CacheBytes})
+		}
+		rt := db.rt
 		db.ownRT = true
 		defer func() {
 			if err != nil {
@@ -632,13 +629,6 @@ func (db *DB) commitManifestLocked(v *version) error {
 // runs on the remote tier.
 func (db *DB) remoteLevel(l int) bool {
 	return db.remoteFS != nil && l >= db.opts.Placement.LocalLevels
-}
-
-// NumLevels returns the number of allocated disk levels.
-func (db *DB) NumLevels() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.current.levels)
 }
 
 // TTLs returns the current cumulative per-level TTL thresholds (nil without

@@ -23,9 +23,10 @@ import (
 )
 
 // PauseMaintenance stops the pool from claiming new flushes and compactions
-// on this instance and waits for in-flight ones to finish. It nests; pair
-// each call with ResumeMaintenance. In synchronous mode there is nothing in
-// flight and the inline driver does not consult the pause.
+// on this instance and waits for in-flight ones to finish; until it is
+// resumed, a caller that would run them inline (a synchronous-mode write,
+// Flush or Maintain, or FullTreeCompact) waits. It nests; pair each call
+// with ResumeMaintenance.
 func (db *DB) PauseMaintenance() {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -5,16 +5,15 @@
 // Every write takes the one commit path of commit.go, and every flush,
 // compaction, trivial move and tier migration the one maintenance scheduler
 // of background.go: a claim function picks the next job, and one execute and
-// one install step per job kind run it. Only the driver differs between the
-// two modes. In background mode (the default with a wall clock) full
-// buffers are sealed onto an immutable-flush queue and the jobs run on a
-// shared maintenance runtime's worker pool (internal/runtime) that spans
-// every engine instance registered with it — readers run against immutable
-// refcounted version snapshots without blocking behind either. In
-// synchronous mode (DisableBackgroundMaintenance, forced with a manual
-// clock) the runtime is inline and the goroutine whose commit filled the
-// buffer — or that called Flush or Maintain — runs the jobs itself,
-// byte-for-byte matching the paper's single-threaded experiments.
+// one install step per job kind run it. Only the driver differs, and the
+// Runtime an instance is given decides it. On a pool (internal/runtime's
+// New) full buffers are sealed onto an immutable-flush queue and the jobs
+// run on the shared workers that span every engine instance registered with
+// it — readers run against immutable refcounted version snapshots without
+// blocking behind either. On an inline runtime (NewInline: synchronous
+// mode) the goroutine whose commit filled the buffer — or that called Flush
+// or Maintain — runs the jobs itself, byte-for-byte matching the paper's
+// single-threaded experiments.
 package lsm
 
 import (
@@ -134,18 +133,11 @@ type Options struct {
 	CacheBytes int64
 	// Seed makes memtable skiplist towers deterministic.
 	Seed int64
-	// DisableBackgroundMaintenance selects synchronous mode — the paper's
-	// deterministic execution model: the instance runs on an inline runtime
-	// (runtime.NewInline), and the writing goroutine runs each flush and
-	// compaction the buffer arms, as do Flush and Maintain. It is forced on
-	// when Clock is a *base.ManualClock, since background workers racing a
-	// manually advanced clock would make experiments unrepeatable.
-	DisableBackgroundMaintenance bool
-	// HoldMaintenance opens the instance with background maintenance
-	// paused: the shared runtime will not claim flush or compaction jobs
-	// from it until ResumeMaintenance is called. Resharding uses it so a
-	// freshly installed shard cannot start compacting before its routing
-	// epoch commits. No effect in synchronous mode, whose jobs run inline.
+	// HoldMaintenance opens the instance with maintenance paused: no flush
+	// or compaction runs on it, on the pool or inline, until
+	// ResumeMaintenance is called. Resharding uses it so a freshly
+	// installed shard cannot start compacting before its routing epoch
+	// commits.
 	HoldMaintenance bool
 	// MaxImmutableBuffers bounds the immutable-memtable flush queue in
 	// background mode; writers stall when it is full (default 2).
@@ -161,9 +153,11 @@ type Options struct {
 	// Runtime attaches this instance to a shared maintenance runtime: one
 	// worker pool (or the inline runtime of synchronous mode), page cache,
 	// memory budget, and I/O rate limiter spanning every instance
-	// registered with it (the shards of one database). Nil — or a runtime
-	// of the other mode — builds a private runtime: one worker, a
-	// CacheBytes page cache, no memory budget and no rate limit.
+	// registered with it (the shards of one database). Its kind is the
+	// maintenance mode. Nil builds a private runtime with a CacheBytes page
+	// cache: inline under a *base.ManualClock, since workers racing a
+	// manually advanced clock would make experiments unrepeatable, and
+	// otherwise one worker with no memory budget and no rate limit.
 	Runtime *runtime.Runtime
 }
 
@@ -184,9 +178,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RemoteFS != nil && o.Placement.LocalLevels < 1 {
 		o.Placement.LocalLevels = 1
-	}
-	if _, manual := o.Clock.(*base.ManualClock); manual {
-		o.DisableBackgroundMaintenance = true
 	}
 	if o.MaxImmutableBuffers == 0 {
 		o.MaxImmutableBuffers = 2

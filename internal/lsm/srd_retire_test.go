@@ -331,7 +331,7 @@ func TestSRDRetirementKeepsTreeHeight(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	levels, ttls := db.NumLevels(), db.TTLs()
+	levels, ttls := len(db.Stats().Levels), db.TTLs()
 	if levels < 2 {
 		t.Fatalf("want a multi-level tree, got %d levels", levels)
 	}
@@ -341,7 +341,7 @@ func TestSRDRetirementKeepsTreeHeight(t *testing.T) {
 	if db.Stats().TreeEntries != 0 {
 		t.Fatal("delete left entries behind")
 	}
-	if got := db.NumLevels(); got != levels {
+	if got := len(db.Stats().Levels); got != levels {
 		t.Fatalf("tree height went from %d to %d", levels, got)
 	}
 	if got := db.TTLs(); fmt.Sprint(got) != fmt.Sprint(ttls) {
@@ -358,7 +358,7 @@ func TestOpenSweepsEmptiedFiles(t *testing.T) {
 	opts := smallOpts(fs, clock)
 	db := mustOpen(t, opts)
 	fillByTime(t, db, 0, 300)
-	levels := db.NumLevels()
+	levels := len(db.Stats().Levels)
 	live, _ := versionFiles(db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -417,7 +417,7 @@ func TestOpenSweepsEmptiedFiles(t *testing.T) {
 	if swept.FileCount() != len(live) {
 		t.Fatalf("manifest names %d files, want %d", swept.FileCount(), len(live))
 	}
-	if got := db2.NumLevels(); got != levels {
+	if got := len(db2.Stats().Levels); got != levels {
 		t.Fatalf("sweep changed the tree height from %d to %d", levels, got)
 	}
 	if vr, err := db2.VerifyTables(); err != nil || vr.CorruptFiles != 0 {

@@ -404,25 +404,13 @@ func (db *DB) MaxTombstoneAge() time.Duration {
 	return max
 }
 
-// SpaceAmp computes the paper's space amplification (§3.2.1):
-// (csize(N) − csize(U)) / csize(U), where csize(N) is the byte size of all
-// live entries in the tree and csize(U) the byte size of the newest live
-// version of each key. It scans the tree on a pinned snapshot, so it is a
+// SpaceAmpParts returns the operands of the paper's space amplification
+// (§3.2.1), (csize(N) − csize(U)) / csize(U): csize(N) is the byte size of
+// all live entries in the tree and csize(U) the byte size of the newest live
+// version of each key. A sharded database sums them across shards before
+// forming the ratio (ratios of per-shard ratios would weight small shards
+// incorrectly). It scans the tree on a pinned snapshot, so it is a
 // measurement tool, not a hot-path call.
-func (db *DB) SpaceAmp() (float64, error) {
-	totalBytes, uniqueBytes, err := db.SpaceAmpParts()
-	if err != nil {
-		return 0, err
-	}
-	if uniqueBytes == 0 {
-		return 0, nil
-	}
-	return float64(totalBytes-uniqueBytes) / float64(uniqueBytes), nil
-}
-
-// SpaceAmpParts returns the raw operands of SpaceAmp — csize(N) and csize(U)
-// — so a sharded database can sum them across shards before forming the
-// ratio (ratios of per-shard ratios would weight small shards incorrectly).
 func (db *DB) SpaceAmpParts() (totalBytes, uniqueBytes int64, err error) {
 	rh, err := db.acquireReadHandle()
 	if err != nil {

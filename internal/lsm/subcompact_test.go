@@ -272,7 +272,7 @@ func TestCrashMidSubcompactionSweepsPartialOutputs(t *testing.T) {
 
 			opts2 := smallOpts(mem, base.RealClock{})
 			opts2.DisableWAL = false
-			opts2.DisableBackgroundMaintenance = true
+			opts2.Runtime = inline(t)
 			db2, err := Open(opts2)
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)

@@ -23,12 +23,14 @@
 // drives time-based maintenance (TTL expiry, WAL age) even when the write
 // path is idle.
 //
-// Synchronous mode (DisableBackgroundMaintenance, forced under a manual
-// clock) runs on an inline Runtime (NewInline): the same shared page cache
-// and source registry, but no workers, no ticker, no rate limiter and no
-// memory budget. Nothing polls its sources; each engine runs the jobs it
+// Synchronous mode is an inline Runtime (NewInline): the same shared page
+// cache and source registry, but no workers, no ticker, no rate limiter and
+// no memory budget. Nothing polls its sources; each engine runs the jobs it
 // claims on the calling goroutine, one at a time, which preserves the paper
-// harness's deterministic execution bit for bit.
+// harness's deterministic execution bit for bit. The kind of runtime an
+// engine is given is its maintenance mode: the root package builds an
+// inline one under a manual clock or DisableBackgroundMaintenance, and a
+// pool otherwise.
 package runtime
 
 import (

@@ -291,43 +291,50 @@ func blockSeekGE(payload []byte, key []byte) (base.Entry, bool, error) {
 	return base.Entry{}, false, nil
 }
 
-// validateBlock structurally checks a sealed block: CRC, restart trailer,
-// entry framing, restart offsets landing on entry boundaries, and strict
-// S-order. It returns the entry count. verify and the corruption tests use
-// it; the read path trusts the CRC and per-entry bounds checks instead.
+// validateBlock structurally checks a sealed block (see validBlockEntries)
+// and returns its entry count. The corruption tests use it.
 func validateBlock(sealed []byte) (int, error) {
+	entries, err := validBlockEntries(sealed)
+	return len(entries), err
+}
+
+// validBlockEntries structurally checks a sealed block — CRC, restart
+// trailer, entry framing, restart offsets landing on entry boundaries, and
+// strict S-order — and returns its decoded entries. verify uses it; the read
+// path trusts the CRC and per-entry bounds checks instead.
+func validBlockEntries(sealed []byte) ([]base.Entry, error) {
 	payload, err := openPage(sealed)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	entryBytes, restarts, n, err := splitBlockPayload(payload)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	entries, err := decodeBlock(payload)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	for i := 1; i < len(entries); i++ {
 		if base.CompareUserKeys(entries[i-1].Key.UserKey, entries[i].Key.UserKey) >= 0 {
-			return 0, fmt.Errorf("sstable: block keys out of order at entry %d: %w", i, ErrCorruption)
+			return nil, fmt.Errorf("sstable: block keys out of order at entry %d: %w", i, ErrCorruption)
 		}
 	}
 	want := (len(entries) + restartInterval - 1) / restartInterval
 	if n != want {
-		return 0, fmt.Errorf("sstable: %d restart points for %d entries (want %d): %w",
+		return nil, fmt.Errorf("sstable: %d restart points for %d entries (want %d): %w",
 			n, len(entries), want, ErrCorruption)
 	}
 	prev := -1
 	for i := 0; i < n; i++ {
 		off := int(binary.LittleEndian.Uint32(restarts[i*4:]))
 		if off <= prev || off >= len(entryBytes) {
-			return 0, fmt.Errorf("sstable: restart offset %d not ascending in block: %w", off, ErrCorruption)
+			return nil, fmt.Errorf("sstable: restart offset %d not ascending in block: %w", off, ErrCorruption)
 		}
 		if _, err := restartKeyAt(entryBytes, off); err != nil {
-			return 0, err
+			return nil, err
 		}
 		prev = off
 	}
-	return len(entries), nil
+	return entries, nil
 }

@@ -86,14 +86,7 @@ func (r *Reader) VerifyIntegrity() (VerifyStats, error) {
 
 // verifyBlock checks one sealed block against its descriptor.
 func verifyBlock(sealed []byte, pm *PageMeta) (int, error) {
-	if _, err := validateBlock(sealed); err != nil {
-		return 0, err
-	}
-	payload, err := openPage(sealed)
-	if err != nil {
-		return 0, err
-	}
-	entries, err := decodeBlock(payload)
+	entries, err := validBlockEntries(sealed)
 	if err != nil {
 		return 0, err
 	}

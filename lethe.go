@@ -209,13 +209,17 @@ type Options struct {
 	CoverageEstimator func(start, end []byte) float64
 	// Seed fixes internal randomness for reproducibility.
 	Seed int64
-	// DisableBackgroundMaintenance replaces the background worker pool with
-	// an inline runtime: the same flush and compaction jobs then run inside
-	// the goroutine that arms them — the writer whose commit fills the
-	// buffer, or the caller of Flush or Maintain — exactly as the paper's
-	// single-threaded experiments do. It is forced on when a manual clock is
-	// injected via Clock, so deterministic simulations stay deterministic
-	// without further configuration.
+	// DisableBackgroundMaintenance selects synchronous mode: the database
+	// runs on an inline runtime instead of the background worker pool, and
+	// the same flush and compaction jobs run inside the goroutine that arms
+	// them — the writer whose commit fills the buffer, or the caller of
+	// Flush or Maintain — exactly as the paper's single-threaded experiments
+	// do. It is forced on when a manual clock is injected via Clock, so
+	// deterministic simulations stay deterministic without further
+	// configuration. Everything else works the same in either mode: shards,
+	// SplitShard and MergeShards (which run on the caller's goroutine), and
+	// the pause a reshard takes on its donors. Only AutoReshard, which runs
+	// on the pool's ticker, needs background maintenance.
 	DisableBackgroundMaintenance bool
 	// MaxImmutableBuffers bounds the queue of sealed buffers awaiting
 	// background flush; writers stall (with stall metrics in Stats) while
@@ -263,10 +267,9 @@ type Options struct {
 	// independent LSM instances, each with its own buffer, WAL directory,
 	// and maintenance pipeline (see shard.go and the guidance in tuning.go).
 	// Default 1 (no sharding; the layout and behavior are then identical to
-	// the unsharded engine). Forced to 1 under a manual clock or
-	// DisableBackgroundMaintenance when creating a database; an existing
-	// database always reopens with the shard count recorded in its shard
-	// manifest, and asking for a different explicit count is an error.
+	// the unsharded engine). An existing database always reopens with the
+	// shard count recorded in its shard manifest, and asking for a
+	// different explicit count is an error.
 	Shards int
 	// ShardBoundaries supplies the Shards-1 boundary keys splitting the
 	// key space (strictly increasing; shard i spans [boundary[i-1],
@@ -281,10 +284,10 @@ type Options struct {
 	// that stalled a writer since the previous tick at a delete-tile
 	// boundary — or merges an adjacent pair of idle, small shards — through
 	// the same job scheduler compactions use. Splits are sstable-level
-	// handoffs: only files straddling the cut are rewritten. Ignored in
-	// synchronous mode (which always keeps its layout) and off by default;
+	// handoffs: only files straddling the cut are rewritten. Off by default,
+	// and ignored in synchronous mode, which has no ticker to run it;
 	// DB.SplitShard/DB.MergeShards and the `lethe reshard` subcommand
-	// reshard manually either way. See "Resharding" in tuning.go.
+	// reshard manually in either mode. See "Resharding" in tuning.go.
 	AutoReshard bool
 }
 
@@ -554,11 +557,11 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One maintenance runtime for the whole database: every shard shares
-	// its worker pool, page cache, memory budget, and I/O rate limiter.
-	// Synchronous mode (explicit, or forced by a manual clock) shares an
-	// inline runtime — the page cache alone — and runs maintenance on the
-	// calling goroutine.
+	// One maintenance runtime for the whole database, and the one place the
+	// maintenance mode is chosen: every shard shares its worker pool, page
+	// cache, memory budget, and I/O rate limiter. Synchronous mode
+	// (explicit, or forced by a manual clock) shares an inline runtime —
+	// the page cache alone — and runs maintenance on the calling goroutine.
 	var rt *runtime.Runtime
 	if _, manual := opts.Clock.(*base.ManualClock); manual || opts.DisableBackgroundMaintenance {
 		rt = runtime.NewInline(storage.CacheBytes)
@@ -589,11 +592,9 @@ func Open(opts Options) (*DB, error) {
 		CoverageEstimator:    opts.CoverageEstimator,
 		CacheBytes:           storage.CacheBytes,
 		Seed:                 opts.Seed,
-
-		DisableBackgroundMaintenance: opts.DisableBackgroundMaintenance,
-		MaxImmutableBuffers:          opts.MaxImmutableBuffers,
-		Subcompactions:               opts.Subcompactions,
-		Runtime:                      rt,
+		MaxImmutableBuffers:  opts.MaxImmutableBuffers,
+		Subcompactions:       opts.Subcompactions,
+		Runtime:              rt,
 	}}
 	// Without a layout the database is a single instance that owns the
 	// filesystem root, byte-identical to the unsharded layout. It still

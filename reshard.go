@@ -50,11 +50,6 @@ import (
 	"lethe/internal/vfs"
 )
 
-// errSyncReshard is the rejection for resharding without a maintenance pool.
-func errSyncReshard() error {
-	return fmt.Errorf("%w: resharding requires background maintenance (synchronous mode keeps its layout)", ErrShardLayout)
-}
-
 // rewriteJob is one planned clip: copy the live content of srcNum
 // restricted to [lo, hi) into dstPrefix under a fresh file number.
 type rewriteJob struct {
@@ -263,14 +258,11 @@ func pickSplitCut(ho lsm.Handoff, lower, upper []byte) []byte {
 // snapshots finish on the epoch they pinned.
 //
 // Splitting a database opened without Shards converts it online from a
-// single root-directory instance into a two-shard layout. Rejected with
-// ErrShardLayout in synchronous mode (no maintenance pool), for an
-// out-of-range shard, for a boundary outside the shard's key range, and
-// when no tile boundary exists to cut at.
+// single root-directory instance into a two-shard layout. The split runs on
+// the caller's goroutine, in either maintenance mode. Rejected with
+// ErrShardLayout for an out-of-range shard, for a boundary outside the
+// shard's key range, and when no tile boundary exists to cut at.
 func (db *DB) SplitShard(shard int, boundary []byte) error {
-	if db.rt.Inline() {
-		return errSyncReshard()
-	}
 	db.reshardMu.Lock()
 	defer db.reshardMu.Unlock()
 	if db.closed.Load() {
@@ -319,13 +311,10 @@ func (db *DB) SplitShard(shard int, boundary []byte) error {
 // other donor. The donors' runs stay separate runs of the merged tree —
 // they are key-disjoint, so ordinary compaction folds them together later.
 //
-// Rejected with ErrShardLayout in synchronous mode and for an out-of-range
-// position. The same availability contract as SplitShard applies: only
-// writes to the two shards being merged wait for the new epoch.
+// Rejected with ErrShardLayout for an out-of-range position. The same
+// availability contract as SplitShard applies: only writes to the two
+// shards being merged wait for the new epoch.
 func (db *DB) MergeShards(shard int) error {
-	if db.rt.Inline() {
-		return errSyncReshard()
-	}
 	db.reshardMu.Lock()
 	defer db.reshardMu.Unlock()
 	if db.closed.Load() {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"lethe/internal/base"
 	"lethe/internal/manifest"
 	"lethe/internal/vfs"
 )
@@ -769,20 +771,155 @@ func TestReshardStress(t *testing.T) {
 	checkShards(t, db, n)
 }
 
-// TestReshardRejectedInSyncMode: without a maintenance pool there is no one
-// to run the protocol; the layout is fixed.
-func TestReshardRejectedInSyncMode(t *testing.T) {
-	db, err := Open(Options{Storage: StorageOptions{FS: vfs.NewMem()}, DisableBackgroundMaintenance: true})
+// TestSyncModeShardsAndReshardDeterministic: synchronous mode (a manual
+// clock) opens sharded and splits and merges like background mode, and
+// stays deterministic while doing it — two identical runs through a split,
+// a merge, point deletes, a secondary range delete and a Dth-driven
+// Maintain leave byte-identical filesystems, and a reopen keeps every key.
+func TestSyncModeShardsAndReshardDeterministic(t *testing.T) {
+	const n = 3000
+	const srdLo, srdHi = 1000, 1300
+	opts := func(fs vfs.FS) Options {
+		return Options{Storage: StorageOptions{FS: fs}, Shards: 4, BufferBytes: 8 << 10,
+			Dth: time.Hour, Clock: NewManualClock(time.Unix(1e6, 0))}
+	}
+	run := func() vfs.FS {
+		fs := vfs.NewMem()
+		o := opts(fs)
+		db, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if got := db.ShardCount(); got != 4 {
+			t.Fatalf("ShardCount = %d, want 4", got)
+		}
+		fillShards(t, db, n)
+		for i := 0; i < n; i += 10 {
+			if err := db.Delete(shardKey(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.SplitShard(1, nil); err != nil {
+			t.Fatalf("sync split: %v", err)
+		}
+		if err := db.MergeShards(2); err != nil {
+			t.Fatalf("sync merge: %v", err)
+		}
+		if got := db.ShardCount(); got != 4 {
+			t.Fatalf("ShardCount after split and merge = %d, want 4", got)
+		}
+		if _, err := db.SecondaryRangeDelete(srdLo, srdHi); err != nil {
+			t.Fatal(err)
+		}
+		o.Clock.(*base.ManualClock).Advance(2 * time.Hour)
+		if err := db.Maintain(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	fs1, fs2 := run(), run()
+	files1, files2 := fsContents(t, fs1), fsContents(t, fs2)
+	if len(files1) != len(files2) {
+		t.Fatalf("runs left %d and %d files", len(files1), len(files2))
+	}
+	for name, data := range files1 {
+		if !bytes.Equal(data, files2[name]) {
+			t.Fatalf("file %s differs between identical runs", name)
+		}
+	}
+
+	db, err := Open(opts(fs1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.SplitShard(0, nil); !errors.Is(err, ErrShardLayout) {
-		t.Fatalf("sync split: %v, want ErrShardLayout", err)
+	for i := 0; i < n; i++ {
+		v, err := db.Get(shardKey(i))
+		if i%10 == 0 || (i >= srdLo && i < srdHi) {
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("deleted key %d after reopen: %q %v", i, v, err)
+			}
+		} else if err != nil || !bytes.Equal(v, shardVal(i)) {
+			t.Fatalf("key %d after reopen: %q %v", i, v, err)
+		}
 	}
-	if err := db.MergeShards(0); !errors.Is(err, ErrShardLayout) {
-		t.Fatalf("sync merge: %v, want ErrShardLayout", err)
+}
+
+// fsContents reads every file of fs.
+func fsContents(t *testing.T, fs vfs.FS) map[string][]byte {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
 	}
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, size)
+		if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		f.Close()
+		out[name] = data
+	}
+	return out
+}
+
+// TestReshardIntentEmptyOrZero: an empty RESHARD file (never written by
+// the engine, whose records are synced before their rename) fails Open with
+// an error naming the intent, and a zero record rolls forward harmlessly,
+// reopening on the old layout.
+func TestReshardIntentEmptyOrZero(t *testing.T) {
+	fs := vfs.NewMem()
+	db := openSharded(t, fs, 2)
+	const n = 500
+	fillShards(t, db, n)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeIntent := func(data string) {
+		f, err := fs.Create(reshardIntentName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writeIntent("")
+	if _, err := Open(Options{Storage: StorageOptions{FS: fs}}); err == nil ||
+		!strings.Contains(err.Error(), "reshard intent") {
+		t.Fatalf("open with an empty intent: %v, want an error naming the reshard intent", err)
+	}
+
+	writeIntent("{}")
+	db, err := Open(Options{Storage: StorageOptions{FS: fs}})
+	if err != nil {
+		t.Fatalf("open with a zero intent: %v", err)
+	}
+	defer db.Close()
+	if got := db.ShardCount(); got != 2 {
+		t.Fatalf("ShardCount = %d, want 2", got)
+	}
+	if fileExists(fs, reshardIntentName) {
+		t.Fatal("zero intent survived the reopen")
+	}
+	checkShards(t, db, n)
 }
 
 // TestAutoReshardSplitsHotShard: with AutoReshard on, sustained write
@@ -1121,6 +1258,50 @@ func TestVerifyTablesDuringReshard(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestFullTreeCompactDuringReshard: a FullTreeCompact looping beside splits
+// and merges waits out the pause a reshard holds on its donors instead of
+// compacting away the files the reshard has already exported, so every
+// reshard succeeds.
+func TestFullTreeCompactDuringReshard(t *testing.T) {
+	db := openSharded(t, vfs.NewMem(), 2)
+	defer db.Close()
+	const n = 3000
+	fillShards(t, db, n)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.FullTreeCompact(); err != nil {
+				t.Errorf("FullTreeCompact: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 20 && !t.Failed(); r++ {
+		if err := db.SplitShard(0, nil); err != nil {
+			t.Errorf("round %d split: %v", r, err)
+			break
+		}
+		if err := db.MergeShards(0); err != nil {
+			t.Errorf("round %d merge: %v", r, err)
+			break
+		}
+	}
+	close(stop)
+	<-done
+	checkShards(t, db, n)
 }
 
 // TestWriteWaitsThroughReshardRollback: a write aimed at a shard a split has

@@ -250,12 +250,9 @@ func sumStats(per []lsm.Stats) lsm.Stats {
 
 // resolveShardLayout decides the partitioning at Open time: after rolling an
 // interrupted reshard forward or back, an existing shard manifest wins (the
-// database reopens exactly as it was written, even if Options now asks for
-// synchronous mode); otherwise the requested count and boundaries apply,
-// with sharding forced off under a manual clock or
-// DisableBackgroundMaintenance so the paper harness's deterministic
-// single-instance execution is preserved bit-for-bit. A nil layout means the
-// database is (and stays) a single instance rooted at the filesystem root.
+// database reopens exactly as it was written); otherwise the requested
+// count and boundaries apply. A nil layout means the database is a single
+// instance rooted at the filesystem root (until a SplitShard).
 func resolveShardLayout(fs, remoteFS vfs.FS, opts Options) (*shardLayout, error) {
 	if err := recoverReshard(fs, remoteFS); err != nil {
 		return nil, err
@@ -278,12 +275,6 @@ func resolveShardLayout(fs, remoteFS vfs.FS, opts Options) (*shardLayout, error)
 	}
 	if n > maxShards {
 		return nil, fmt.Errorf("%w: Options.Shards %d exceeds the maximum %d", ErrShardLayout, n, maxShards)
-	}
-	_, manual := opts.Clock.(*base.ManualClock)
-	if manual || opts.DisableBackgroundMaintenance {
-		// Synchronous mode is the deterministic single-instance execution
-		// model; a router over n pipelines has nothing to pipeline there.
-		return nil, nil
 	}
 	// A single-instance database never writes a SHARDS manifest, so "no
 	// manifest" alone cannot distinguish a fresh filesystem from an
@@ -391,14 +382,6 @@ func loadReshardIntent(fs vfs.FS) (*reshardIntent, bool, error) {
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("lethe: reshard intent: %w", err)
-	}
-	if in.NewEpoch == 0 && len(in.Moves) == 0 && len(in.NewDirs) == 0 {
-		// A zero record (e.g. truncated-to-empty temp caught mid-crash)
-		// carries no effects to undo; treat as absent after removal.
-		if err := fs.Remove(reshardIntentName); err != nil && !errors.Is(err, vfs.ErrNotExist) {
-			return nil, false, err
-		}
-		return nil, false, nil
 	}
 	return &in, true, nil
 }

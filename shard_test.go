@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"lethe/internal/vfs"
 )
@@ -559,33 +558,6 @@ func TestShardedWALReplayLandsInCorrectShards(t *testing.T) {
 	}
 	if total != n {
 		t.Fatalf("recovered %d entries, want %d", total, n)
-	}
-}
-
-// TestShardsForcedSingle: under a manual clock or synchronous maintenance,
-// a new database must stay single-instance so the paper harness's
-// deterministic execution is unchanged.
-func TestShardsForcedSingle(t *testing.T) {
-	cases := map[string]Options{
-		"manual-clock": {InMemory: true, Shards: 4,
-			Clock: NewManualClock(time.Unix(1e6, 0))},
-		"sync-maintenance": {InMemory: true, Shards: 4,
-			DisableBackgroundMaintenance: true},
-	}
-	for name, opts := range cases {
-		t.Run(name, func(t *testing.T) {
-			db, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			if db.ShardCount() != 1 {
-				t.Fatalf("ShardCount = %d, want 1", db.ShardCount())
-			}
-			if err := db.Put([]byte("k"), 1, []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -147,9 +147,12 @@
 // for benchmarking fixed layouts or when shard count is part of the
 // operational contract; BenchmarkReshardConvergence measures how quickly an
 // auto-resharded database catches a hand-tuned static layout under skew.
-// Synchronous mode (DisableBackgroundMaintenance) keeps Shards=1 and rejects
-// resharding: a layout change needs the worker pool, and the synchronous
-// runtime has none.
+// The balancer runs on the worker pool's tick, so synchronous mode
+// (DisableBackgroundMaintenance, or a manual clock) ignores AutoReshard.
+// Everything else here holds in both modes: the executor runs a split or a
+// merge on the caller's goroutine, so a deterministic run may open with
+// Shards > 1 and reshard by hand, and two such runs leave byte-identical
+// files.
 //
 // # Compaction parallelism: Options.Subcompactions
 //
