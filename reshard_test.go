@@ -922,6 +922,33 @@ func TestReshardIntentEmptyOrZero(t *testing.T) {
 	checkShards(t, db, n)
 }
 
+// TestReshardInSyncMode: with synchronous maintenance the reshard executor
+// runs on the caller's goroutine, so a split and a merge complete and keep
+// every key.
+func TestReshardInSyncMode(t *testing.T) {
+	db, err := Open(Options{Storage: StorageOptions{FS: vfs.NewMem()}, DisableBackgroundMaintenance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n = 500
+	fillShards(t, db, n)
+	if err := db.SplitShard(0, nil); err != nil {
+		t.Fatalf("sync split: %v", err)
+	}
+	if got := db.ShardCount(); got != 2 {
+		t.Fatalf("ShardCount after split = %d, want 2", got)
+	}
+	checkShards(t, db, n)
+	if err := db.MergeShards(0); err != nil {
+		t.Fatalf("sync merge: %v", err)
+	}
+	if got := db.ShardCount(); got != 1 {
+		t.Fatalf("ShardCount after merge = %d, want 1", got)
+	}
+	checkShards(t, db, n)
+}
+
 // TestAutoReshardSplitsHotShard: with AutoReshard on, sustained write
 // pressure (tiny buffer, single immutable slot) must stall writers, trip
 // the balancer's stall-delta signal, and split the hot shard without any

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"lethe/internal/vfs"
 )
@@ -558,6 +559,36 @@ func TestShardedWALReplayLandsInCorrectShards(t *testing.T) {
 	}
 	if total != n {
 		t.Fatalf("recovered %d entries, want %d", total, n)
+	}
+}
+
+// TestSyncModeOpensSharded: under a manual clock or synchronous maintenance,
+// a new database opens with the shard count it asks for and routes a write
+// to it.
+func TestSyncModeOpensSharded(t *testing.T) {
+	cases := map[string]Options{
+		"manual-clock": {InMemory: true, Shards: 4,
+			Clock: NewManualClock(time.Unix(1e6, 0))},
+		"sync-maintenance": {InMemory: true, Shards: 4,
+			DisableBackgroundMaintenance: true},
+	}
+	for name, opts := range cases {
+		t.Run(name, func(t *testing.T) {
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if db.ShardCount() != 4 {
+				t.Fatalf("ShardCount = %d, want 4", db.ShardCount())
+			}
+			if err := db.Put([]byte("k"), 1, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := db.Get([]byte("k")); err != nil || string(v) != "v" {
+				t.Fatalf("Get = %q %v", v, err)
+			}
+		})
 	}
 }
 
