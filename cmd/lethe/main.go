@@ -18,6 +18,9 @@
 // -shards N range-partitions the database over N independent LSM instances
 // (see the sharding guidance in the lethe package's tuning.go); an existing
 // database reopens with its recorded shard count regardless of the flag.
+// Every database has one on-disk layout, whatever its shard count: a SHARDS
+// file at the top of DIR plus one shard-<id>/ directory per shard, so a
+// database created without -shards is SHARDS plus shard-0/.
 // The layout is not fixed for life: the reshard subcommand (below) splits
 // and merges shards online, and -auto-reshard enables the load-driven
 // balancer, which watches per-shard write stalls and footprint and splits
@@ -435,23 +438,21 @@ func (sh *shell) execute(args []string) (quit bool) {
 			fmt.Printf("tier remote io: reads=%d (%dB) writes=%d (%dB)\n",
 				t.RemoteReadOps, t.RemoteBytesRead, t.RemoteWriteOps, t.RemoteBytesWritten)
 		}
-		if n := db.ShardCount(); n > 1 || db.ShardEpoch() > 0 {
-			for i, ss := range db.ShardStats() {
-				fmt.Printf("shard %d: stalls=%d (%v) memtable=%dB imm=%d disk=%dB\n",
-					i, ss.WriteStalls, ss.WriteStallTime, ss.MemtableBytes, ss.ImmutableBuffers, ss.BytesOnDisk)
-			}
-			if amp, err := db.SpaceAmp(); err == nil {
-				fmt.Printf("space-amp=%.3f\n", amp)
-			}
-			rst := db.ReshardStats()
-			fmt.Printf("reshard: epoch=%d splits=%d merges=%d handed-off=%d rewrites=%d (%dB) manifest-ops=%d\n",
-				rst.Epoch, rst.Splits, rst.Merges, rst.FilesHandedOff,
-				rst.StraddlerRewrites, rst.StraddlerRewriteBytes, rst.ManifestOps)
+		for i, ss := range db.ShardStats() {
+			fmt.Printf("shard %d: stalls=%d (%v) memtable=%dB imm=%d disk=%dB\n",
+				i, ss.WriteStalls, ss.WriteStallTime, ss.MemtableBytes, ss.ImmutableBuffers, ss.BytesOnDisk)
 		}
+		if amp, err := db.SpaceAmp(); err == nil {
+			fmt.Printf("space-amp=%.3f\n", amp)
+		}
+		rst := db.ReshardStats()
+		fmt.Printf("reshard: epoch=%d splits=%d merges=%d handed-off=%d rewrites=%d (%dB) manifest-ops=%d\n",
+			rst.Epoch, rst.Splits, rst.Merges, rst.FilesHandedOff,
+			rst.StraddlerRewrites, rst.StraddlerRewriteBytes, rst.ManifestOps)
 		if rs := db.RuntimeStats(); rs.Workers > 0 {
 			fmt.Printf("runtime: workers=%d running=%d (max %d) queue=%d jobs(flush=%d compact=%d) subcompactions=%d (max parallel %d)\n",
 				rs.Workers, rs.RunningJobs, rs.MaxRunningJobs, rs.QueueDepth, rs.FlushJobs, rs.CompactionJobs,
-				rs.SubcompactionsRun, rs.MaxMergeParallelism)
+				st.Subcompactions, rs.MaxMergeParallelism)
 			fmt.Printf("runtime memory: used=%dB budget=%dB stalls=%d (%v stalled)\n",
 				rs.MemoryUsed, rs.MemoryBudget, rs.MemoryStalls, rs.MemoryStallTime)
 			fmt.Printf("runtime io: rate=%dB/s throttled=%v; cache %d/%dB hits=%d misses=%d\n",

@@ -843,7 +843,6 @@ func (db *DB) mergeFiles(upper, lower run, lastLevel bool, trigger compaction.Tr
 	r0.outputs, r0.st, r0.err = db.mergeRange(inputs, rts, bounds[0], bounds[1], lastLevel, keepRTs, fs, remote)
 	wg.Wait()
 	if width > 1 {
-		db.rt.CountSubcompactions(width)
 		db.m.subcompactions.Add(int64(width))
 		storeMax(&db.m.maxMergeWidth, int64(width))
 	}

@@ -22,7 +22,8 @@ import (
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("lsm: database is closed")
 
-const manifestName = "MANIFEST"
+// ManifestName is the engine manifest's file name within its directory.
+const ManifestName = "MANIFEST"
 
 // DB is the engine. All public methods are safe for concurrent use.
 //
@@ -231,7 +232,7 @@ func Open(opts Options) (db *DB, err error) {
 	}
 	db = &DB{
 		opts:    o,
-		store:   manifest.NewStore(o.FS, manifestName),
+		store:   manifest.NewStore(o.FS, ManifestName),
 		memSeed: o.Seed,
 		maintFS: o.FS,
 		// srcID is assigned by the runtime at registration (after

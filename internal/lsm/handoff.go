@@ -203,15 +203,7 @@ func (db *DB) RewriteClip(num uint64, lo, hi []byte, dst vfs.FS, dstName string,
 	if err != nil {
 		return 0, false, err
 	}
-	w := sstable.NewWriter(f, sstable.WriterOptions{
-		FileNum:           dstNum,
-		PageSize:          db.opts.PageSize,
-		BlockSizeBytes:    db.opts.BlockSizeBytes,
-		TilePages:         db.opts.TilePages,
-		BloomBitsPerKey:   db.opts.BloomBitsPerKey,
-		Clock:             db.opts.Clock,
-		CoverageEstimator: db.opts.CoverageEstimator,
-	})
+	w := sstable.NewWriter(f, db.writerOptions(dstNum))
 	for _, e := range entries {
 		if err := w.Add(e); err != nil {
 			f.Close()

@@ -305,7 +305,7 @@ func TestSRDRetiresRemoteFiles(t *testing.T) {
 	if n := len(sstNames(t, local)); n != 0 {
 		t.Fatalf("%d sstables left on the local tier", n)
 	}
-	state, _, err := manifest.NewStore(local, manifestName).Load()
+	state, _, err := manifest.NewStore(local, ManifestName).Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestOpenSweepsEmptiedFiles(t *testing.T) {
 	// Plant two files holding nothing — what the old engine left behind
 	// once every page of a file had been dropped — and name them in the
 	// manifest: one inside an existing run, one as the only file of a run.
-	store := manifest.NewStore(fs, manifestName)
+	store := manifest.NewStore(fs, ManifestName)
 	state, _, err := store.Load()
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,10 +39,12 @@ func runEntries(t *testing.T, outputs run) []base.Entry {
 // and once split into byte-balanced subranges, and requires identical entry
 // sequences, identical tombstone placement, and exactly summing merge stats —
 // the invariant that lets a fanned-out job install its concatenated outputs
-// as if one pipeline had produced them.
+// as if one pipeline had produced them. The engine's own K=4 fan-out of the
+// same tree then counts its pipelines and keeps every live entry.
 func TestSubcompactionPartitionEquivalence(t *testing.T) {
 	clock := base.NewManualClock(time.Unix(1e6, 0))
-	db := mustOpen(t, smallOpts(vfs.NewMem(), clock))
+	fs := vfs.NewMem()
+	db := mustOpen(t, smallOpts(fs, clock))
 	defer db.Close()
 
 	for i := 0; i < 500; i++ {
@@ -132,6 +135,35 @@ func TestSubcompactionPartitionEquivalence(t *testing.T) {
 	}
 	if st != pt {
 		t.Fatalf("tombstone counts diverge: serial %d split %d", st, pt)
+	}
+
+	live := func(db *DB) []string {
+		var out []string
+		if err := scan(db, nil, nil, func(k []byte, d base.DeleteKey, v []byte) bool {
+			out = append(out, fmt.Sprintf("%s/%d/%s", k, d, v))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := live(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts := smallOpts(fs, clock)
+	opts.Runtime = pool(t, k)
+	opts.Subcompactions = k
+	pdb := mustOpen(t, opts)
+	defer pdb.Close()
+	if err := pdb.FullTreeCompact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pdb.Stats().Subcompactions; got <= 0 {
+		t.Fatalf("Stats().Subcompactions = %d after a full-tree compaction at K=%d, want > 0", got, k)
+	}
+	if got := live(pdb); !slices.Equal(got, want) {
+		t.Fatalf("fanned-out compaction changed the live data: %d entries, want %d", len(got), len(want))
 	}
 }
 
@@ -316,7 +348,7 @@ func orphanCount(t *testing.T, fs vfs.FS) int {
 	}
 	// A reopen would sweep the orphans being counted, so read the committed
 	// manifest state directly.
-	st, _, err := manifest.NewStore(fs, manifestName).Load()
+	st, _, err := manifest.NewStore(fs, ManifestName).Load()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,6 +215,21 @@ func (db *DB) installFlushLocked(job *maintJob) error {
 	return nil
 }
 
+// writerOptions is the sstable geometry and metadata configuration of file
+// num: every sstable the engine builds — flush and compaction outputs, and
+// a reshard's clipped copies — is written with it.
+func (db *DB) writerOptions(num uint64) sstable.WriterOptions {
+	return sstable.WriterOptions{
+		FileNum:           num,
+		PageSize:          db.opts.PageSize,
+		BlockSizeBytes:    db.opts.BlockSizeBytes,
+		TilePages:         db.opts.TilePages,
+		BloomBitsPerKey:   db.opts.BloomBitsPerKey,
+		Clock:             db.opts.Clock,
+		CoverageEstimator: db.opts.CoverageEstimator,
+	}
+}
+
 // writeRun writes sorted entries (plus range tombstones attached to the
 // first output file) as a sequence of files through fs and returns the new
 // handles. Pool-run jobs pass their tier's maintenance filesystem so a
@@ -246,15 +261,7 @@ func (db *DB) writeRun(entries []base.Entry, rts []base.RangeTombstone, fs vfs.F
 		if err != nil {
 			return fail(fmt.Errorf("lsm: create sstable: %w", err))
 		}
-		w := sstable.NewWriter(f, sstable.WriterOptions{
-			FileNum:           num,
-			PageSize:          db.opts.PageSize,
-			BlockSizeBytes:    db.opts.BlockSizeBytes,
-			TilePages:         db.opts.TilePages,
-			BloomBitsPerKey:   db.opts.BloomBitsPerKey,
-			Clock:             db.opts.Clock,
-			CoverageEstimator: db.opts.CoverageEstimator,
-		})
+		w := sstable.NewWriter(f, db.writerOptions(num))
 		written := 0
 		for i < len(entries) && written < targetBytes {
 			e := entries[i]

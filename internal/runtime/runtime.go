@@ -160,7 +160,6 @@ type Runtime struct {
 	flushJobs      atomic.Int64
 	compactionJobs atomic.Int64
 	reshardJobs    atomic.Int64
-	subcompactions atomic.Int64
 }
 
 // New builds a Runtime and starts its worker pool and maintenance ticker.
@@ -272,10 +271,6 @@ func (rt *Runtime) ReleaseMergeSlots(n int) {
 	rt.mu.Unlock()
 	rt.Notify()
 }
-
-// CountSubcompactions records the pipelines of one fanned-out merge (a job
-// split K ways reports K).
-func (rt *Runtime) CountSubcompactions(n int) { rt.subcompactions.Add(int64(n)) }
 
 // Register adds a source to the scheduler and returns its id for memory
 // accounting.
@@ -537,12 +532,10 @@ type Stats struct {
 	FlushJobs      int64
 	CompactionJobs int64
 	ReshardJobs    int64
-	// SubcompactionsRun counts the bounded key-range merge pipelines run by
-	// jobs that fanned out (a job split K ways adds K; serial merges add
-	// nothing). MaxMergeParallelism is the high-water mark of concurrent
-	// merge work — running compaction jobs plus borrowed subcompaction
-	// slots — and never exceeds Workers.
-	SubcompactionsRun   int64
+	// MaxMergeParallelism is the high-water mark of concurrent merge work —
+	// running compaction jobs plus borrowed subcompaction slots — and never
+	// exceeds Workers. The engine counts the subcompactions themselves
+	// (lsm.Stats.Subcompactions).
 	MaxMergeParallelism int
 
 	// MemoryBudget/MemoryUsed describe the global memtable budget;
@@ -575,7 +568,6 @@ func (rt *Runtime) Stats() Stats {
 		FlushJobs:             rt.flushJobs.Load(),
 		CompactionJobs:        rt.compactionJobs.Load(),
 		ReshardJobs:           rt.reshardJobs.Load(),
-		SubcompactionsRun:     rt.subcompactions.Load(),
 		MaxMergeParallelism:   rt.maxMergeParallelism,
 	}
 	srcs := append([]Source(nil), rt.sources...)

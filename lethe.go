@@ -78,10 +78,10 @@ const (
 //   - ErrCorruption — integrity failures from VerifyTables and reads.
 //   - ErrShardLayout — invalid shard configuration at Open (bad boundary
 //     keys, a shard count conflicting with the database's recorded layout,
-//     sharding over an existing unsharded filesystem) and invalid reshard
-//     requests (SplitShard/MergeShards with an out-of-range shard, a
-//     boundary outside the shard's key range, or on a synchronous-mode
-//     database, which has no maintenance pool to reshard with).
+//     a layout written by an older build: an engine at the filesystem
+//     root, a version-1 SHARDS, or a root-directory reshard intent) and
+//     invalid reshard requests (SplitShard/MergeShards with an out-of-range
+//     shard, or a boundary outside the shard's key range).
 //
 // Configuration mistakes caught by Open (missing filesystem, a Placement
 // without a RemoteFS) return plain descriptive errors; everything reachable
@@ -266,17 +266,18 @@ type Options struct {
 	// Shards partitions the database by sort-key range into this many
 	// independent LSM instances, each with its own buffer, WAL directory,
 	// and maintenance pipeline (see shard.go and the guidance in tuning.go).
-	// Default 1 (no sharding; the layout and behavior are then identical to
-	// the unsharded engine). An existing database always reopens with the
-	// shard count recorded in its shard manifest, and asking for a
-	// different explicit count is an error.
+	// Default 1: one shard, laid out on disk like any other count (see
+	// shard.go). An existing database always reopens with the shard count
+	// recorded in its shard manifest, and asking for a different explicit
+	// count is an error.
 	Shards int
 	// ShardBoundaries supplies the Shards-1 boundary keys splitting the
 	// key space (strictly increasing; shard i spans [boundary[i-1],
 	// boundary[i])). Nil uses DefaultShardBoundaries, which assumes
 	// uniformly distributed leading key bytes — supply boundaries matched
-	// to the real key distribution for clustered key spaces. Ignored when
-	// reopening (the shard manifest's recorded boundaries win).
+	// to the real key distribution for clustered key spaces; with one shard
+	// it must be empty. Ignored when reopening (the shard manifest's
+	// recorded boundaries win).
 	ShardBoundaries [][]byte
 	// AutoReshard enables the load-driven balancer: a maintenance-pool
 	// policy that reads every shard's ShardStats (write stalls, memtable
@@ -347,10 +348,6 @@ type DB struct {
 	// reshardMu serializes layout changes (splits, merges, Close) without
 	// touching any per-operation path.
 	reshardMu sync.Mutex
-	// layout is the persistent layout behind table; nil when the database
-	// is a single instance rooted at the filesystem root. Guarded by
-	// reshardMu.
-	layout *shardLayout
 	// rootFS/remoteFS are the database-root filesystems (not
 	// shard-prefixed); reshard moves files across shard directories through
 	// them. inner is the options every shard's engine opens with, less the
@@ -382,13 +379,18 @@ type reshardCounters struct {
 	manifestOps           atomic.Int64
 }
 
-// routingTable is one immutable routing epoch: shard i owns
-// [boundaries[i-1], boundaries[i]). A single-instance database is a
-// one-shard table with no boundaries.
+// routingTable is one immutable routing epoch of the layout, and the one
+// in-memory record of it: the SHARDS manifest is written from the table
+// (saveShardManifest) and read back as one (loadShardManifest). Shard i
+// owns [boundaries[i-1], boundaries[i]); a one-shard table has no
+// boundaries.
 type routingTable struct {
-	epoch      uint64
-	boundaries [][]byte
-	shards     []*shardHandle
+	epoch uint64
+	// nextShardID is the lowest shard ID never allocated; a reshard's
+	// children take theirs from it.
+	nextShardID int
+	boundaries  [][]byte
+	shards      []*shardHandle
 	// done is closed when install replaces the table.
 	done chan struct{}
 }
@@ -427,8 +429,8 @@ const (
 // read that loses the race with retirement observes ErrClosed and route
 // runs it again on the new table.
 type shardHandle struct {
-	// id is the persistent shard identity (directory shard-<id>/), -1 for a
-	// single instance rooted at the filesystem root.
+	// id is the persistent shard identity; prefix is its directory,
+	// shard-<id>/.
 	id     int
 	prefix string
 	db     *lsm.DB
@@ -553,7 +555,7 @@ func Open(opts Options) (*DB, error) {
 	if mode == ModeBaseline && opts.Dth > 0 {
 		mode = ModeLethe
 	}
-	layout, err := resolveShardLayout(fs, storage.RemoteFS, opts)
+	t, err := resolveShardLayout(fs, storage.RemoteFS, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -573,7 +575,7 @@ func Open(opts Options) (*DB, error) {
 			CompactionRateBytes: opts.CompactionRateBytes,
 		})
 	}
-	db := &DB{rootFS: fs, remoteFS: storage.RemoteFS, rt: rt, layout: layout, inner: lsm.Options{
+	db := &DB{rootFS: fs, remoteFS: storage.RemoteFS, rt: rt, inner: lsm.Options{
 		Placement:            storage.Placement,
 		Clock:                opts.Clock,
 		SizeRatio:            opts.SizeRatio,
@@ -596,16 +598,6 @@ func Open(opts Options) (*DB, error) {
 		Subcompactions:       opts.Subcompactions,
 		Runtime:              rt,
 	}}
-	// Without a layout the database is a single instance that owns the
-	// filesystem root, byte-identical to the unsharded layout. It still
-	// routes through a one-shard table so SplitShard can shard it online.
-	t := &routingTable{shards: []*shardHandle{{id: -1}}}
-	if layout != nil {
-		t = &routingTable{epoch: layout.epoch, boundaries: layout.boundaries}
-		for _, id := range layout.ids {
-			t.shards = append(t.shards, &shardHandle{id: id, prefix: shardDirPrefix(id)})
-		}
-	}
 	for i, h := range t.shards {
 		if h.db, err = db.openShard(h.prefix, false); err != nil {
 			for _, opened := range t.shards[:i] {
@@ -623,32 +615,28 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// openShard opens the engine instance in the directory prefix ("" for the
-// filesystem root). The remote tier mirrors the local shard layout: the
-// instance gets the same prefix over the remote filesystem. hold opens it
-// with maintenance held until ResumeMaintenance.
+// openShard opens the engine instance in the shard directory prefix. The
+// remote tier mirrors the local shard layout: the instance gets the same
+// prefix over the remote filesystem. hold opens it with maintenance held
+// until ResumeMaintenance.
 func (db *DB) openShard(prefix string, hold bool) (*lsm.DB, error) {
 	opts := db.inner
-	opts.FS, opts.RemoteFS, opts.HoldMaintenance = db.rootFS, db.remoteFS, hold
-	if prefix != "" {
-		opts.FS = vfs.NewPrefix(opts.FS, prefix)
-		if opts.RemoteFS != nil {
-			opts.RemoteFS = vfs.NewPrefix(opts.RemoteFS, prefix)
-		}
+	opts.FS, opts.HoldMaintenance = vfs.NewPrefix(db.rootFS, prefix), hold
+	if db.remoteFS != nil {
+		opts.RemoteFS = vfs.NewPrefix(db.remoteFS, prefix)
 	}
 	return lsm.Open(opts)
 }
 
-// ShardCount returns the number of range shards (1 when unsharded).
+// ShardCount returns the number of range shards.
 func (db *DB) ShardCount() int { return len(db.table.Load().shards) }
 
-// ShardEpoch returns the current routing epoch: 0 for a single instance
-// rooted at the filesystem root, otherwise the SHARDS manifest epoch, which
-// increments on every split or merge.
+// ShardEpoch returns the current routing epoch, the SHARDS manifest epoch:
+// 1 for a new database, incremented by every split or merge.
 func (db *DB) ShardEpoch() uint64 { return db.table.Load().epoch }
 
 // ShardBoundaries returns a copy of the boundary keys partitioning the
-// shards (nil when unsharded).
+// shards (nil for one shard).
 func (db *DB) ShardBoundaries() [][]byte {
 	t := db.table.Load()
 	if len(t.boundaries) == 0 {
@@ -779,7 +767,7 @@ type SRDStats struct {
 	// mirroring DB.ShardStats: one entry per shard the fan-out reached. On
 	// success it has ShardCount entries; after a mid-loop failure it stops
 	// at the failing shard (whose Err is set), and later shards — untouched
-	// by the delete — are absent. Unsharded databases get a single entry.
+	// by the delete — are absent. A one-shard database gets a single entry.
 	Shards []ShardSRDStats
 }
 
@@ -814,8 +802,8 @@ func (db *DB) Scan(start, end []byte, fn func(key []byte, dkey DeleteKey, value 
 // SecondaryRangeScan returns live entries with lo <= D < hi, served by the
 // delete fences. On a sharded database every shard is consulted (D is not
 // the partitioning key). Results are sorted deterministically — by delete
-// key, then sort key — on both the sharded and single-instance paths, so
-// the order never depends on shard layout or fence traversal order.
+// key, then sort key — so the order never depends on shard layout or fence
+// traversal order.
 func (db *DB) SecondaryRangeScan(lo, hi DeleteKey) ([]Item, error) {
 	var items []Item
 	err := db.route(func(t *routingTable) error {
@@ -941,7 +929,6 @@ func (db *DB) Stats() lsm.Stats {
 }
 
 // ShardStats returns each shard's statistics, in shard (key-range) order.
-// For an unsharded database it holds the single instance's stats.
 func (db *DB) ShardStats() []lsm.Stats {
 	t := db.table.Load()
 	out := make([]lsm.Stats, len(t.shards))
@@ -1109,8 +1096,8 @@ func (b *Batch) Len() int { return len(b.ops) }
 func (db *DB) Apply(b *Batch) error {
 	// An empty range delete is the one op lsm.ApplyBatch rejects. Rejecting
 	// it before any shard's sub-batch commits keeps a bad op in a later
-	// shard from leaving earlier shards applied, as the unsharded path
-	// rejects the whole batch untouched.
+	// shard from leaving earlier shards applied, as a one-shard batch is
+	// rejected untouched.
 	for _, op := range b.ops {
 		if op.Kind == base.KindRangeDelete && base.CompareUserKeys(op.Key, op.EndKey) >= 0 {
 			return fmt.Errorf("lethe: batch range delete [%q, %q) is empty", op.Key, op.EndKey)
@@ -1190,8 +1177,7 @@ func (t *routingTable) splitBatch(ops []lsm.BatchOp, from []byte) [][]lsm.BatchO
 // current routing epoch; the counters accumulate across every split and
 // merge this handle executed.
 type ReshardStats struct {
-	// Epoch is the live routing epoch (0 for a single instance rooted at the
-	// filesystem root).
+	// Epoch is the live routing epoch (see DB.ShardEpoch).
 	Epoch uint64
 	// Splits and Merges count completed layout changes.
 	Splits int64

@@ -257,9 +257,8 @@ func pickSplitCut(ho lsm.Handoff, lower, upper []byte) []byte {
 // writes to other shards proceed throughout, and in-flight iterators and
 // snapshots finish on the epoch they pinned.
 //
-// Splitting a database opened without Shards converts it online from a
-// single root-directory instance into a two-shard layout. The split runs on
-// the caller's goroutine, in either maintenance mode. Rejected with
+// The split runs on the caller's goroutine, in either maintenance mode, and
+// a one-shard database splits like any other. Rejected with
 // ErrShardLayout for an out-of-range shard, for a boundary outside the
 // shard's key range, and when no tile boundary exists to cut at.
 func (db *DB) SplitShard(shard int, boundary []byte) error {
@@ -444,15 +443,10 @@ func (db *DB) reshard(p *reshardPlan) error {
 		p.cuts = [][]byte{cut}
 	}
 
-	// The successor layout splices fresh child IDs and the cuts in at the
-	// donors' position. Splitting the rooted single instance, which has no
-	// layout yet, allocates the very first persistent IDs.
-	old := db.layout
-	if old == nil {
-		old = &shardLayout{ids: []int{-1}}
-	}
+	// The successor table splices fresh child IDs and the cuts in at the
+	// donors' position.
+	old := db.table.Load()
 	children := make([]*reshardChild, len(p.cuts)+1)
-	ids := make([]int, len(children))
 	// Children inherit the donors' sequence frontier, so handed-off entries
 	// stay below every later write, and share one file-number space so a
 	// later merge mostly avoids renumbering.
@@ -462,16 +456,9 @@ func (db *DB) reshard(p *reshardPlan) error {
 		next, lastSeq, levels = max(next, ho.NextFileNum), max(lastSeq, ho.LastSeq), max(levels, len(ho.Levels))
 	}
 	for i := range children {
-		ids[i] = old.nextShardID + i
-		children[i] = &reshardChild{id: ids[i], prefix: shardDirPrefix(ids[i]),
+		id := old.nextShardID + i
+		children[i] = &reshardChild{id: id, prefix: shardDirPrefix(id),
 			slots: make([][][]fileSlot, levels), kept: map[uint64]bool{}}
-	}
-	nd := len(p.donors)
-	nl := &shardLayout{
-		epoch:       old.epoch + 1,
-		nextShardID: old.nextShardID + len(children),
-		ids:         slices.Concat(old.ids[:p.pos], ids, old.ids[p.pos+nd:]),
-		boundaries:  slices.Concat(old.boundaries[:p.pos], p.cuts, old.boundaries[p.pos+nd-1:]),
 	}
 
 	// Plan every donor file. Within a run files are disjoint and S-ordered,
@@ -528,7 +515,7 @@ func (db *DB) reshard(p *reshardPlan) error {
 		}
 	}
 
-	in := &reshardIntent{Version: 1, Kind: p.kind, NewEpoch: nl.epoch, Moves: moves}
+	in := &reshardIntent{Version: 1, Kind: p.kind, NewEpoch: old.epoch + 1, Moves: moves}
 	for _, c := range children {
 		in.NewDirs = append(in.NewDirs, c.prefix)
 	}
@@ -550,7 +537,7 @@ func (db *DB) reshard(p *reshardPlan) error {
 	for _, c := range children {
 		st := materializeLevels(c.slots)
 		st.NextFileNum, st.LastSeq = next, lastSeq
-		if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, c.prefix), "MANIFEST").Commit(st); err != nil {
+		if err := manifest.NewStore(vfs.NewPrefix(db.rootFS, c.prefix), lsm.ManifestName).Commit(st); err != nil {
 			return fail(fmt.Errorf("lethe: %s manifest %s: %w", p.kind, c.prefix, err))
 		}
 	}
@@ -565,7 +552,14 @@ func (db *DB) reshard(p *reshardPlan) error {
 		}
 		handles[i] = &shardHandle{id: c.id, prefix: c.prefix, db: cdb}
 	}
-	if err := saveShardManifest(db.rootFS, nl); err != nil {
+	nd := len(p.donors)
+	nt := &routingTable{
+		epoch:       in.NewEpoch,
+		nextShardID: old.nextShardID + len(children),
+		boundaries:  slices.Concat(old.boundaries[:p.pos], p.cuts, old.boundaries[p.pos+nd-1:]),
+		shards:      slices.Concat(old.shards[:p.pos], handles, old.shards[p.pos+nd:]),
+	}
+	if err := saveShardManifest(db.rootFS, nt); err != nil {
 		return fail(fmt.Errorf("lethe: %s commit: %w", p.kind, err))
 	}
 
@@ -579,10 +573,7 @@ func (db *DB) reshard(p *reshardPlan) error {
 	db.reshardStats.straddlerRewrites.Add(int64(clipped))
 	db.reshardStats.straddlerRewriteBytes.Add(rewriteBytes)
 	db.reshardStats.manifestOps.Add(int64(len(children) + 1))
-	t := db.table.Load()
-	db.layout = nl
-	db.install(&routingTable{epoch: nl.epoch, boundaries: nl.boundaries,
-		shards: slices.Concat(t.shards[:p.pos], handles, t.shards[p.pos+nd:])})
+	db.install(nt)
 	for _, h := range handles {
 		h.db.ResumeMaintenance()
 	}

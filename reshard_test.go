@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"lethe/internal/base"
+	"lethe/internal/lsm"
 	"lethe/internal/manifest"
 	"lethe/internal/vfs"
 )
@@ -44,10 +45,11 @@ func TestShardManifestRejectsCorrupt(t *testing.T) {
 		name string
 		m    shardManifest
 	}{
-		{"unknown version", shardManifest{Version: 99, Boundaries: [][]byte{{0x80}}}},
-		{"unsorted boundaries", shardManifest{Version: 1, Boundaries: [][]byte{{0x80}, {0x40}}}},
-		{"duplicate boundaries", shardManifest{Version: 1, Boundaries: [][]byte{{0x80}, {0x80}}}},
-		{"empty boundary", shardManifest{Version: 1, Boundaries: [][]byte{{}}}},
+		{"unknown version", shardManifest{Version: 99, Epoch: 1, ShardIDs: []int{0, 1}, NextShardID: 2, Boundaries: [][]byte{{0x80}}}},
+		{"version 1", shardManifest{Version: 1, Boundaries: [][]byte{{0x80}}}},
+		{"unsorted boundaries", shardManifest{Version: 2, Epoch: 1, ShardIDs: []int{0, 1, 2}, NextShardID: 3, Boundaries: [][]byte{{0x80}, {0x40}}}},
+		{"duplicate boundaries", shardManifest{Version: 2, Epoch: 1, ShardIDs: []int{0, 1, 2}, NextShardID: 3, Boundaries: [][]byte{{0x80}, {0x80}}}},
+		{"empty boundary", shardManifest{Version: 2, Epoch: 1, ShardIDs: []int{0, 1}, NextShardID: 2, Boundaries: [][]byte{{}}}},
 		{"epoch zero", shardManifest{Version: 2, ShardIDs: []int{0, 1}, NextShardID: 2, Boundaries: [][]byte{{0x80}}}},
 		{"id arity mismatch", shardManifest{Version: 2, Epoch: 3, ShardIDs: []int{0}, NextShardID: 1, Boundaries: [][]byte{{0x80}}}},
 		{"duplicate ids", shardManifest{Version: 2, Epoch: 3, ShardIDs: []int{1, 1}, NextShardID: 2, Boundaries: [][]byte{{0x80}}}},
@@ -159,10 +161,22 @@ func TestSplitShardBasic(t *testing.T) {
 	}
 }
 
-// TestRootedSplit: splitting a database opened without Shards converts it
-// online from the root-directory layout into a sharded one.
-func TestRootedSplit(t *testing.T) {
-	fs := vfs.NewMem()
+// TestDefaultOpenSplit: a database opened without Shards is a one-shard
+// layout at epoch 1, and splitting it is an ordinary split that survives a
+// reopen. At no point does any engine file — a MANIFEST above all — appear
+// at the filesystem root: only the SHARDS and RESHARD records live there.
+func TestDefaultOpenSplit(t *testing.T) {
+	var mu sync.Mutex
+	var rootFiles []string
+	fs := vfs.NewInject(vfs.NewMem(), func(op vfs.Op, name string) error {
+		if (op == vfs.OpCreate || op == vfs.OpRename) && !strings.Contains(name, "/") &&
+			name != shardManifestName+".tmp" && name != reshardIntentName+".tmp" {
+			mu.Lock()
+			rootFiles = append(rootFiles, name)
+			mu.Unlock()
+		}
+		return nil
+	})
 	db, err := Open(Options{Storage: StorageOptions{FS: fs}, BufferBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +184,8 @@ func TestRootedSplit(t *testing.T) {
 	defer db.Close()
 	const n = 1500
 	fillShards(t, db, n)
-	if db.ShardCount() != 1 || db.ShardEpoch() != 0 {
-		t.Fatalf("unsharded baseline: count=%d epoch=%d", db.ShardCount(), db.ShardEpoch())
+	if db.ShardCount() != 1 || db.ShardEpoch() != 1 {
+		t.Fatalf("default open: count=%d epoch=%d, want 1 shard at epoch 1", db.ShardCount(), db.ShardEpoch())
 	}
 
 	if err := db.SplitShard(0, nil); err != nil {
@@ -180,14 +194,10 @@ func TestRootedSplit(t *testing.T) {
 	if got := db.ShardCount(); got != 2 {
 		t.Fatalf("ShardCount = %d, want 2", got)
 	}
-	if got := db.ShardEpoch(); got != 1 {
-		t.Fatalf("ShardEpoch = %d, want 1", got)
+	if got := db.ShardEpoch(); got != 2 {
+		t.Fatalf("ShardEpoch = %d, want 2", got)
 	}
 	checkShards(t, db, n)
-	// The root engine files must be gone: the data lives in shard dirs now.
-	if fileExists(fs, "MANIFEST") {
-		t.Fatal("root MANIFEST survived the rooted split")
-	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +207,15 @@ func TestRootedSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if got := db2.ShardCount(); got != 2 {
-		t.Fatalf("reopened ShardCount = %d, want 2", got)
+	if got, epoch := db2.ShardCount(), db2.ShardEpoch(); got != 2 || epoch != 2 {
+		t.Fatalf("reopened: count=%d epoch=%d, want 2 shards at epoch 2", got, epoch)
 	}
 	checkShards(t, db2, n)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(rootFiles) > 0 || fileExists(fs, lsm.ManifestName) {
+		t.Fatalf("engine files written at the filesystem root: %q", rootFiles)
+	}
 }
 
 // TestMergeShardsBasic: merge adjacent shards repeatedly down to one,
@@ -1159,7 +1174,7 @@ func TestReshardPlanCounts(t *testing.T) {
 		t.Helper()
 		var parts []string
 		for _, h := range db.table.Load().shards {
-			st, ok, err := manifest.NewStore(vfs.NewPrefix(fs, h.prefix), "MANIFEST").Load()
+			st, ok, err := manifest.NewStore(vfs.NewPrefix(fs, h.prefix), lsm.ManifestName).Load()
 			if err != nil || !ok {
 				t.Fatalf("manifest of %q: ok=%v err=%v", h.prefix, ok, err)
 			}

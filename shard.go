@@ -13,15 +13,20 @@
 // an epoch; the in-memory router (lethe.go's routingTable) is swapped
 // atomically when the layout changes, and in-flight iterators and snapshots
 // finish on the epoch they started on, exactly as readers finish on a pinned
-// LSM version. On disk the layout lives in the SHARDS manifest at the
-// filesystem root, replaced via temp+rename; shard directories are named by
-// persistent shard IDs (shard-<id>/), never reused across epochs, so an old
-// and a new layout never collide on disk. A split or merge (reshard.go)
-// writes a RESHARD intent record before moving any file and deletes it after
-// the new SHARDS manifest commits; recoverReshard below rolls an interrupted
-// reshard forward or back at Open, so a crash anywhere in the protocol
-// reopens as exactly the old or exactly the new epoch. A reshard that fails
-// or finishes in process runs the same undo or redo on its intent.
+// LSM version.
+//
+// Every database has one on-disk layout, whatever its shard count: the
+// SHARDS manifest at the filesystem root, replaced via temp+rename, and one
+// engine directory per shard, named by its persistent shard ID
+// (shard-<id>/) and never reused across epochs, so an old and a new layout
+// never collide on disk. No engine file lives at the root. A database
+// created with Shards <= 1 is a one-shard layout: shard-0/ at epoch 1. A
+// split or merge (reshard.go) writes a RESHARD intent record before moving
+// any file and deletes it after the new SHARDS manifest commits;
+// recoverReshard below rolls an interrupted reshard forward or back at
+// Open, so a crash anywhere in the protocol reopens as exactly the old or
+// exactly the new epoch. A reshard that fails or finishes in process runs
+// the same undo or redo on its intent.
 //
 // The initial boundaries come from Options.ShardBoundaries (or
 // DefaultShardBoundaries); afterwards the layout evolves online via
@@ -35,6 +40,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,11 +49,8 @@ import (
 	"lethe/internal/vfs"
 )
 
-// shardManifestName is the file at the root of a sharded database recording
-// its partitioning. Single-shard databases created with Shards <= 1 never
-// create it, so their on-disk layout is unchanged from the unsharded engine;
-// a database merged down to one shard keeps it (the data lives in a shard
-// directory, not at the root).
+// shardManifestName is the file at the root of every database recording its
+// partitioning.
 const shardManifestName = "SHARDS"
 
 // reshardIntentName is the write-ahead record for an in-flight shard split
@@ -59,11 +62,9 @@ const reshardIntentName = "RESHARD"
 // returns (see the guidance in tuning.go).
 const maxShards = 256
 
-// shardManifestVersion is the current SHARDS encoding. Version 1 (PR 8)
-// recorded only boundaries; version 2 adds the layout epoch and persistent
-// shard IDs. Version-1 files are still readable: they decode as epoch 1 with
-// IDs equal to routing positions, which matches how their directories were
-// named.
+// shardManifestVersion is the SHARDS encoding: the layout epoch, the
+// persistent shard IDs, and the boundaries. Any other version, such as the
+// boundaries-only version 1 of older builds, is refused with ErrShardLayout.
 const shardManifestVersion = 2
 
 // shardManifest is the persisted form of the partitioning. Keys are
@@ -73,40 +74,22 @@ type shardManifest struct {
 	Version int
 	// Epoch increments on every layout change; readers of the routing table
 	// observe it via DB.ShardEpoch.
-	Epoch uint64 `json:",omitempty"`
+	Epoch uint64
 	// ShardIDs[i] is the persistent identity of the shard at routing
 	// position i; its directory is shard-<id>/. NextShardID is the lowest
 	// never-allocated ID.
-	ShardIDs    []int `json:",omitempty"`
-	NextShardID int   `json:",omitempty"`
+	ShardIDs    []int
+	NextShardID int
 	Boundaries  [][]byte
 }
 
-// shardLayout is the decoded, validated layout: len(ids) == len(boundaries)+1
-// shards in routing order.
-type shardLayout struct {
-	epoch       uint64
-	nextShardID int
-	ids         []int
-	boundaries  [][]byte
-}
-
-func (l *shardLayout) manifest() *shardManifest {
-	return &shardManifest{
-		Version:     shardManifestVersion,
-		Epoch:       l.epoch,
-		ShardIDs:    l.ids,
-		NextShardID: l.nextShardID,
-		Boundaries:  l.boundaries,
-	}
-}
-
-// loadShardManifest reads and validates the SHARDS file; the boolean reports
-// whether one existed. Every structural defect — unknown version, unsorted,
-// duplicate or empty boundary keys, ID/boundary arity mismatch, out-of-range
-// or duplicate IDs — is rejected with ErrShardLayout rather than installed
-// as a nonsense routing table.
-func loadShardManifest(fs vfs.FS) (*shardLayout, bool, error) {
+// loadShardManifest reads and validates the SHARDS file as a routing table
+// whose shards are not yet opened; the boolean reports whether one existed.
+// Every structural defect — unsupported version, unsorted, duplicate or
+// empty boundary keys, ID/boundary arity mismatch, out-of-range or
+// duplicate IDs — is rejected with ErrShardLayout rather than installed as
+// a nonsense routing table.
+func loadShardManifest(fs vfs.FS) (*routingTable, bool, error) {
 	var m shardManifest
 	err := vfs.ReadJSON(fs, shardManifestName, &m)
 	if errors.Is(err, vfs.ErrNotExist) {
@@ -115,6 +98,10 @@ func loadShardManifest(fs vfs.FS) (*shardLayout, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("lethe: shard manifest: %w", err)
 	}
+	if m.Version != shardManifestVersion {
+		return nil, false, fmt.Errorf("%w (shard manifest): version %d is not supported (want %d)",
+			ErrShardLayout, m.Version, shardManifestVersion)
+	}
 	if err := validateBoundaries(m.Boundaries); err != nil {
 		return nil, false, fmt.Errorf("%w (shard manifest): %w", ErrShardLayout, err)
 	}
@@ -122,52 +109,42 @@ func loadShardManifest(fs vfs.FS) (*shardLayout, bool, error) {
 		return nil, false, fmt.Errorf("%w (shard manifest): %d shards exceeds the maximum %d",
 			ErrShardLayout, len(m.Boundaries)+1, maxShards)
 	}
-	l := &shardLayout{boundaries: m.Boundaries}
-	switch m.Version {
-	case 1:
-		// Version 1 predates epochs and persistent IDs: directories were
-		// named by routing position, so position == identity.
-		n := len(m.Boundaries) + 1
-		l.epoch = 1
-		l.nextShardID = n
-		l.ids = make([]int, n)
-		for i := range l.ids {
-			l.ids[i] = i
-		}
-	case 2:
-		if len(m.ShardIDs) != len(m.Boundaries)+1 {
-			return nil, false, fmt.Errorf("%w (shard manifest): %d shard IDs for %d boundaries",
-				ErrShardLayout, len(m.ShardIDs), len(m.Boundaries))
-		}
-		if m.Epoch == 0 {
-			return nil, false, fmt.Errorf("%w (shard manifest): epoch 0", ErrShardLayout)
-		}
-		seen := make(map[int]bool, len(m.ShardIDs))
-		for _, id := range m.ShardIDs {
-			if id < 0 || id >= m.NextShardID {
-				return nil, false, fmt.Errorf("%w (shard manifest): shard ID %d outside [0, %d)",
-					ErrShardLayout, id, m.NextShardID)
-			}
-			if seen[id] {
-				return nil, false, fmt.Errorf("%w (shard manifest): duplicate shard ID %d", ErrShardLayout, id)
-			}
-			seen[id] = true
-		}
-		l.epoch = m.Epoch
-		l.nextShardID = m.NextShardID
-		l.ids = m.ShardIDs
-	default:
-		return nil, false, fmt.Errorf("%w (shard manifest): unknown version %d", ErrShardLayout, m.Version)
+	if len(m.ShardIDs) != len(m.Boundaries)+1 {
+		return nil, false, fmt.Errorf("%w (shard manifest): %d shard IDs for %d boundaries",
+			ErrShardLayout, len(m.ShardIDs), len(m.Boundaries))
 	}
-	return l, true, nil
+	if m.Epoch == 0 {
+		return nil, false, fmt.Errorf("%w (shard manifest): epoch 0", ErrShardLayout)
+	}
+	seen := make(map[int]bool, len(m.ShardIDs))
+	for _, id := range m.ShardIDs {
+		if id < 0 || id >= m.NextShardID {
+			return nil, false, fmt.Errorf("%w (shard manifest): shard ID %d outside [0, %d)",
+				ErrShardLayout, id, m.NextShardID)
+		}
+		if seen[id] {
+			return nil, false, fmt.Errorf("%w (shard manifest): duplicate shard ID %d", ErrShardLayout, id)
+		}
+		seen[id] = true
+	}
+	t := &routingTable{epoch: m.Epoch, nextShardID: m.NextShardID, boundaries: m.Boundaries}
+	for _, id := range m.ShardIDs {
+		t.shards = append(t.shards, &shardHandle{id: id, prefix: shardDirPrefix(id)})
+	}
+	return t, true, nil
 }
 
-// saveShardManifest writes the SHARDS file with vfs.WriteJSON (temp +
-// rename), the writer the engine manifest uses. This is the commit point
-// of a reshard: a crash strictly before the rename reopens on the old
-// layout, strictly after on the new one.
-func saveShardManifest(fs vfs.FS, l *shardLayout) error {
-	if err := vfs.WriteJSON(fs, shardManifestName, l.manifest()); err != nil {
+// saveShardManifest writes the layout of t to the SHARDS file with
+// vfs.WriteJSON (temp + rename), the writer the engine manifest uses. This
+// is the commit point of a reshard: a crash strictly before the rename
+// reopens on the old layout, strictly after on the new one.
+func saveShardManifest(fs vfs.FS, t *routingTable) error {
+	m := &shardManifest{Version: shardManifestVersion, Epoch: t.epoch,
+		NextShardID: t.nextShardID, Boundaries: t.boundaries}
+	for _, h := range t.shards {
+		m.ShardIDs = append(m.ShardIDs, h.id)
+	}
+	if err := vfs.WriteJSON(fs, shardManifestName, m); err != nil {
 		return fmt.Errorf("lethe: shard manifest: %w", err)
 	}
 	return nil
@@ -248,45 +225,38 @@ func sumStats(per []lsm.Stats) lsm.Stats {
 	return agg
 }
 
-// resolveShardLayout decides the partitioning at Open time: after rolling an
-// interrupted reshard forward or back, an existing shard manifest wins (the
-// database reopens exactly as it was written); otherwise the requested
-// count and boundaries apply. A nil layout means the database is a single
-// instance rooted at the filesystem root (until a SplitShard).
-func resolveShardLayout(fs, remoteFS vfs.FS, opts Options) (*shardLayout, error) {
+// resolveShardLayout decides the partitioning at Open time and returns it as
+// a routing table whose shards are not yet opened. A layout written by an
+// older build — an engine manifest at the filesystem root, a version-1
+// SHARDS, or a reshard intent naming the root as a shard directory — is
+// refused with ErrShardLayout before anything is written, never rewritten.
+// Otherwise an interrupted reshard rolls forward or back, and an existing
+// SHARDS wins (the database reopens exactly as it was written); without one
+// the requested count (Shards <= 1 meaning one shard) and boundaries are
+// saved as epoch 1 with shard IDs 0..n-1.
+func resolveShardLayout(fs, remoteFS vfs.FS, opts Options) (*routingTable, error) {
+	if fileExists(fs, lsm.ManifestName) {
+		return nil, fmt.Errorf("%w: an engine manifest at the filesystem root is the single-instance layout of an older build, which is not supported",
+			ErrShardLayout)
+	}
 	if err := recoverReshard(fs, remoteFS); err != nil {
 		return nil, err
 	}
-	l, ok, err := loadShardManifest(fs)
+	t, ok, err := loadShardManifest(fs)
 	if err != nil {
 		return nil, err
 	}
 	if ok {
-		if opts.Shards > 1 && opts.Shards != len(l.ids) {
+		if opts.Shards > 1 && opts.Shards != len(t.shards) {
 			return nil, fmt.Errorf(
 				"%w: database has %d shards, Options.Shards asks for %d (the manifest owns the layout; use online resharding via SplitShard/MergeShards)",
-				ErrShardLayout, len(l.ids), opts.Shards)
+				ErrShardLayout, len(t.shards), opts.Shards)
 		}
-		return l, nil
+		return t, nil
 	}
-	n := opts.Shards
-	if n <= 1 {
-		return nil, nil
-	}
+	n := max(opts.Shards, 1)
 	if n > maxShards {
 		return nil, fmt.Errorf("%w: Options.Shards %d exceeds the maximum %d", ErrShardLayout, n, maxShards)
-	}
-	// A single-instance database never writes a SHARDS manifest, so "no
-	// manifest" alone cannot distinguish a fresh filesystem from an
-	// existing unsharded one — and opening the latter sharded would shadow
-	// all of its root-level data behind empty shard directories. Refuse;
-	// open it unsharded and use SplitShard to shard it online.
-	if exists, err := unshardedEngineExists(fs); err != nil {
-		return nil, err
-	} else if exists {
-		return nil, fmt.Errorf(
-			"%w: filesystem holds an unsharded database; Options.Shards > 1 would shadow it (open unsharded and use online resharding via SplitShard)",
-			ErrShardLayout)
 	}
 	boundaries := opts.ShardBoundaries
 	if boundaries == nil {
@@ -301,40 +271,27 @@ func resolveShardLayout(fs, remoteFS vfs.FS, opts Options) (*shardLayout, error)
 	}
 	// Deep-copy before persisting so later caller mutations can't skew
 	// routing.
-	cp := make([][]byte, len(boundaries))
-	for i, b := range boundaries {
-		cp[i] = append([]byte(nil), b...)
+	t = &routingTable{epoch: 1, nextShardID: n}
+	for _, b := range boundaries {
+		t.boundaries = append(t.boundaries, bytes.Clone(b))
 	}
-	l = &shardLayout{epoch: 1, nextShardID: n, ids: make([]int, n), boundaries: cp}
-	for i := range l.ids {
-		l.ids[i] = i
+	for id := range n {
+		t.shards = append(t.shards, &shardHandle{id: id, prefix: shardDirPrefix(id)})
 	}
-	if err := saveShardManifest(fs, l); err != nil {
+	if err := saveShardManifest(fs, t); err != nil {
 		return nil, err
 	}
-	return l, nil
+	return t, nil
 }
 
 // shardDirPrefix names the directory of the shard with persistent ID id.
 func shardDirPrefix(id int) string { return fmt.Sprintf("shard-%d/", id) }
 
-// unshardedEngineExists reports whether the filesystem's root holds files
-// of a single-instance engine (manifest, sstables, or WAL segments outside
-// any shard directory).
-func unshardedEngineExists(fs vfs.FS) (bool, error) {
-	names, err := fs.List()
-	if err != nil {
-		return false, fmt.Errorf("lethe: list filesystem: %w", err)
-	}
-	for _, n := range names {
-		if strings.ContainsRune(n, '/') {
-			continue // inside a directory, not a root-level engine file
-		}
-		if n == "MANIFEST" || strings.HasSuffix(n, ".sst") || strings.HasSuffix(n, ".wal") {
-			return true, nil
-		}
-	}
-	return false, nil
+// isShardDir reports whether dir is the directory prefix of some shard ID.
+func isShardDir(dir string) bool {
+	var id int
+	_, err := fmt.Sscanf(dir, "shard-%d/", &id)
+	return err == nil && id >= 0 && dir == shardDirPrefix(id)
 }
 
 // ---------------------------------------------------------------------------
@@ -359,10 +316,9 @@ type reshardIntent struct {
 	Kind     string // "split" or "merge", informational
 	NewEpoch uint64
 	Moves    []reshardMove
-	// NewDirs are the child directory prefixes (rollback deletes their
-	// contents); OldDirs are the donor prefixes (roll-forward deletes
-	// theirs). "" means the filesystem root, where only engine files —
-	// MANIFEST, sstables, WAL segments — are touched.
+	// NewDirs are the child shard directory prefixes (rollback deletes
+	// their contents); OldDirs are the donor prefixes (roll-forward deletes
+	// theirs). Each is a shard-<id>/ prefix.
 	NewDirs []string
 	OldDirs []string
 }
@@ -383,6 +339,15 @@ func loadReshardIntent(fs vfs.FS) (*reshardIntent, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("lethe: reshard intent: %w", err)
 	}
+	// Recovery deletes everything under these prefixes, so a directory that
+	// is not a shard's — "" in an older build's intent, meaning the root —
+	// would take the whole database with it.
+	for _, dir := range slices.Concat(in.OldDirs, in.NewDirs) {
+		if !isShardDir(dir) {
+			return nil, false, fmt.Errorf("%w (reshard intent): %q is not a shard directory (an older build's root-directory reshard is not supported)",
+				ErrShardLayout, dir)
+		}
+	}
 	return &in, true, nil
 }
 
@@ -396,39 +361,25 @@ func fileExists(fs vfs.FS, name string) bool {
 	return true
 }
 
-// removeEngineFiles deletes the engine files under dirPrefix — every file
-// when dirPrefix names a shard directory, or only root-level engine files
-// (MANIFEST, *.sst, *.wal and their temps; never SHARDS or RESHARD) when
-// dirPrefix is "". Missing files are fine: recovery re-runs this.
+// removeEngineFiles deletes every file under the shard directory dirPrefix,
+// then the directory. Missing files are fine: recovery re-runs this.
 func removeEngineFiles(fs vfs.FS, dirPrefix string) error {
 	names, err := fs.List()
 	if err != nil {
 		return fmt.Errorf("lethe: list filesystem: %w", err)
 	}
 	for _, n := range names {
-		if dirPrefix == "" {
-			if strings.ContainsRune(n, '/') {
-				continue
-			}
-			base := n
-			if !(base == "MANIFEST" || base == "MANIFEST.tmp" ||
-				strings.HasSuffix(base, ".sst") || strings.HasSuffix(base, ".wal")) {
-				continue
-			}
-		} else if !strings.HasPrefix(n, dirPrefix) {
+		if !strings.HasPrefix(n, dirPrefix) {
 			continue
 		}
 		if err := fs.Remove(n); err != nil && !errors.Is(err, vfs.ErrNotExist) {
 			return fmt.Errorf("lethe: remove %s: %w", n, err)
 		}
 	}
-	if dirPrefix != "" {
-		// With its files gone, drop the per-shard directory itself.
-		// Best-effort only: MemFS has no directory entries, and a real
-		// directory holding a stray foreign file is left in place rather
-		// than failing the retirement.
-		_ = fs.Remove(strings.TrimSuffix(dirPrefix, "/"))
-	}
+	// With its files gone, drop the directory itself. Best-effort only:
+	// MemFS has no directory entries, and a real directory holding a stray
+	// foreign file is left in place rather than failing the retirement.
+	_ = fs.Remove(strings.TrimSuffix(dirPrefix, "/"))
 	return nil
 }
 
@@ -443,10 +394,10 @@ func recoverReshard(fs, remoteFS vfs.FS) error {
 		return err
 	}
 	var curEpoch uint64
-	if l, ok, err := loadShardManifest(fs); err != nil {
+	if t, ok, err := loadShardManifest(fs); err != nil {
 		return err
 	} else if ok {
-		curEpoch = l.epoch
+		curEpoch = t.epoch
 	}
 	if curEpoch >= in.NewEpoch {
 		return redoReshard(fs, remoteFS, in)

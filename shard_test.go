@@ -2,12 +2,15 @@ package lethe
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"lethe/internal/lsm"
 	"lethe/internal/vfs"
 )
 
@@ -217,7 +220,7 @@ func TestShardedScanMergesInKeyOrder(t *testing.T) {
 
 // TestScanDegenerateRange is the regression test for empty/inverted scan
 // ranges: they must return an empty result, not panic or scan everything —
-// on both the single-instance and sharded paths.
+// with one shard and with four.
 func TestScanDegenerateRange(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -400,7 +403,7 @@ func TestShardedBatchApply(t *testing.T) {
 
 // TestShardedBatchApplyRejectsBadOpWhole: a deterministic validation error
 // anywhere in a cross-shard batch must reject the whole batch before any
-// shard commits, matching the unsharded path's all-or-nothing behavior.
+// shard commits, matching a one-shard batch's all-or-nothing behavior.
 func TestShardedBatchApplyRejectsBadOpWhole(t *testing.T) {
 	db := openSharded(t, vfs.NewMem(), 4)
 	defer db.Close()
@@ -482,10 +485,71 @@ func TestShardedReopen(t *testing.T) {
 	}
 }
 
-// TestUnshardedReopenWithShardsRejected: an unsharded database has no
-// SHARDS manifest, so opening it with Shards > 1 must be refused — a fresh
-// sharded layout would shadow all root-level data behind empty shards.
-func TestUnshardedReopenWithShardsRejected(t *testing.T) {
+// TestRetiredRootLayoutRefused: the layouts older builds wrote — an engine
+// at the filesystem root, a version-1 SHARDS, and a reshard intent naming
+// the root as a shard directory — fail Open with ErrShardLayout and leave
+// every file in place. Recovery deletes whatever lies under an intent's
+// directory prefixes, so running the root intent would erase the database.
+func TestRetiredRootLayoutRefused(t *testing.T) {
+	putOne := func(fs vfs.FS) {
+		t.Helper()
+		db, err := lsm.Open(lsm.Options{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put([]byte("k"), 1, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rootEngine := vfs.NewMem()
+	putOne(rootEngine)
+
+	version1 := vfs.NewMem()
+	putOne(vfs.NewPrefix(version1, shardDirPrefix(0)))
+	putOne(vfs.NewPrefix(version1, shardDirPrefix(1)))
+	writeShardManifestRaw(t, version1, shardManifest{Version: 1, Boundaries: [][]byte{{0x80}}})
+
+	rootIntent := vfs.NewMem()
+	db := openSharded(t, rootIntent, 2)
+	fillShards(t, db, 200)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveReshardIntent(rootIntent, &reshardIntent{Version: 1, Kind: "split", NewEpoch: 1,
+		NewDirs: []string{shardDirPrefix(0), shardDirPrefix(1)}, OldDirs: []string{""}}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		fs   vfs.FS
+	}{{"root engine", rootEngine}, {"version-1 SHARDS", version1}, {"root-directory intent", rootIntent}} {
+		before, err := c.fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{Storage: StorageOptions{FS: c.fs}}); !errors.Is(err, ErrShardLayout) {
+			t.Errorf("%s: Open err = %v, want ErrShardLayout", c.name, err)
+		}
+		after, err := c.fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(before)
+		sort.Strings(after)
+		if !slices.Equal(before, after) {
+			t.Errorf("%s: refused Open changed the files\nbefore %q\nafter  %q", c.name, before, after)
+		}
+	}
+
+	// A one-shard database reopened with a different explicit count is
+	// refused by the manifest, which owns the layout.
 	fs := vfs.NewMem()
 	db, err := Open(Options{Storage: StorageOptions{FS: fs}})
 	if err != nil {
@@ -497,13 +561,12 @@ func TestUnshardedReopenWithShardsRejected(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := Open(Options{Storage: StorageOptions{FS: fs}, Shards: 4}); err == nil ||
-		!strings.Contains(err.Error(), "unsharded") {
-		t.Fatalf("sharded open over unsharded data: err=%v", err)
+	if _, err := Open(Options{Storage: StorageOptions{FS: fs}, Shards: 4}); !errors.Is(err, ErrShardLayout) ||
+		!strings.Contains(err.Error(), "manifest owns the layout") {
+		t.Fatalf("one-shard database reopened with Shards 4: err=%v", err)
 	}
 
-	// Reopening unsharded still works and sees the data.
+	// Reopening without a count still works and sees the data.
 	db2, err := Open(Options{Storage: StorageOptions{FS: fs}})
 	if err != nil {
 		t.Fatal(err)
@@ -599,6 +662,10 @@ func TestShardOptionValidation(t *testing.T) {
 	if _, err := Open(Options{InMemory: true, Shards: 4,
 		ShardBoundaries: [][]byte{[]byte("a")}}); err == nil {
 		t.Fatal("wrong boundary count accepted")
+	}
+	// One shard takes an empty boundary list.
+	if _, err := Open(Options{InMemory: true, ShardBoundaries: [][]byte{[]byte("a")}}); !errors.Is(err, ErrShardLayout) {
+		t.Fatalf("a boundary for one shard: err=%v, want ErrShardLayout", err)
 	}
 	if _, err := Open(Options{InMemory: true, Shards: 3,
 		ShardBoundaries: [][]byte{[]byte("b"), []byte("a")}}); err == nil {

@@ -132,9 +132,8 @@ func (s *Snapshot) SecondaryRangeScan(lo, hi DeleteKey) ([]Item, error) {
 }
 
 // sortSecondaryItems orders secondary-scan results deterministically: by
-// delete key, then sort key. Both the sharded fan-out (whose natural order
-// would otherwise change with shard layout) and the single-instance path
-// (whose natural order follows fence traversal) funnel through it.
+// delete key, then sort key. The fan-out's natural order would otherwise
+// change with the shard layout and follow each shard's fence traversal.
 func sortSecondaryItems(items []Item) {
 	sort.Slice(items, func(i, j int) bool {
 		if items[i].DKey != items[j].DKey {

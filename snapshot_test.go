@@ -431,7 +431,7 @@ func TestSnapshotIterDegenerateRanges(t *testing.T) {
 }
 
 // TestSecondaryRangeScanDeterministicOrder: results are sorted by delete
-// key then sort key on sharded, unsharded, and snapshot paths — the order
+// key then sort key with one shard, with several, and on snapshots — the order
 // must not leak the shard layout.
 func TestSecondaryRangeScanDeterministicOrder(t *testing.T) {
 	check := func(t *testing.T, items []Item, wantLen int) {

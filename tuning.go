@@ -38,7 +38,10 @@
 // counts. BenchmarkShardedPuts models this with per-page device write
 // latency: at 16 writers, 4 shards sustain ~2.7x the aggregate put
 // throughput of 1 shard because the shards' write pipelines overlap their
-// device time.
+// device time. The shard count changes nothing about the on-disk layout: the
+// default, Shards = 1, is a one-shard layout like any other — a SHARDS
+// manifest plus the directory shard-0/, at epoch 1 — so growing it later is
+// an ordinary SplitShard.
 //
 // What sharding does NOT multiply: background resources. Every shard
 // registers with one shared maintenance runtime owned by the database
@@ -191,7 +194,7 @@
 // there: the paper harness stays strictly serial and bit-for-bit
 // deterministic. Observability: Stats().Subcompactions,
 // MaxMergeWidth, CompactionTime, and CompactionThroughputMBps;
-// RuntimeStats().SubcompactionsRun and MaxMergeParallelism;
+// RuntimeStats().MaxMergeParallelism;
 // Stats().Tier.MigrationMBps for the migration side. `lethe stats` prints
 // all three lines.
 //
